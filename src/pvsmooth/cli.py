@@ -20,9 +20,15 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig, load_run_config
-from .economics import BatterySpec
+from .economics import BatterySpec, DieselSpec
 from .errors import ConfigError, PvSmoothError, SolveStatusError
-from .formulation import ConstraintConfig, DispatchSolution, build_case, extract_solution
+from .formulation import (
+    CaseFormulation,
+    ConstraintConfig,
+    DispatchSolution,
+    build_case,
+    extract_solution,
+)
 from .lp import solve, write_mps
 from .pvmodel import PowerSeries, pv_power
 from .validation import ValidationReport, check_dispatch, compare_cases
@@ -64,21 +70,25 @@ def build_power_series(config: RunConfig, seed_override: int | None) -> PowerSer
     return pv_power(weather, config.plant)
 
 
-def _case_constraints(label: str, config: RunConfig) -> ConstraintConfig:
+def _formulate(
+    label: str, config: RunConfig, pv: PowerSeries, battery: BatterySpec
+) -> tuple[CaseFormulation, ConstraintConfig, DieselSpec | None]:
+    """The LP of case ``label`` with the constraints and diesel it was built from.
+
+    The baseline is case A with the fluctuation band removed.
+    """
+    case_id, cfg = label, config.constraints
     if label == "baseline":
-        # same machinery with the fluctuation band removed
-        return replace(config.constraints, fluctuation_limit=math.inf)
-    return config.constraints
+        case_id, cfg = "A", replace(cfg, fluctuation_limit=math.inf)
+    diesel = config.diesel if case_id in ("C", "D") else None
+    return build_case(case_id, pv, battery, config.econ, cfg, diesel=diesel), cfg, diesel
 
 
 def solve_case(
     label: str, config: RunConfig, pv: PowerSeries, battery: BatterySpec | None = None
 ) -> CaseRecord:
-    case_id = "A" if label == "baseline" else label
     battery = battery if battery is not None else config.battery
-    cfg = _case_constraints(label, config)
-    diesel = config.diesel if case_id in ("C", "D") else None
-    form = build_case(case_id, pv, battery, config.econ, cfg, diesel=diesel)
+    form, cfg, diesel = _formulate(label, config, pv, battery)
     solution = solve(form.problem, config.solver)
     log.info("case %s: %s after %d iterations", label, solution.status, solution.iterations)
     if solution.status != "optimal":
@@ -216,7 +226,9 @@ def cmd_run(config: RunConfig, seed_override: int | None) -> int:
             c: records[c].dispatch for c in smoothing if records[c].dispatch is not None
         }
         try:
-            comparison = compare_cases(solved, baseline.dispatch)
+            comparison = compare_cases(
+                solved, baseline.dispatch, emission_charge=config.diesel.emission_charge_total
+            )
         except ValueError as exc:
             print(f"comparison failed: {exc}", file=sys.stderr)
             exit_code = 1
@@ -232,19 +244,24 @@ def cmd_run(config: RunConfig, seed_override: int | None) -> int:
     _write_json(out / "summary.json", summary)
 
     if "battery-select" in config.cases:
-        code = cmd_battery_select(config, seed_override, pv=pv)
+        code = cmd_battery_select(config, seed_override, pv=pv, baseline=baseline)
         exit_code = exit_code or code
     return exit_code
 
 
 def cmd_battery_select(
-    config: RunConfig, seed_override: int | None, pv: PowerSeries | None = None
+    config: RunConfig,
+    seed_override: int | None,
+    pv: PowerSeries | None = None,
+    baseline: CaseRecord | None = None,
 ) -> int:
+    """Rank the battery candidates; ``run`` passes the baseline it already solved."""
     if len(config.battery_candidates) < 2:
         raise ConfigError("battery_candidates: ranking needs at least two specs")
     if pv is None:
         pv = build_power_series(config, seed_override)
-    baseline = solve_case("baseline", config, pv)
+    if baseline is None:
+        baseline = solve_case("baseline", config, pv)
     if baseline.dispatch is None:
         print(f"baseline solve failed: {baseline.status}", file=sys.stderr)
         return 1
@@ -298,10 +315,7 @@ def cmd_battery_select(
 
 def cmd_export_mps(config: RunConfig, seed_override: int | None, label: str) -> int:
     pv = build_power_series(config, seed_override)
-    case_id = "A" if label == "baseline" else label
-    cfg = _case_constraints(label, config)
-    diesel = config.diesel if case_id in ("C", "D") else None
-    form = build_case(case_id, pv, config.battery, config.econ, cfg, diesel=diesel)
+    form, _, _ = _formulate(label, config, pv, config.battery)
     config.output_dir.mkdir(parents=True, exist_ok=True)
     path = config.output_dir / f"case_{label}.mps"
     write_mps(form.problem, path)

@@ -1,11 +1,12 @@
 """Dispatch/sizing LP assembly for the four smoothing strategies.
 
 Case A uses the battery alone, B adds sub-MPP curtailment, C adds a diesel
-generator instead, D combines all three. Each builder returns the LP plus an
-index map for decoding; the decision symbols per retained step are the grid
-injection P_G, battery power P_b (positive = discharge), battery energy E_b,
-and, depending on the case, curtailed power P_c and diesel power P_D,
-together with the sizing variables P_bMAX, E_bMAX, P_DMAX.
+generator instead, D combines all three. The builder returns the LP plus
+the column block of each variable family for decoding; the decision symbols
+per retained step are the grid injection P_G, battery power P_b (positive =
+discharge), battery energy E_b, and, depending on the case, curtailed power
+P_c and diesel power P_D, together with the sizing variables P_bMAX, E_bMAX,
+P_DMAX.
 
 Sign conventions: P_b > 0 discharges (adds to the grid injection and drains
 stored energy); the stored-energy recursion over one step of h hours is
@@ -83,11 +84,17 @@ class ConstraintConfig:
 
 @dataclass(frozen=True)
 class CaseFormulation:
-    """An assembled case: the LP, the column lookup and decode metadata."""
+    """An assembled case: the LP, the column lookup and decode metadata.
+
+    ``columns`` maps each variable family (``p_grid``, ``p_batt``,
+    ``e_batt``, ``p_curt``, ``p_diesel``, ``p_batt_max``, ``e_batt_max``,
+    ``p_diesel_max``) the case has to its contiguous block of LP columns;
+    per-step families hold one column per retained step.
+    """
 
     case_id: str
     problem: LpProblem
-    index_map: dict
+    columns: dict[str, slice]
     steps: np.ndarray  # original trace indices of the retained horizon
     p_pv: np.ndarray  # kW at the retained steps
     step_hours: float
@@ -146,14 +153,17 @@ def _check_inputs(pv: PowerSeries, cfg: ConstraintConfig) -> None:
         )
 
 
-def _build(
+def build_case(
     case_id: str,
     pv: PowerSeries,
     batt: BatterySpec,
     econ: EconomicParams,
     cfg: ConstraintConfig,
-    diesel: DieselSpec | None,
+    diesel: DieselSpec | None = None,
 ) -> CaseFormulation:
+    """Assemble the LP of case ``case_id``; diesel is required for C and D."""
+    if case_id not in CASE_IDS:
+        raise ValueError(f"unknown case {case_id!r}; expected one of {CASE_IDS}")
     _check_inputs(pv, cfg)
     has_curt = case_id in ("B", "D")
     has_diesel = case_id in ("C", "D")
@@ -172,37 +182,36 @@ def _build(
     )
     rev = econ.energy_price * h * annualization * factors.revenue_multiplier
 
-    # column layout: P_G, P_b, E_b, [P_c], [P_D], P_bMAX, E_bMAX, [P_DMAX]
-    index_map: dict = {}
+    # column layout: P_G, P_b, E_b, [P_c], [P_D], P_bMAX, E_bMAX, [P_DMAX],
+    # one contiguous block per family
+    columns: dict[str, slice] = {}
     bounds: list[tuple[float, float]] = []
     names: list[str] = []
     objective: list[float] = []
     inf = math.inf
 
-    def add_col(key, name, lo, hi, cost) -> int:
-        j = len(bounds)
-        index_map[key] = j
-        bounds.append((lo, hi))
-        names.append(name)
-        objective.append(cost)
-        return j
+    def add_block(family, col_names, col_bounds, cost) -> int:
+        j0 = len(bounds)
+        columns[family] = slice(j0, j0 + len(col_names))
+        bounds.extend(col_bounds)
+        names.extend(col_names)
+        objective.extend([cost] * len(col_names))
+        return j0
 
-    for i in range(n):
-        add_col(("p_grid", i), f"PG{i + 1:06d}", 0.0, cfg.grid_cap, rev)
-    for i in range(n):
-        add_col(("p_batt", i), f"PB{i + 1:06d}", -inf, inf, 0.0)
-    for i in range(n):
-        add_col(("e_batt", i), f"EB{i + 1:06d}", 0.0, inf, 0.0)
+    def per_step(prefix):
+        return [f"{prefix}{i + 1:06d}" for i in range(n)]
+
+    g0 = add_block("p_grid", per_step("PG"), [(0.0, cfg.grid_cap)] * n, rev)
+    b0 = add_block("p_batt", per_step("PB"), [(-inf, inf)] * n, 0.0)
+    e0 = add_block("e_batt", per_step("EB"), [(0.0, inf)] * n, 0.0)
     if has_curt:
-        for i in range(n):
-            add_col(("p_curt", i), f"PC{i + 1:06d}", 0.0, float(p_pv[i]), 0.0)
+        c0 = add_block("p_curt", per_step("PC"), [(0.0, float(v)) for v in p_pv], 0.0)
     if has_diesel:
         # recurring fuel cost per kW of diesel output over one step
         fuel = diesel.fuel_per_kwh * diesel.fuel_price * h * annualization
         if not cfg.undiscounted_diesel_costs:
             fuel *= factors.revenue_multiplier
-        for i in range(n):
-            add_col(("p_diesel", i), f"PD{i + 1:06d}", 0.0, inf, -fuel)
+        d0 = add_block("p_diesel", per_step("PD"), [(0.0, inf)] * n, -fuel)
 
     if cfg.undiscounted_diesel_costs:
         beta_term = batt.capital_power / batt.eff_power
@@ -210,20 +219,12 @@ def _build(
     else:
         beta_term = factors.beta / batt.eff_power
         gamma_term = factors.gamma / batt.eff_energy
-    j_pbmax = add_col("p_batt_max", "PBMAX", 0.0, inf, -beta_term)
-    j_ebmax = add_col("e_batt_max", "EBMAX", 0.0, inf, -gamma_term)
-    j_pdmax = None
+    j_pbmax = add_block("p_batt_max", ["PBMAX"], [(0.0, inf)], -beta_term)
+    j_ebmax = add_block("e_batt_max", ["EBMAX"], [(0.0, inf)], -gamma_term)
     if has_diesel:
-        j_pdmax = add_col("p_diesel_max", "PDMAX", 0.0, inf, -factors.sigma / diesel.efficiency)
-
-    def jg(i):
-        return index_map[("p_grid", i)]
-
-    def jb(i):
-        return index_map[("p_batt", i)]
-
-    def je(i):
-        return index_map[("e_batt", i)]
+        j_pdmax = add_block(
+            "p_diesel_max", ["PDMAX"], [(0.0, inf)], -factors.sigma / diesel.efficiency
+        )
 
     rows: list[tuple[list[tuple[int, float]], str, float]] = []
     row_names: list[str] = []
@@ -234,11 +235,11 @@ def _build(
 
     # power balance at each step: P_G - P_b + P_c - P_D = P_PV
     for i in range(n):
-        coeffs = [(jg(i), 1.0), (jb(i), -1.0)]
+        coeffs = [(g0 + i, 1.0), (b0 + i, -1.0)]
         if has_curt:
-            coeffs.append((index_map[("p_curt", i)], 1.0))
+            coeffs.append((c0 + i, 1.0))
         if has_diesel:
-            coeffs.append((index_map[("p_diesel", i)], -1.0))
+            coeffs.append((d0 + i, -1.0))
         add_row(coeffs, "=", float(p_pv[i]), f"BAL{i + 1:05d}")
 
     # fluctuation band on the grid injection, skipped across trace gaps
@@ -247,59 +248,43 @@ def _build(
         for i in range(1, n):
             if starts[i]:
                 continue
-            add_row([(jg(i), 1.0), (jg(i - 1), -1.0)], "<=", lim, f"RUP{i + 1:05d}")
-            add_row([(jg(i), -1.0), (jg(i - 1), 1.0)], "<=", lim, f"RDN{i + 1:05d}")
+            add_row([(g0 + i, 1.0), (g0 + i - 1, -1.0)], "<=", lim, f"RUP{i + 1:05d}")
+            add_row([(g0 + i, -1.0), (g0 + i - 1, 1.0)], "<=", lim, f"RDN{i + 1:05d}")
 
     # stored-energy recursion; deliberately chained across trace gaps so the
     # battery carries its state through the night
     for i in range(1, n):
         add_row(
-            [(je(i), 1.0), (je(i - 1), -1.0), (jb(i - 1), h)],
-            "=",
-            0.0,
-            f"SOC{i + 1:05d}",
+            [(e0 + i, 1.0), (e0 + i - 1, -1.0), (b0 + i - 1, h)], "=", 0.0, f"SOC{i + 1:05d}"
         )
 
     # battery power within the rating, both directions
     for i in range(n):
-        add_row([(jb(i), 1.0), (j_pbmax, -1.0)], "<=", 0.0, f"PBU{i + 1:05d}")
-        add_row([(jb(i), -1.0), (j_pbmax, -1.0)], "<=", 0.0, f"PBL{i + 1:05d}")
+        add_row([(b0 + i, 1.0), (j_pbmax, -1.0)], "<=", 0.0, f"PBU{i + 1:05d}")
+        add_row([(b0 + i, -1.0), (j_pbmax, -1.0)], "<=", 0.0, f"PBL{i + 1:05d}")
 
     # stored energy within [X_min * rating, rating]
     x_min = batt.soc_min_fraction
     for i in range(n):
-        add_row([(je(i), 1.0), (j_ebmax, -1.0)], "<=", 0.0, f"EBU{i + 1:05d}")
-        add_row([(je(i), -1.0), (j_ebmax, x_min)], "<=", 0.0, f"EBL{i + 1:05d}")
+        add_row([(e0 + i, 1.0), (j_ebmax, -1.0)], "<=", 0.0, f"EBU{i + 1:05d}")
+        add_row([(e0 + i, -1.0), (j_ebmax, x_min)], "<=", 0.0, f"EBL{i + 1:05d}")
 
     fuel_cap_kwh = 0.0
     if has_diesel:
         for i in range(n):
-            add_row(
-                [(index_map[("p_diesel", i)], 1.0), (j_pdmax, -1.0)],
-                "<=",
-                0.0,
-                f"DCP{i + 1:05d}",
-            )
+            add_row([(d0 + i, 1.0), (j_pdmax, -1.0)], "<=", 0.0, f"DCP{i + 1:05d}")
         fuel_cap_kwh = (
             diesel.annual_fuel_cap_liters / diesel.fuel_per_kwh
         ) * (pv.total_hours / HOURS_PER_YEAR)
-        add_row(
-            [(index_map[("p_diesel", i)], h) for i in range(n)],
-            "<=",
-            fuel_cap_kwh,
-            "FUELCAP",
-        )
+        add_row([(d0 + i, h) for i in range(n)], "<=", fuel_cap_kwh, "FUELCAP")
 
     if cfg.initial_soc_mode == "fixed-fraction":
         add_row(
-            [(je(0), 1.0), (j_ebmax, -float(cfg.initial_soc_fraction))],
-            "=",
-            0.0,
-            "INITSOC",
+            [(e0, 1.0), (j_ebmax, -float(cfg.initial_soc_fraction))], "=", 0.0, "INITSOC"
         )
     if cfg.cyclic_soc:
         # end at least as full as the start: no free stored energy
-        add_row([(je(0), 1.0), (je(n - 1), -1.0)], "<=", 0.0, "CYCSOC")
+        add_row([(e0, 1.0), (e0 + n - 1, -1.0)], "<=", 0.0, "CYCSOC")
 
     offset = -diesel.emission_charge_total if has_diesel else 0.0
     problem = build_problem(
@@ -315,69 +300,13 @@ def _build(
     return CaseFormulation(
         case_id=case_id,
         problem=problem,
-        index_map=index_map,
+        columns=columns,
         steps=steps,
         p_pv=p_pv,
         step_hours=h,
         fuel_cap_kwh=fuel_cap_kwh,
         annualization=annualization,
     )
-
-
-def build_case_a(
-    pv: PowerSeries, batt: BatterySpec, econ: EconomicParams, cfg: ConstraintConfig
-) -> CaseFormulation:
-    """Battery-only smoothing."""
-    return _build("A", pv, batt, econ, cfg, None)
-
-
-def build_case_b(
-    pv: PowerSeries, batt: BatterySpec, econ: EconomicParams, cfg: ConstraintConfig
-) -> CaseFormulation:
-    """Battery plus sub-MPP curtailment."""
-    return _build("B", pv, batt, econ, cfg, None)
-
-
-def build_case_c(
-    pv: PowerSeries,
-    batt: BatterySpec,
-    diesel: DieselSpec,
-    econ: EconomicParams,
-    cfg: ConstraintConfig,
-) -> CaseFormulation:
-    """Battery plus diesel backup."""
-    return _build("C", pv, batt, econ, cfg, diesel)
-
-
-def build_case_d(
-    pv: PowerSeries,
-    batt: BatterySpec,
-    diesel: DieselSpec,
-    econ: EconomicParams,
-    cfg: ConstraintConfig,
-) -> CaseFormulation:
-    """Battery, curtailment and diesel together."""
-    return _build("D", pv, batt, econ, cfg, diesel)
-
-
-def build_case(
-    case_id: str,
-    pv: PowerSeries,
-    batt: BatterySpec,
-    econ: EconomicParams,
-    cfg: ConstraintConfig,
-    diesel: DieselSpec | None = None,
-) -> CaseFormulation:
-    """Dispatch on ``case_id``; diesel is required for C and D."""
-    if case_id == "A":
-        return build_case_a(pv, batt, econ, cfg)
-    if case_id == "B":
-        return build_case_b(pv, batt, econ, cfg)
-    if case_id == "C":
-        return build_case_c(pv, batt, diesel, econ, cfg)
-    if case_id == "D":
-        return build_case_d(pv, batt, diesel, econ, cfg)
-    raise ValueError(f"unknown case {case_id!r}; expected one of {CASE_IDS}")
 
 
 def extract_solution(
@@ -392,13 +321,15 @@ def extract_solution(
         raise SolveStatusError(
             f"cannot extract a dispatch from a solve with status {solution.status!r}"
         )
-    imap = formulation.index_map
-    n = formulation.n_steps
+    cols = formulation.columns
     x = solution.x
 
     def series(name: str) -> np.ndarray:
         # + 0.0 normalizes the -0.0 a variable parked at bound can carry
-        return np.array([x[imap[(name, i)]] for i in range(n)]) + 0.0
+        return x[cols[name]] + 0.0
+
+    def scalar(name: str) -> float:
+        return float(x[cols[name].start]) + 0.0
 
     p_curt = series("p_curt") if formulation.has_curtailment else np.zeros(0)
     p_diesel = series("p_diesel") if formulation.has_diesel else np.zeros(0)
@@ -412,9 +343,9 @@ def extract_solution(
         e_batt=series("e_batt"),
         p_curt=p_curt,
         p_diesel=p_diesel,
-        p_batt_max=float(x[imap["p_batt_max"]]) + 0.0,
-        e_batt_max=float(x[imap["e_batt_max"]]) + 0.0,
-        p_diesel_max=float(x[imap["p_diesel_max"]]) + 0.0 if formulation.has_diesel else 0.0,
+        p_batt_max=scalar("p_batt_max"),
+        e_batt_max=scalar("e_batt_max"),
+        p_diesel_max=scalar("p_diesel_max") if formulation.has_diesel else 0.0,
         net_benefit=solution.objective_value,
         diesel_energy=diesel_energy,
         e_diesel_max_cap=formulation.fuel_cap_kwh,

@@ -46,7 +46,7 @@ def _data_line(f2: str, f3: str, f4: str, f5: str = "", f6: str = "") -> str:
 
 def render_mps(problem: LpProblem) -> str:
     col_names = _short_names(list(problem.col_names), "C")
-    row_names = _short_names([row.name for row in problem.rows], "R")
+    row_names = _short_names(list(problem.row_names), "R")
     obj_name = "OBJ"
     while obj_name in row_names:
         obj_name = "X" + obj_name  # never more than a few collisions
@@ -58,29 +58,25 @@ def render_mps(problem: LpProblem) -> str:
 
     lines.append("ROWS")
     lines.append(f" N  {obj_name}")
-    for i, row in enumerate(problem.rows):
-        lines.append(f" {_REL_TO_TYPE[row.relation]}  {row_names[i]}")
+    for relation, rname in zip(problem.relations, row_names):
+        lines.append(f" {_REL_TO_TYPE[relation]}  {rname}")
 
     # column-major entries, one coefficient per line
     lines.append("COLUMNS")
-    by_col: list[list[tuple[str, float]]] = [[] for _ in range(problem.n_vars)]
-    for i, row in enumerate(problem.rows):
-        for col, val in zip(row.cols, row.vals):
-            by_col[int(col)].append((row_names[i], float(val)))
-    for j in range(problem.n_vars):
-        entries = []
-        if problem.objective[j] != 0.0:
-            entries.append((obj_name, float(problem.objective[j])))
-        entries.extend(by_col[j])
-        for rname, val in entries:
-            lines.append(_data_line(col_names[j], rname, _num(val)))
+    by_col = problem.A.tocsc()
+    indptr, row_of, vals = by_col.indptr.tolist(), by_col.indices.tolist(), by_col.data.tolist()
+    for j, (cname, cost) in enumerate(zip(col_names, problem.objective.tolist())):
+        if cost != 0.0:
+            lines.append(_data_line(cname, obj_name, _num(cost)))
+        for k in range(indptr[j], indptr[j + 1]):
+            lines.append(_data_line(cname, row_names[row_of[k]], _num(vals[k])))
 
     lines.append("RHS")
     if problem.objective_offset != 0.0:
         lines.append(_data_line("RHS", obj_name, _num(-problem.objective_offset)))
-    for i, row in enumerate(problem.rows):
-        if row.rhs != 0.0:
-            lines.append(_data_line("RHS", row_names[i], _num(row.rhs)))
+    for rname, rhs in zip(row_names, problem.rhs.tolist()):
+        if rhs != 0.0:
+            lines.append(_data_line("RHS", rname, _num(rhs)))
 
     lines.append("RANGES")
 

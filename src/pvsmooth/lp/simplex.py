@@ -47,8 +47,6 @@ class _BasisFactor:
 
     def refactor(self, basis: np.ndarray) -> None:
         self.etas = []
-        if self.m == 0:
-            return
         B = self.A[:, basis].toarray()
         self.lu = lu_factor(B, check_finite=False)
         diag = np.abs(np.diag(self.lu[0]))
@@ -66,8 +64,6 @@ class _BasisFactor:
 
     def ftran(self, v: np.ndarray) -> np.ndarray:
         # B^-1 v
-        if self.m == 0:
-            return np.zeros(0)
         y = lu_solve(self.lu, v, check_finite=False)
         for r, w in self.etas:
             yr = y[r] / w[r]
@@ -77,12 +73,15 @@ class _BasisFactor:
 
     def btran(self, v: np.ndarray) -> np.ndarray:
         # B^-T v
-        if self.m == 0:
-            return np.zeros(0)
         y = v.copy()
         for r, w in reversed(self.etas):
             y[r] = (y[r] - (np.dot(w, y) - w[r] * y[r])) / w[r]
         return lu_solve(self.lu, y, trans=1, check_finite=False)
+
+
+def _start_point(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """Each variable at its finite lower bound, else its finite upper, else 0."""
+    return np.where(np.isfinite(lower), lower, np.where(np.isfinite(upper), upper, 0.0))
 
 
 class _State:
@@ -99,30 +98,14 @@ class _State:
 
         # Column layout: structural, then one slack per inequality row, then
         # artificials for rows whose slack cannot absorb the initial residual.
-        slack_col = np.full(m, -1, dtype=np.int64)
-        next_col = n
-        for i, row in enumerate(problem.rows):
-            if row.relation != "=":
-                slack_col[i] = next_col
-                next_col += 1
-        n_slack = next_col - n
+        rel = np.array(problem.relations, dtype="U2")
+        slack_rows = np.flatnonzero(rel != "=")
+        n_slack = len(slack_rows)
+        slack_le = rel[slack_rows] == "<="
+        slack_lo = np.where(slack_le, 0.0, -np.inf)
+        slack_hi = np.where(slack_le, np.inf, 0.0)
 
-        slack_lo = np.zeros(n_slack)
-        slack_hi = np.zeros(n_slack)
-        k = 0
-        for row in problem.rows:
-            if row.relation == "<=":
-                slack_lo[k], slack_hi[k] = 0.0, np.inf
-                k += 1
-            elif row.relation == ">=":
-                slack_lo[k], slack_hi[k] = -np.inf, 0.0
-                k += 1
-
-        x_struct = np.where(
-            np.isfinite(problem.lower),
-            problem.lower,
-            np.where(np.isfinite(problem.upper), problem.upper, 0.0),
-        )
+        x_struct = _start_point(problem.lower, problem.upper)
         vstat_struct = np.where(
             problem.lower == problem.upper,
             FIXED,
@@ -133,57 +116,31 @@ class _State:
             ),
         )
 
-        b = np.array([row.rhs for row in problem.rows])
-        activity = np.array(
-            [np.dot(row.vals, x_struct[row.cols]) if len(row.cols) else 0.0 for row in problem.rows]
-        )
-        resid = b - activity
+        b = problem.rhs
+        resid = b - problem.A @ x_struct
 
-        data: list[float] = []
-        ri: list[int] = []
-        ci: list[int] = []
-        for i, row in enumerate(problem.rows):
-            ri.extend([i] * len(row.cols))
-            ci.extend(row.cols.tolist())
-            data.extend(row.vals.tolist())
-            if slack_col[i] >= 0:
-                ri.append(i)
-                ci.append(int(slack_col[i]))
-                data.append(1.0)
-
-        basis = np.full(m, -1, dtype=np.int64)
-        x_slack = np.zeros(n_slack)
-        vstat_slack = np.full(n_slack, AT_LOWER, dtype=np.int64)
-        art_rows: list[int] = []
-        for i, row in enumerate(problem.rows):
-            s = slack_col[i]
-            if row.relation == "<=" and resid[i] >= 0.0:
-                basis[i] = s
-                x_slack[s - n] = resid[i]
-                vstat_slack[s - n] = BASIC
-            elif row.relation == ">=" and resid[i] <= 0.0:
-                basis[i] = s
-                x_slack[s - n] = resid[i]
-                vstat_slack[s - n] = BASIC
-            else:
-                if s >= 0:
-                    # slack rests at its bound nearest feasibility, which is 0
-                    vstat_slack[s - n] = AT_LOWER if row.relation == "<=" else AT_UPPER
-                art_rows.append(i)
+        # a slack starts basic when it absorbs the row's initial residual;
+        # otherwise it rests at its bound nearest feasibility, which is 0
+        slack_resid = resid[slack_rows]
+        slack_basic = np.where(slack_le, slack_resid >= 0.0, slack_resid <= 0.0)
+        x_slack = np.where(slack_basic, slack_resid, 0.0)
+        vstat_slack = np.where(slack_basic, BASIC, np.where(slack_le, AT_LOWER, AT_UPPER))
+        row_covered = np.zeros(m, dtype=bool)
+        row_covered[slack_rows[slack_basic]] = True
+        art_rows = np.flatnonzero(~row_covered)
 
         na = len(art_rows)
         n_total = n + n_slack + na
-        for j, i in enumerate(art_rows):
-            col = n + n_slack + j
-            ri.append(i)
-            ci.append(col)
-            data.append(1.0 if resid[i] >= 0.0 else -1.0)
-            basis[i] = col
+        basis = np.empty(m, dtype=np.int64)
+        basis[slack_rows[slack_basic]] = n + np.flatnonzero(slack_basic)
+        basis[art_rows] = n + n_slack + np.arange(na)
 
-        self.A = sp.csc_matrix(
-            (np.array(data), (np.array(ri, dtype=np.int64), np.array(ci, dtype=np.int64))),
-            shape=(m, n_total),
+        slacks = sp.csc_matrix(
+            (np.ones(n_slack), (slack_rows, np.arange(n_slack))), shape=(m, n_slack)
         )
+        art_sign = np.where(resid[art_rows] >= 0.0, 1.0, -1.0)
+        artificials = sp.csc_matrix((art_sign, (art_rows, np.arange(na))), shape=(m, na))
+        self.A = sp.hstack([problem.A.tocsc(), slacks, artificials], format="csc")
         self.At = self.A.T.tocsr()
         self.b = b
         self.n_total = n_total
@@ -206,13 +163,11 @@ class _State:
         self.iterations = 0
         max_it = opts.max_iterations
         self.max_iterations = max_it if max_it is not None else 50 * (m + n)
-        self.b_scale = 1.0 + (np.max(np.abs(b)) if m else 0.0)
+        self.b_scale = 1.0 + np.max(np.abs(b))
 
     # -- basis maintenance -------------------------------------------------
 
     def _recompute_basics(self) -> None:
-        if self.m == 0:
-            return
         xc = self.x.copy()
         xc[self.basis] = 0.0
         v = self.b - self.A @ xc
@@ -225,8 +180,6 @@ class _State:
     # -- pricing -----------------------------------------------------------
 
     def _reduced_costs(self, c_work: np.ndarray) -> np.ndarray:
-        if self.m == 0:
-            return c_work.copy()
         y = self.factor.btran(c_work[self.basis])
         return c_work - self.At @ y
 
@@ -274,7 +227,7 @@ class _State:
                 if self.vstat[q] == AT_UPPER or (self.vstat[q] == FREE and d[q] > 0):
                     direction = -1.0
 
-                w = self.factor.ftran(self.factor.column(q)) if self.m else np.zeros(0)
+                w = self.factor.ftran(self.factor.column(q))
 
                 # ratio test over the basics plus the entering bound flip
                 delta = -direction * w
@@ -288,7 +241,7 @@ class _State:
                     room = np.maximum(self.hi[self.basis[inc]] - self.x[self.basis[inc]], 0.0)
                     t_cand[inc] = room / delta[inc]
 
-                t_min = float(np.min(t_cand)) if self.m else np.inf
+                t_min = float(np.min(t_cand))
                 lo_q, hi_q = self.lo[q], self.hi[q]
                 t_flip = hi_q - lo_q if np.isfinite(lo_q) and np.isfinite(hi_q) else np.inf
 
@@ -402,6 +355,19 @@ class _State:
         self._refactor()
 
 
+def _solve_box(problem: LpProblem) -> tuple[str, np.ndarray]:
+    """Exact optimum of a problem without rows: each variable with a cost
+    moves to the bound its cost points to; a zero cost keeps the start value."""
+    c = -problem.objective if problem.sense == "maximize" else problem.objective
+    x = _start_point(problem.lower, problem.upper)
+    target = np.where(c > 0, problem.lower, problem.upper)
+    moves = c != 0
+    if np.any(moves & ~np.isfinite(target)):
+        return "unbounded", x
+    x[moves] = target[moves]
+    return "optimal", x
+
+
 def solve(problem: LpProblem, options: SolveOptions | None = None) -> LpSolution:
     """Solve ``problem`` to proven optimality or a definite failure status.
 
@@ -409,10 +375,11 @@ def solve(problem: LpProblem, options: SolveOptions | None = None) -> LpSolution
     independent evaluation of the original rows at the reported point.
     """
     opts = options or SolveOptions()
-    st = _State(problem, opts)
-
-    status = "optimal"
-    if st.m > 0:
+    if problem.n_rows == 0:
+        status, xs = _solve_box(problem)
+        iterations = 0
+    else:
+        st = _State(problem, opts)
         st.factor.refactor(st.basis)
         status = st.optimize(phase=1)
         if status == "optimal":
@@ -420,18 +387,19 @@ def solve(problem: LpProblem, options: SolveOptions | None = None) -> LpSolution
                 status = "infeasible"
             else:
                 st.drive_out_artificials()
-    if status == "optimal":
-        status = st.optimize(phase=2)
-    if status == "optimal" and st.m > 0:
-        st._refactor()
+        if status == "optimal":
+            status = st.optimize(phase=2)
+        if status == "optimal":
+            st._refactor()
+        xs = st.x[: st.n].copy()
+        iterations = st.iterations
 
-    xs = st.x[: st.n].copy()
     max_res, max_bv = evaluate_residuals(problem, xs)
     return LpSolution(
         status=status,
         x=xs,
         objective_value=objective_value(problem, xs),
-        iterations=st.iterations,
+        iterations=iterations,
         max_primal_residual=max_res,
         max_bound_violation=max_bv,
     )

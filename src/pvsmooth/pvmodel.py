@@ -3,9 +3,7 @@ derate, constant inverter efficiency."""
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -102,12 +100,3 @@ def pv_power(weather: WeatherSeries, plant: PvPlantSpec) -> PowerSeries:
     )
     ac = np.clip(dc, 0.0, plant.rated_power) * plant.inverter_efficiency
     return PowerSeries(step_hours=weather.step_hours, values=ac, active=weather.active.copy())
-
-
-def write_power_csv(series: PowerSeries, path: str | Path) -> None:
-    """Export a power series as ``step_index,p_kw`` over all samples."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step_index", "p_kw"])
-        for i, v in enumerate(series.values):
-            writer.writerow([i, f"{v:.6f}"])

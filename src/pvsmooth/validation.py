@@ -183,6 +183,41 @@ def _minimal_energy_rating(
     return need
 
 
+def _cost_terms(
+    pv: PowerSeries,
+    has_diesel: bool,
+    batt: BatterySpec,
+    econ: EconomicParams,
+    cfg: ConstraintConfig,
+    diesel: DieselSpec | None,
+) -> tuple[float, float, float, float, float]:
+    """Objective coefficients per unit of each decision: revenue per kW of
+    grid injection over one step, then the costs per kW of battery power
+    rating, per kWh of battery energy rating, per kW of diesel rating and
+    per kW of diesel output over one step (the last two 0 without diesel)."""
+    h = pv.step_hours
+    annualization = cfg.annualization
+    if annualization is None:
+        annualization = HOURS_PER_YEAR / pv.total_hours
+    factors = compute_factors(batt, econ, diesel if has_diesel else None,
+                              om_full_horizon=cfg.om_full_horizon)
+    rev = econ.energy_price * h * annualization * factors.revenue_multiplier
+    if cfg.undiscounted_diesel_costs:
+        beta_t = batt.capital_power / batt.eff_power
+        gamma_t = batt.capital_energy / batt.eff_energy
+    else:
+        beta_t = factors.beta / batt.eff_power
+        gamma_t = factors.gamma / batt.eff_energy
+    sigma_t = 0.0
+    fuel_t = 0.0
+    if has_diesel:
+        sigma_t = factors.sigma / diesel.efficiency
+        fuel_t = diesel.fuel_per_kwh * diesel.fuel_price * h * annualization
+        if not cfg.undiscounted_diesel_costs:
+            fuel_t *= factors.revenue_multiplier
+    return rev, beta_t, gamma_t, sigma_t, fuel_t
+
+
 def brute_force_optimum(
     pv: PowerSeries,
     case_id: str,
@@ -192,7 +227,6 @@ def brute_force_optimum(
     diesel: DieselSpec | None = None,
     *,
     power_step_kw: float = 10.0,
-    energy_step_kwh: float = 10.0,
     p_batt_window: tuple[float, float] | None = None,
     p_diesel_limit_kw: float | None = None,
 ) -> OracleResult | None:
@@ -201,14 +235,13 @@ def brute_force_optimum(
     Battery power, curtailment and diesel power are enumerated per step on a
     ``power_step_kw`` grid; for each dispatch the sizing variables are set to
     their cost-minimal values in closed form (max |P_b|, max P_D, and the
-    smallest energy rating containing the stored-energy excursion), so
-    ``energy_step_kwh`` is accepted for interface completeness but never
-    drives a search dimension. Returns None when no enumerated point is
-    feasible. ``p_batt_window`` bounds the battery search grid; callers
+    smallest energy rating containing the stored-energy excursion), so no
+    search dimension runs over energy. Returns None when no enumerated point
+    is feasible. ``p_batt_window`` bounds the battery search grid; callers
     asserting optimality gaps must pick it wide enough to cover the LP
     optimum.
     """
-    if energy_step_kwh <= 0 or power_step_kw <= 0:
+    if power_step_kw <= 0:
         raise ValueError("grid steps must be > 0")
     steps = pv.retained_indices()
     p_pv = pv.retained_values()
@@ -246,27 +279,10 @@ def brute_force_optimum(
     if combos > MAX_ORACLE_COMBOS:
         raise ValueError(f"{combos} grid combinations exceed the enumeration guard")
 
-    annualization = cfg.annualization
-    if annualization is None:
-        annualization = HOURS_PER_YEAR / pv.total_hours
-    factors = compute_factors(batt, econ, diesel if has_diesel else None,
-                              om_full_horizon=cfg.om_full_horizon)
-    rev = econ.energy_price * h * annualization * factors.revenue_multiplier
-    if cfg.undiscounted_diesel_costs:
-        beta_t = batt.capital_power / batt.eff_power
-        gamma_t = batt.capital_energy / batt.eff_energy
-    else:
-        beta_t = factors.beta / batt.eff_power
-        gamma_t = factors.gamma / batt.eff_energy
-    sigma_t = 0.0
-    fuel_t = 0.0
+    rev, beta_t, gamma_t, sigma_t, fuel_t = _cost_terms(pv, has_diesel, batt, econ, cfg, diesel)
     emission = 0.0
     fuel_cap = math.inf
     if has_diesel:
-        sigma_t = factors.sigma / diesel.efficiency
-        fuel_t = diesel.fuel_per_kwh * diesel.fuel_price * h * annualization
-        if not cfg.undiscounted_diesel_costs:
-            fuel_t *= factors.revenue_multiplier
         emission = diesel.emission_charge_total
         fuel_cap = (diesel.annual_fuel_cap_liters / diesel.fuel_per_kwh) * (
             pv.total_hours / HOURS_PER_YEAR
@@ -395,28 +411,14 @@ def oracle_gap_bound(
     n = int(np.count_nonzero(pv.active))
     h = pv.step_hours
     s = power_step_kw
-    annualization = cfg.annualization
-    if annualization is None:
-        annualization = HOURS_PER_YEAR / pv.total_hours
     has_diesel = case_id in ("C", "D")
-    factors = compute_factors(batt, econ, diesel if has_diesel else None,
-                              om_full_horizon=cfg.om_full_horizon)
-    rev = econ.energy_price * h * annualization * factors.revenue_multiplier
+    rev, beta_t, gamma_t, sigma_t, fuel_t = _cost_terms(pv, has_diesel, batt, econ, cfg, diesel)
     streams = 1 + (1 if case_id in ("B", "D") else 0) + (1 if has_diesel else 0)
-    if cfg.undiscounted_diesel_costs:
-        beta_t = batt.capital_power / batt.eff_power
-        gamma_t = batt.capital_energy / batt.eff_energy
-    else:
-        beta_t = factors.beta / batt.eff_power
-        gamma_t = factors.gamma / batt.eff_energy
     bound = rev * n * streams * s / 2.0
     bound += beta_t * s / 2.0
     bound += gamma_t * n * h * s / (1.0 - batt.soc_min_fraction)
     if has_diesel:
-        fuel_t = diesel.fuel_per_kwh * diesel.fuel_price * h * annualization
-        if not cfg.undiscounted_diesel_costs:
-            fuel_t *= factors.revenue_multiplier
-        bound += factors.sigma / diesel.efficiency * s / 2.0
+        bound += sigma_t * s / 2.0
         bound += fuel_t * n * s / 2.0
     return bound
 
@@ -473,21 +475,30 @@ NESTING_REL_TOL = 1e-6
 #: case pairs whose feasible sets nest: the first cannot out-earn the second
 NESTED_PAIRS = (("A", "B"), ("A", "C"), ("B", "D"), ("C", "D"))
 
+DIESEL_CASES = ("C", "D")
+
 
 def compare_cases(
-    results: dict[str, DispatchSolution], baseline: DispatchSolution
+    results: dict[str, DispatchSolution],
+    baseline: DispatchSolution,
+    emission_charge: float = 0.0,
 ) -> CaseComparison:
     """Summarize solved cases against the no-smoothing baseline.
 
     Raises on a nesting violation (a case with a strictly larger feasible
     set earning strictly less beyond tolerance): that is a solver or
-    formulation bug, not a modelling outcome.
+    formulation bug, not a modelling outcome. ``emission_charge`` is the
+    constant lump every diesel case pays even with the diesel idle; it is
+    added back before a diesel case is compared with a case without diesel,
+    because nesting is a claim about feasible sets, not about that constant.
     """
     base = baseline.net_benefit
     for lo, hi in NESTED_PAIRS:
         if lo in results and hi in results:
             lo_v = results[lo].net_benefit
             hi_v = results[hi].net_benefit
+            if hi in DIESEL_CASES and lo not in DIESEL_CASES:
+                hi_v += emission_charge
             if lo_v > hi_v + NESTING_REL_TOL * (1.0 + abs(hi_v)):
                 raise ValueError(
                     f"nesting violation: case {lo} earns {lo_v:.6g} > case {hi} {hi_v:.6g}"

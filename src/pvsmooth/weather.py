@@ -10,7 +10,6 @@ consecutive in real time.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
@@ -26,20 +25,6 @@ DEFAULT_STEP_HOURS = 1.0 / 6.0
 
 #: Samples below this irradiance are dropped from the optimization horizon.
 LOW_IRRADIANCE_WM2 = 2.0
-
-
-@dataclass(frozen=True)
-class WeatherSample:
-    """One fixed-step sample of plane-of-array irradiance and ambient temperature."""
-
-    irradiance: float  # W/m^2
-    ambient_temp: float  # deg C
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.irradiance) or self.irradiance < 0:
-            raise ValueError(f"irradiance must be finite and >= 0, got {self.irradiance}")
-        if not math.isfinite(self.ambient_temp):
-            raise ValueError(f"ambient_temp must be finite, got {self.ambient_temp}")
 
 
 @dataclass(frozen=True)
@@ -89,12 +74,6 @@ class WeatherSeries:
     @property
     def n_active(self) -> int:
         return int(np.count_nonzero(self.active))
-
-    def samples(self) -> list[WeatherSample]:
-        return [
-            WeatherSample(float(g), float(t))
-            for g, t in zip(self.irradiance, self.ambient_temp)
-        ]
 
 
 def load_weather(path: str | Path, fmt: str = "csv") -> WeatherSeries:

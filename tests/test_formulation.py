@@ -18,13 +18,9 @@ from pvsmooth.errors import SolveStatusError
 from pvsmooth.formulation import (
     ConstraintConfig,
     build_case,
-    build_case_a,
-    build_case_b,
-    build_case_c,
-    build_case_d,
     extract_solution,
 )
-from pvsmooth.lp import SolveOptions, solve
+from pvsmooth.lp import SolveOptions, parse_mps, render_mps, solve
 from pvsmooth.pvmodel import PowerSeries
 
 NAS = BatterySpec(
@@ -86,34 +82,49 @@ def revenue_per_kw(econ=ECON, h=1.0 / 6.0, annualization=1.0):
 
 class TestProblemShape:
     def test_case_a_dimensions(self):
-        form = build_case_a(series([300, 600, 250]), NAS, ECON, config())
+        form = build_case("A", series([300, 600, 250]), NAS, ECON, config())
         # per step: P_G, P_b, E_b; plus the two battery ratings
         assert form.problem.n_vars == 3 * 3 + 2
         # 3 balance + 4 ramp + 2 SOC + 6 battery power + 6 energy band + cyclic
         assert form.problem.n_rows == 22
 
     def test_case_d_dimensions(self):
-        form = build_case_d(series([300, 600, 250]), NAS, DIESEL, ECON, config())
+        form = build_case("D", series([300, 600, 250]), NAS, ECON, config(), diesel=DIESEL)
         assert form.problem.n_vars == 5 * 3 + 3
         assert form.problem.n_rows == 22 + 3 + 1  # diesel caps + fuel budget
 
     @pytest.mark.parametrize("case_id", ["A", "B", "C", "D"])
-    def test_index_map_is_a_bijection(self, case_id):
+    def test_column_blocks_cover_every_column_once(self, case_id):
         form = build_case(case_id, series([300, 600, 250]), NAS, ECON, config(),
                           diesel=DIESEL if case_id in ("C", "D") else None)
-        indices = sorted(form.index_map.values())
+        indices = sorted(j for block in form.columns.values()
+                         for j in range(form.problem.n_vars)[block])
         assert indices == list(range(form.problem.n_vars))
 
+    def test_explicit_zero_survives_mps_round_trip(self):
+        # with no SOC floor every EBL row keeps its (EBMAX, 0.0) coefficient
+        form = build_case("A", series([300, 600, 250]), replace(NAS, soc_min_fraction=0.0),
+                          ECON, config())
+        j = form.columns["e_batt_max"].start
+        text = render_mps(form.problem)
+        parsed = parse_mps(text)
+        for p in (form.problem, parsed):
+            ebl = [r for r in p.rows if r.name.startswith("EBL")]
+            assert len(ebl) == 3
+            for r in ebl:
+                assert dict(zip(r.cols.tolist(), r.vals.tolist()))[j] == 0.0
+        assert render_mps(parsed) == text
+
     def test_no_ramp_rows_without_a_limit(self):
-        form = build_case_a(series([300, 600, 250]), NAS, ECON,
-                            config(fluctuation_limit=math.inf))
-        names = [row.name for row in form.problem.rows]
+        form = build_case("A", series([300, 600, 250]), NAS, ECON,
+                          config(fluctuation_limit=math.inf))
+        names = list(form.problem.row_names)
         assert not any(n.startswith(("RUP", "RDN")) for n in names)
 
     def test_ramp_skips_gaps_but_soc_chains_through(self):
         pv = series([300, 310, 0, 290, 280], active=[True, True, False, True, True])
-        form = build_case_a(pv, NAS, ECON, config())
-        names = [row.name for row in form.problem.rows]
+        form = build_case("A", pv, NAS, ECON, config())
+        names = list(form.problem.row_names)
         ramp = sorted(n for n in names if n.startswith("RUP"))
         # retained steps 0,1,3,4; step 3 opens a new block so only two pairs
         assert ramp == ["RUP00002", "RUP00004"]
@@ -122,32 +133,32 @@ class TestProblemShape:
 
     def test_initial_soc_row_only_in_fixed_fraction_mode(self):
         pv = series([300, 600])
-        free = build_case_a(pv, NAS, ECON, config())
-        fixed = build_case_a(pv, NAS, ECON,
-                             config(initial_soc_mode="fixed-fraction",
-                                    initial_soc_fraction=0.5))
-        assert not any(r.name == "INITSOC" for r in free.problem.rows)
-        assert any(r.name == "INITSOC" for r in fixed.problem.rows)
+        free = build_case("A", pv, NAS, ECON, config())
+        fixed = build_case("A", pv, NAS, ECON,
+                           config(initial_soc_mode="fixed-fraction",
+                                  initial_soc_fraction=0.5))
+        assert "INITSOC" not in free.problem.row_names
+        assert "INITSOC" in fixed.problem.row_names
 
     def test_cyclic_row_is_optional(self):
         pv = series([300, 600])
-        on = build_case_a(pv, NAS, ECON, config())
-        off = build_case_a(pv, NAS, ECON, config(cyclic_soc=False))
-        assert any(r.name == "CYCSOC" for r in on.problem.rows)
-        assert not any(r.name == "CYCSOC" for r in off.problem.rows)
+        on = build_case("A", pv, NAS, ECON, config())
+        off = build_case("A", pv, NAS, ECON, config(cyclic_soc=False))
+        assert "CYCSOC" in on.problem.row_names
+        assert "CYCSOC" not in off.problem.row_names
 
     def test_curtailment_bounded_by_available_pv(self):
         pv = series([300, 600, 250])
-        form = build_case_b(pv, NAS, ECON, config())
+        form = build_case("B", pv, NAS, ECON, config())
         for i, expect in enumerate([300.0, 600.0, 250.0]):
-            j = form.index_map[("p_curt", i)]
+            j = form.columns["p_curt"].start + i
             assert form.problem.lower[j] == 0.0
             assert form.problem.upper[j] == expect
 
     def test_step_hours_mismatch_rejected(self):
         pv = series([300, 600], h=0.25)
         with pytest.raises(ValueError, match="step_hours"):
-            build_case_a(pv, NAS, ECON, config())
+            build_case("A", pv, NAS, ECON, config())
 
     def test_diesel_cases_require_a_spec(self):
         with pytest.raises(ValueError, match="diesel"):
@@ -159,7 +170,7 @@ class TestProblemShape:
 
     def test_single_step_rejected(self):
         with pytest.raises(ValueError):
-            build_case_a(series([300.0]), NAS, ECON, config())
+            build_case("A", series([300.0]), NAS, ECON, config())
 
 
 class TestFlatTrace:
@@ -210,37 +221,37 @@ class TestRampSpike:
 class TestObjectiveCoefficients:
     def test_default_annualization_counts_wall_clock_hours(self):
         pv = series([300.0] * 6)  # one hour of trace
-        form = build_case_a(pv, NAS, ECON, config(annualization=None))
-        j = form.index_map[("p_grid", 0)]
+        form = build_case("A", pv, NAS, ECON, config(annualization=None))
+        j = form.columns["p_grid"].start
         expect = revenue_per_kw(annualization=8760.0)
         assert form.problem.objective[j] == pytest.approx(expect, rel=1e-12)
         assert form.annualization == pytest.approx(8760.0)
 
     def test_battery_terms_use_present_worth_by_default(self):
-        form = build_case_a(series([300, 600]), NAS_LOSSY, ECON, config())
+        form = build_case("A", series([300, 600]), NAS_LOSSY, ECON, config())
         factors = compute_factors(NAS_LOSSY, ECON)
-        assert form.problem.objective[form.index_map["p_batt_max"]] == pytest.approx(
+        assert form.problem.objective[form.columns["p_batt_max"].start] == pytest.approx(
             -factors.beta / 0.85, rel=1e-12
         )
-        assert form.problem.objective[form.index_map["e_batt_max"]] == pytest.approx(
+        assert form.problem.objective[form.columns["e_batt_max"].start] == pytest.approx(
             -factors.gamma / 0.85, rel=1e-12
         )
 
     def test_undiscounted_capital_only_variant(self):
         cfg = config(undiscounted_diesel_costs=True)
-        form = build_case_c(series([300, 600]), NAS_LOSSY, DIESEL, ECON, cfg)
-        assert form.problem.objective[form.index_map["p_batt_max"]] == pytest.approx(
+        form = build_case("C", series([300, 600]), NAS_LOSSY, ECON, cfg, diesel=DIESEL)
+        assert form.problem.objective[form.columns["p_batt_max"].start] == pytest.approx(
             -166.0 / 0.85, rel=1e-12
         )
         # fuel cost per kW of diesel for one step, not amortized
-        j = form.index_map[("p_diesel", 0)]
+        j = form.columns["p_diesel"].start
         assert form.problem.objective[j] == pytest.approx(
             -0.25 * 0.8 / 6.0, rel=1e-12
         )
 
     def test_fuel_budget_scales_with_trace_length(self):
         pv = series([300.0] * 6)  # one hour out of 8760
-        form = build_case_c(pv, NAS, DIESEL, ECON, config())
+        form = build_case("C", pv, NAS, ECON, config(), diesel=DIESEL)
         expect = (1e6 / 0.25) * (1.0 / 8760.0)
         assert form.fuel_cap_kwh == pytest.approx(expect, rel=1e-12)
 
@@ -302,7 +313,7 @@ class TestPriceScaling:
 class TestExtraction:
     def test_refuses_a_truncated_solve(self):
         pv = series([300.0, 600.0])
-        form = build_case_a(pv, NAS, ECON, config())
+        form = build_case("A", pv, NAS, ECON, config())
         sol = solve(form.problem, SolveOptions(max_iterations=1))
         assert sol.status == "iteration-limit"
         with pytest.raises(SolveStatusError, match="iteration-limit"):

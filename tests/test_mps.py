@@ -17,6 +17,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from pvsmooth.errors import MpsFormatError
 from pvsmooth.lp import build_problem, parse_mps, read_mps, render_mps, solve, write_mps
@@ -93,6 +94,23 @@ class TestReferenceExample:
         assert sol.status == "optimal"
         assert sol.objective_value == pytest.approx(-7.0)
         np.testing.assert_allclose(sol.x, [1.0, -1.0, 6.0], atol=1e-9)
+
+
+class TestContainer:
+    def test_rows_view_agrees_with_the_matrix(self):
+        p = sample_problem()
+        assert isinstance(p.A, sp.csr_matrix)
+        rows = p.rows
+        assert rows is not p.rows  # built on each access, never cached
+        assert [r.name for r in rows] == list(p.row_names)
+        assert [r.relation for r in rows] == list(p.relations)
+        assert [r.rhs for r in rows] == p.rhs.tolist()
+        dense = p.A.toarray()
+        for i, r in enumerate(rows):
+            assert len(r.cols) == p.A.indptr[i + 1] - p.A.indptr[i]
+            expect = np.zeros(p.n_vars)
+            expect[r.cols] = r.vals
+            np.testing.assert_array_equal(dense[i], expect)
 
 
 class TestRoundTrip:

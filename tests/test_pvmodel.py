@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pvsmooth.pvmodel import PowerSeries, PvPlantSpec, pv_power, write_power_csv
+from pvsmooth.pvmodel import PowerSeries, PvPlantSpec, pv_power
 from pvsmooth.weather import WeatherSeries, filter_low_irradiance, synth_weather
 
 
@@ -97,13 +97,3 @@ class TestPowerSeries:
     def test_validation(self):
         with pytest.raises(ValueError, match="step_hours"):
             PowerSeries(0.0, np.array([1.0]))
-
-
-def test_write_power_csv(tmp_path):
-    p = PowerSeries(1.0 / 6.0, np.array([0.0, 12.5, 4218.75]))
-    out = tmp_path / "power.csv"
-    write_power_csv(p, out)
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "step_index,p_kw"
-    assert lines[2].startswith("1,12.5")
-    assert len(lines) == 4

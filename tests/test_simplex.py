@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lp_enum_oracle import vertex_enumerate
@@ -218,6 +218,8 @@ class TestSolverInvariants:
         widths=st.lists(st.floats(min_value=0, max_value=9), min_size=6, max_size=6),
         lows=st.lists(st.floats(min_value=-5, max_value=5), min_size=6, max_size=6),
     )
+    # a gain below the optimality tolerance must still be taken
+    @example(c=[0.0, 0.0, 0.0, -1e-9], widths=[0.0, 0.0, 0.0, 1.0, 0.0, 0.0], lows=[0.0] * 6)
     def test_pure_box_problems_match_closed_form(self, c, widths, lows):
         # with no rows the optimum is separable: each variable sits at the
         # bound its cost sign points to

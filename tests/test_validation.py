@@ -376,6 +376,20 @@ class TestCompareCases:
         with pytest.raises(ValueError, match="nesting violation"):
             compare_cases({**results, "A": inflated}, baseline)
 
+    def test_emission_lump_is_added_back_before_nesting(self):
+        # an idle diesel leaves D exactly the constant emission charge below B
+        results, baseline = self._solved_set()
+        lump = 6000.0
+        b = results["B"]
+        idle = {"B": b, "D": replace(results["D"], net_benefit=b.net_benefit - lump)}
+        cmp = compare_cases(idle, baseline, emission_charge=lump)
+        assert cmp.net_benefits["D"] == b.net_benefit - lump
+        with pytest.raises(ValueError, match="nesting violation"):
+            compare_cases(idle, baseline)
+        short = {"B": b, "D": replace(results["D"], net_benefit=b.net_benefit - lump - 1.0)}
+        with pytest.raises(ValueError, match="nesting violation"):
+            compare_cases(short, baseline, emission_charge=lump)
+
 
 @st.composite
 def spike_traces(draw):
