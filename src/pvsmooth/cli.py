@@ -93,7 +93,7 @@ def solve_case(
     log.info("case %s: %s after %d iterations", label, solution.status, solution.iterations)
     if solution.status != "optimal":
         return CaseRecord(label=label, status=solution.status, dispatch=None, report=None)
-    dispatch = extract_solution(form, solution, pv)
+    dispatch = extract_solution(form, solution)
     report = check_dispatch(dispatch, pv, cfg, battery, diesel)
     return CaseRecord(label=label, status=solution.status, dispatch=dispatch, report=report)
 
@@ -334,7 +334,6 @@ def cmd_validate(config: RunConfig, seed_override: int | None, csv_path: Path) -
     # sizing is not part of the CSV; validate against the smallest ratings
     # consistent with the series themselves
     sol = DispatchSolution(
-        case_id="D",
         steps=steps,
         p_pv=data["p_pv"],
         p_grid=data["p_grid"],
@@ -347,7 +346,6 @@ def cmd_validate(config: RunConfig, seed_override: int | None, csv_path: Path) -
         p_diesel_max=float(np.max(data["p_diesel"])),
         net_benefit=0.0,
         diesel_energy=float(pv.step_hours * np.sum(data["p_diesel"])),
-        e_diesel_max_cap=0.0,
     )
     report = check_dispatch(
         sol, pv, config.constraints, config.battery, config.diesel

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .economics import BatterySpec, DieselSpec, EconomicParams, compute_factors
-from .errors import SolveStatusError
+from .errors import ConfigError, SolveStatusError
 from .lp import LpProblem, LpSolution, build_problem
 from .pvmodel import PowerSeries
 
@@ -49,7 +49,6 @@ class ConstraintConfig:
     """
 
     fluctuation_limit: float = DEFAULT_FLUCTUATION_KW
-    step_hours: float = 1.0 / 6.0
     grid_cap: float = 10000.0
     initial_soc_mode: str = "free-bounded"
     initial_soc_fraction: float | None = None
@@ -61,8 +60,6 @@ class ConstraintConfig:
     def __post_init__(self) -> None:
         if not self.fluctuation_limit > 0:
             raise ValueError(f"fluctuation_limit must be > 0, got {self.fluctuation_limit}")
-        if not self.step_hours > 0:
-            raise ValueError(f"step_hours must be > 0, got {self.step_hours}")
         if not self.grid_cap > 0:
             raise ValueError(f"grid_cap must be > 0, got {self.grid_cap}")
         if self.initial_soc_mode not in ("free-bounded", "fixed-fraction"):
@@ -99,11 +96,6 @@ class CaseFormulation:
     p_pv: np.ndarray  # kW at the retained steps
     step_hours: float
     fuel_cap_kwh: float  # 0 when the case has no diesel
-    annualization: float
-
-    @property
-    def n_steps(self) -> int:
-        return len(self.steps)
 
     @property
     def has_curtailment(self) -> bool:
@@ -118,7 +110,6 @@ class CaseFormulation:
 class DispatchSolution:
     """Decoded optimal dispatch and sizing for one case."""
 
-    case_id: str
     steps: np.ndarray
     p_pv: np.ndarray
     p_grid: np.ndarray
@@ -131,26 +122,6 @@ class DispatchSolution:
     p_diesel_max: float
     net_benefit: float
     diesel_energy: float  # kWh over the horizon
-    e_diesel_max_cap: float  # kWh fuel-energy cap over the horizon
-
-
-def _resolve_annualization(pv: PowerSeries, cfg: ConstraintConfig) -> float:
-    if cfg.annualization is not None:
-        return cfg.annualization
-    return HOURS_PER_YEAR / pv.total_hours
-
-
-def _check_inputs(pv: PowerSeries, cfg: ConstraintConfig) -> None:
-    if pv.step_hours <= 0:
-        raise ValueError(f"series step_hours must be > 0, got {pv.step_hours}")
-    if not math.isclose(pv.step_hours, cfg.step_hours, rel_tol=1e-9):
-        raise ValueError(
-            f"config step_hours {cfg.step_hours} does not match series step {pv.step_hours}"
-        )
-    if int(np.count_nonzero(pv.active)) < 2:
-        raise ValueError(
-            f"optimization horizon needs at least 2 retained steps, got {int(np.count_nonzero(pv.active))}"
-        )
 
 
 def build_case(
@@ -161,21 +132,29 @@ def build_case(
     cfg: ConstraintConfig,
     diesel: DieselSpec | None = None,
 ) -> CaseFormulation:
-    """Assemble the LP of case ``case_id``; diesel is required for C and D."""
+    """Assemble the LP of case ``case_id``; diesel is required for C and D.
+
+    The time step h is the trace's own, ``pv.step_hours``.
+    """
     if case_id not in CASE_IDS:
         raise ValueError(f"unknown case {case_id!r}; expected one of {CASE_IDS}")
-    _check_inputs(pv, cfg)
     has_curt = case_id in ("B", "D")
     has_diesel = case_id in ("C", "D")
     if has_diesel and diesel is None:
         raise ValueError(f"case {case_id} needs a diesel spec")
 
     steps = pv.retained_indices()
+    if len(steps) < 2:
+        raise ConfigError(
+            f"weather: the optimization horizon needs at least 2 retained steps, got {len(steps)}"
+        )
     p_pv = pv.retained_values()
     starts = pv.block_starts()
     n = len(steps)
     h = pv.step_hours
-    annualization = _resolve_annualization(pv, cfg)
+    annualization = cfg.annualization
+    if annualization is None:
+        annualization = HOURS_PER_YEAR / pv.total_hours
 
     factors = compute_factors(
         batt, econ, diesel if has_diesel else None, om_full_horizon=cfg.om_full_horizon
@@ -305,13 +284,10 @@ def build_case(
         p_pv=p_pv,
         step_hours=h,
         fuel_cap_kwh=fuel_cap_kwh,
-        annualization=annualization,
     )
 
 
-def extract_solution(
-    formulation: CaseFormulation, solution: LpSolution, pv: PowerSeries
-) -> DispatchSolution:
+def extract_solution(formulation: CaseFormulation, solution: LpSolution) -> DispatchSolution:
     """Decode an optimal LP solution into per-step series and sizing.
 
     Refuses anything but an optimal solution: a dispatch decoded from an
@@ -335,7 +311,6 @@ def extract_solution(
     p_diesel = series("p_diesel") if formulation.has_diesel else np.zeros(0)
     diesel_energy = float(formulation.step_hours * p_diesel.sum()) if len(p_diesel) else 0.0
     return DispatchSolution(
-        case_id=formulation.case_id,
         steps=formulation.steps.copy(),
         p_pv=formulation.p_pv.copy(),
         p_grid=series("p_grid"),
@@ -348,5 +323,4 @@ def extract_solution(
         p_diesel_max=scalar("p_diesel_max") if formulation.has_diesel else 0.0,
         net_benefit=solution.objective_value,
         diesel_energy=diesel_energy,
-        e_diesel_max_cap=formulation.fuel_cap_kwh,
     )

@@ -1,7 +1,7 @@
 """Bounded-variable two-phase revised simplex.
 
 The basis inverse is kept as a dense LU factorization plus a short chain of
-product-form eta updates, refreshed every ``refactor_interval`` pivots.
+product-form eta updates, refreshed every ``REFACTOR_INTERVAL`` pivots.
 Pricing is Dantzig by default and falls back to Bland's rule after a run of
 non-improving pivots, which breaks the cycling that plagues degenerate
 dispatch bases.
@@ -23,17 +23,23 @@ BASIC = 2
 FREE = 3
 FIXED = 4
 
+#: phase-1 infeasibility above this, times (1 + max|b|), means infeasible
+FEASIBILITY_TOL = 1e-7
+#: reduced costs within this, times (1 + max|c|), count as optimal
+OPTIMALITY_TOL = 1e-9
+#: smallest pivot element the ratio test accepts
+PIVOT_TOL = 1e-10
+#: non-improving pivots in a row before pricing switches to Bland's rule
+BLAND_TRIGGER = 200
+#: eta updates between LU refactorizations
+REFACTOR_INTERVAL = 50
+
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Solver knobs; the defaults suit the dispatch problems built here."""
+    """Solver settings; the tolerances are the module constants above."""
 
-    feasibility_tol: float = 1e-7
-    optimality_tol: float = 1e-9
-    pivot_tol: float = 1e-10
     max_iterations: int | None = None  # default 50 * (rows + cols)
-    bland_trigger: int = 200
-    refactor_interval: int = 50
 
 
 class _BasisFactor:
@@ -85,8 +91,7 @@ def _start_point(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
 
 
 class _State:
-    def __init__(self, problem: LpProblem, opts: SolveOptions):
-        self.opts = opts
+    def __init__(self, problem: LpProblem, max_iterations: int | None):
         n = problem.n_vars
         m = problem.n_rows
         self.n = n
@@ -161,8 +166,7 @@ class _State:
 
         self.factor = _BasisFactor(self.A)
         self.iterations = 0
-        max_it = opts.max_iterations
-        self.max_iterations = max_it if max_it is not None else 50 * (m + n)
+        self.max_iterations = max_iterations if max_iterations is not None else 50 * (m + n)
         self.b_scale = 1.0 + np.max(np.abs(b))
 
     # -- basis maintenance -------------------------------------------------
@@ -202,10 +206,8 @@ class _State:
     # -- main loop ---------------------------------------------------------
 
     def optimize(self, phase: int) -> str:
-        opts = self.opts
         c_work = self.c_phase1 if phase == 1 else self.c_phase2
-        otol = opts.optimality_tol * (1.0 + float(np.max(np.abs(c_work))))
-        ptol = opts.pivot_tol
+        otol = OPTIMALITY_TOL * (1.0 + float(np.max(np.abs(c_work))))
         bland = False
         stall = 0
         z = float(np.dot(c_work, self.x))
@@ -232,8 +234,8 @@ class _State:
                 # ratio test over the basics plus the entering bound flip
                 delta = -direction * w
                 t_cand = np.full(self.m, np.inf)
-                dec = delta < -ptol
-                inc = delta > ptol
+                dec = delta < -PIVOT_TOL
+                inc = delta > PIVOT_TOL
                 if np.any(dec):
                     room = np.maximum(self.x[self.basis[dec]] - self.lo[self.basis[dec]], 0.0)
                     t_cand[dec] = room / -delta[dec]
@@ -268,7 +270,7 @@ class _State:
                 else:
                     r = int(cand[np.argmax(np.abs(w[cand]))])
 
-                if abs(w[r]) < ptol:
+                if abs(w[r]) < PIVOT_TOL:
                     if self.factor.etas:
                         self._refactor()
                         banned = None
@@ -288,7 +290,7 @@ class _State:
                 bland = False
             else:
                 stall += 1
-                if stall >= opts.bland_trigger:
+                if stall >= BLAND_TRIGGER:
                     bland = True
             z = z_new
 
@@ -313,7 +315,7 @@ class _State:
         self.vstat[q] = BASIC
         self.basis[r] = q
         self.factor.push_eta(r, w.copy())
-        if len(self.factor.etas) >= self.opts.refactor_interval:
+        if len(self.factor.etas) >= REFACTOR_INTERVAL:
             self._refactor()
 
     # -- phase transition --------------------------------------------------
@@ -322,7 +324,6 @@ class _State:
         return float(np.sum(np.abs(self.x[self.is_artificial])))
 
     def drive_out_artificials(self) -> None:
-        ptol = self.opts.pivot_tol
         for r in range(self.m):
             if not self.is_artificial[self.basis[r]]:
                 continue
@@ -337,7 +338,7 @@ class _State:
             if abs(row_vals[j]) <= 1e-7:
                 continue  # redundant row; artificial stays basic at zero
             w = self.factor.ftran(self.factor.column(j))
-            if abs(w[r]) < ptol:
+            if abs(w[r]) < PIVOT_TOL:
                 continue
             art = self.basis[r]
             self.vstat[art] = FIXED
@@ -379,11 +380,11 @@ def solve(problem: LpProblem, options: SolveOptions | None = None) -> LpSolution
         status, xs = _solve_box(problem)
         iterations = 0
     else:
-        st = _State(problem, opts)
+        st = _State(problem, opts.max_iterations)
         st.factor.refactor(st.basis)
         status = st.optimize(phase=1)
         if status == "optimal":
-            if st.phase1_infeasibility() > opts.feasibility_tol * st.b_scale:
+            if st.phase1_infeasibility() > FEASIBILITY_TOL * st.b_scale:
                 status = "infeasible"
             else:
                 st.drive_out_artificials()

@@ -14,7 +14,7 @@ from .weather import WeatherSeries
 class PvPlantSpec:
     """Plant-level PV parameters; defaults describe a 10 MW utility plant."""
 
-    rated_power: float = 10000.0  # kW, also the grid injection cap
+    rated_power: float = 10000.0  # kW DC; the grid cap is constraints.grid_cap
     inverter_efficiency: float = 0.9
     temp_coefficient: float = -0.004  # 1/degC, power derate above reference
     noct: float = 45.0  # degC, nominal operating cell temperature

@@ -66,7 +66,6 @@ def check_dispatch(
     cfg: ConstraintConfig,
     batt: BatterySpec,
     diesel: DieselSpec | None = None,
-    tolerance: float = RESIDUAL_TOL,
 ) -> ValidationReport:
     """Recompute every dispatch constraint from the series themselves."""
     n = len(sol.p_grid)
@@ -134,8 +133,10 @@ def check_dispatch(
         residuals["fuel_cap"] = 0.0
     worst["fuel_cap"] = None
 
-    passed = all(residuals[name] <= tolerance for name in CONSTRAINT_NAMES)
-    return ValidationReport(residuals=residuals, worst_step=worst, tolerance=tolerance, passed=passed)
+    passed = all(residuals[name] <= RESIDUAL_TOL for name in CONSTRAINT_NAMES)
+    return ValidationReport(
+        residuals=residuals, worst_step=worst, tolerance=RESIDUAL_TOL, passed=passed
+    )
 
 
 @dataclass(frozen=True)

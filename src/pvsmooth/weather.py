@@ -23,6 +23,9 @@ WEATHER_CSV_COLUMNS = ("timestamp", "irradiance_wm2", "temp_c")
 #: Default sampling step: ten minutes, expressed in hours.
 DEFAULT_STEP_HOURS = 1.0 / 6.0
 
+#: Clear-sky irradiance at solar noon in the synthetic trace.
+PEAK_IRRADIANCE_WM2 = 1000.0
+
 #: Samples below this irradiance are dropped from the optimization horizon.
 LOW_IRRADIANCE_WM2 = 2.0
 
@@ -76,14 +79,12 @@ class WeatherSeries:
         return int(np.count_nonzero(self.active))
 
 
-def load_weather(path: str | Path, fmt: str = "csv") -> WeatherSeries:
+def load_weather(path: str | Path) -> WeatherSeries:
     """Read a measured weather trace from a CSV file.
 
     Expected header: ``timestamp,irradiance_wm2,temp_c`` with ISO-8601
-    timestamps at a uniform spacing.
+    timestamps at a uniform spacing, which becomes the series' step.
     """
-    if fmt != "csv":
-        raise WeatherFormatError(f"unsupported weather format: {fmt!r}")
     path = Path(path)
     times: list[datetime] = []
     irr: list[float] = []
@@ -149,34 +150,27 @@ def load_weather(path: str | Path, fmt: str = "csv") -> WeatherSeries:
         raise WeatherFormatError(f"{path}: {exc}") from None
 
 
-def synth_weather(
-    days: int,
-    seed: int,
-    variability: float,
-    *,
-    step_hours: float = DEFAULT_STEP_HOURS,
-    peak_irradiance: float = 1000.0,
-) -> WeatherSeries:
-    """Generate a deterministic synthetic trace.
+def synth_weather(days: int, seed: int, variability: float) -> WeatherSeries:
+    """Generate a deterministic synthetic trace at ``DEFAULT_STEP_HOURS``.
 
     Clear-sky envelope: half-sine irradiance between 06:00 and 18:00 peaking
-    at solar noon. ``variability`` in [0, 1] scales seeded cloud occlusions:
-    each cloud cuts irradiance instantly at onset and clears back over a few
-    samples, which is also what produces the sharp downward / gentler upward
-    power steps the optimizer has to smooth. ``variability = 0`` returns the
-    pure envelope.
+    at ``PEAK_IRRADIANCE_WM2`` at solar noon. ``variability`` in [0, 1]
+    scales seeded cloud occlusions: each cloud cuts irradiance instantly at
+    onset and clears back over a few samples, which is also what produces
+    the sharp downward / gentler upward power steps the optimizer has to
+    smooth. ``variability = 0`` returns the pure envelope.
     """
     if days < 1:
         raise ValueError(f"days must be >= 1, got {days}")
     if not 0.0 <= variability <= 1.0:
         raise ValueError(f"variability must be in [0, 1], got {variability}")
-    per_day = round(24.0 / step_hours)
+    per_day = round(24.0 / DEFAULT_STEP_HOURS)
     n = days * per_day
     k = np.arange(n)
-    hour = (k % per_day) * step_hours
+    hour = (k % per_day) * DEFAULT_STEP_HOURS
     daylight = (hour >= 6.0) & (hour <= 18.0)
     envelope = np.where(daylight, np.sin(np.pi * (hour - 6.0) / 12.0), 0.0)
-    envelope = peak_irradiance * np.clip(envelope, 0.0, None)
+    envelope = PEAK_IRRADIANCE_WM2 * np.clip(envelope, 0.0, None)
 
     factor = np.ones(n)
     rng = np.random.default_rng(seed)
@@ -202,7 +196,7 @@ def synth_weather(
     ambient = 16.0 + 9.0 * np.sin(2.0 * np.pi * (hour - 9.0) / 24.0) + wobble
 
     return WeatherSeries(
-        step_hours=step_hours,
+        step_hours=DEFAULT_STEP_HOURS,
         irradiance=irradiance,
         ambient_temp=ambient,
         origin=f"synthetic(seed={seed})",

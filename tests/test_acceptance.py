@@ -66,7 +66,7 @@ def ten_traces():
         for case_id in "ABCD":
             d = diesel if case_id in ("C", "D") else None
             form = build_case(case_id, pv, NAS, ECON, cfg, diesel=d)
-            sol = extract_solution(form, solve(form.problem), pv)
+            sol = extract_solution(form, solve(form.problem))
             per_case[case_id] = (sol, check_dispatch(sol, pv, cfg, NAS, diesel=d))
         out[seed] = (pv, per_case)
     return out
@@ -263,7 +263,7 @@ class TestBruteForceDispatchOracle:
                 DIESEL, annual_fuel_cap_liters=cap_l
             )
         form = build_case(case_id, pv, NAS, ECON, cfg, diesel=diesel)
-        sol = extract_solution(form, solve(form.problem), pv)
+        sol = extract_solution(form, solve(form.problem))
         lp = sol.net_benefit
         jitter = 1e-9 * (1.0 + abs(lp))
 
@@ -360,9 +360,9 @@ class TestPriceScalingLaw:
             d1 = DIESEL if case_id in ("C", "D") else None
             d3 = diesel3 if case_id in ("C", "D") else None
             base_form = build_case(case_id, pv, NAS, ECON, cfg, diesel=d1)
-            base = extract_solution(base_form, solve(base_form.problem), pv)
+            base = extract_solution(base_form, solve(base_form.problem))
             scaled_form = build_case(case_id, pv, nas3, econ3, cfg, diesel=d3)
-            scaled = extract_solution(scaled_form, solve(scaled_form.problem), pv)
+            scaled = extract_solution(scaled_form, solve(scaled_form.problem))
 
             expected = self.FACTOR * base.net_benefit
             assert scaled.net_benefit == pytest.approx(expected, rel=SCALING_REL)

@@ -5,6 +5,7 @@ can be asserted without shell plumbing.
 """
 
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -113,6 +114,27 @@ class TestRun:
     def test_missing_weather_file_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"weather": {"file": "nope.csv"}})
         assert main(["run", str(cfg)]) == 2
+
+    def test_hourly_trace_needs_no_step_setting(self, tmp_path):
+        # the LP's step is the CSV's own spacing, with no constraints given
+        rows = [FLAT_HEADER]
+        for i in range(48):
+            day, hour = divmod(i, 24)
+            sun = max(math.sin(math.pi * (hour - 6) / 12), 0.0)
+            cloud = 0.3 if hour == 11 else 1.0
+            rows.append(f"2024-06-{day + 1:02d}T{hour:02d}:00:00,{1000 * sun * cloud:.2f},20\n")
+        (tmp_path / "hourly.csv").write_text("".join(rows))
+        cfg = write_config(tmp_path, {"weather": {"file": "hourly.csv"}, "output_dir": "out"})
+        assert main(["run", str(cfg)]) == 0
+        assert (tmp_path / "out" / "comparison.json").is_file()
+
+    def test_all_night_trace_exits_2(self, tmp_path, capsys):
+        flat_weather_file(tmp_path, irradiance=0.0)
+        cfg = write_config(tmp_path, {"weather": {"file": "weather.csv"}})
+        assert main(["run", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "at least 2 retained steps, got 0" in err
 
 
 class TestValidateSubcommand:

@@ -70,9 +70,18 @@ class TestFieldPathErrors:
         with pytest.raises(ConfigError, match="constraints.*fluctuation_limit"):
             load_run_config(path)
 
-    def test_unknown_section_key(self, tmp_path):
-        path = write_config(tmp_path, {"econ": {"engery_price": 1.0}})
-        with pytest.raises(ConfigError, match="econ.engery_price"):
+    @pytest.mark.parametrize(
+        "section,key",
+        [
+            ("econ", "engery_price"),
+            # the step comes from the weather trace, the tolerances are constants
+            ("constraints", "step_hours"),
+            ("solver", "refactor_interval"),
+        ],
+    )
+    def test_unknown_section_key(self, tmp_path, section, key):
+        path = write_config(tmp_path, {section: {key: 1.0}})
+        with pytest.raises(ConfigError, match=f"{section}.{key}: unknown field"):
             load_run_config(path)
 
     def test_unknown_top_level_key(self, tmp_path):

@@ -61,19 +61,17 @@ def series(vals, active=None, h=H) -> PowerSeries:
 
 def config(**kw) -> ConstraintConfig:
     kw.setdefault("fluctuation_limit", 150.0)
-    kw.setdefault("step_hours", H)
     kw.setdefault("annualization", 1.0)
     return ConstraintConfig(**kw)
 
 
-def manual(p_pv, p_grid, p_batt, e_batt, case_id="A", steps=None, p_curt=(),
+def manual(p_pv, p_grid, p_batt, e_batt, steps=None, p_curt=(),
            p_diesel=(), p_batt_max=500.0, e_batt_max=500.0, p_diesel_max=0.0):
     """Hand-built dispatch for feeding violations to the checker."""
     n = len(p_grid)
     if steps is None:
         steps = np.arange(n)
     return DispatchSolution(
-        case_id=case_id,
         steps=np.asarray(steps),
         p_pv=np.asarray(p_pv, float),
         p_grid=np.asarray(p_grid, float),
@@ -86,7 +84,6 @@ def manual(p_pv, p_grid, p_batt, e_batt, case_id="A", steps=None, p_curt=(),
         p_diesel_max=p_diesel_max,
         net_benefit=0.0,
         diesel_energy=float(H * np.sum(p_diesel)) if len(p_diesel) else 0.0,
-        e_diesel_max_cap=0.0,
     )
 
 
@@ -94,7 +91,7 @@ def solved(case_id, pv, cfg, diesel=None):
     if case_id in ("C", "D") and diesel is None:
         diesel = DIESEL
     form = build_case(case_id, pv, NAS, ECON, cfg, diesel=diesel)
-    return extract_solution(form, solve(form.problem), pv)
+    return extract_solution(form, solve(form.problem))
 
 
 class TestCheckDispatchCleanPass:
@@ -160,8 +157,7 @@ class TestCheckDispatchCatchesViolations:
 
     def test_curtailment_beyond_available_pv(self):
         pv = series([200.0, 200.0])
-        sol = manual(pv.values, [-50, 200], [0, 0], [100, 100], case_id="B",
-                     p_curt=[250.0, 0.0])
+        sol = manual(pv.values, [-50, 200], [0, 0], [100, 100], p_curt=[250.0, 0.0])
         report = check_dispatch(sol, pv, config(), NAS)
         assert report.residuals["power_bounds"] == pytest.approx(50.0)
 
@@ -182,7 +178,7 @@ class TestCheckDispatchCatchesViolations:
         lean = replace(DIESEL, annual_fuel_cap_liters=0.25 * 8760.0 * 2.0)
         # cap works out to 2 kWh over this 20-minute trace; burning 60 kW
         # for two steps is 20 kWh
-        sol = manual(pv.values, [260, 260], [0, 0], [100, 100], case_id="C",
+        sol = manual(pv.values, [260, 260], [0, 0], [100, 100],
                      p_diesel=[60.0, 60.0], p_diesel_max=60.0)
         report = check_dispatch(sol, pv, config(), NAS, lean)
         expect = 20.0 - (0.25 * 8760.0 * 2.0 / 0.25) * (pv.total_hours / 8760.0)
