@@ -26,7 +26,7 @@ DEFAULT_BATTERY_PRESET = "table1_nas"
 DEFAULT_DIESEL_PRESET = "table3_diesel"
 
 #: keys that may carry the string "inf" in JSON, which has no infinity literal
-_INF_KEYS = ("fluctuation_limit", "grid_cap", "annualization")
+_INF_KEYS = ("fluctuation_limit", "grid_cap")
 
 
 @dataclass(frozen=True)

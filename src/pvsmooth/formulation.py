@@ -22,7 +22,7 @@ import numpy as np
 
 from .economics import BatterySpec, DieselSpec, EconomicParams, compute_factors
 from .errors import ConfigError, SolveStatusError
-from .lp import LpProblem, LpSolution, build_problem
+from .lp import CsrRows, LpProblem, LpSolution, build_problem
 from .pvmodel import PowerSeries
 
 HOURS_PER_YEAR = 8760.0
@@ -75,8 +75,9 @@ class ConstraintConfig:
                 )
         elif self.initial_soc_fraction is not None:
             raise ValueError("initial_soc_fraction is only meaningful in fixed-fraction mode")
-        if self.annualization is not None and not self.annualization > 0:
-            raise ValueError(f"annualization must be > 0, got {self.annualization}")
+        a = self.annualization
+        if a is not None and not (isinstance(a, (int, float)) and math.isfinite(a) and a > 0):
+            raise ValueError(f"annualization must be a finite number > 0, got {a!r}")
 
 
 @dataclass(frozen=True)
@@ -164,33 +165,37 @@ def build_case(
     # column layout: P_G, P_b, E_b, [P_c], [P_D], P_bMAX, E_bMAX, [P_DMAX],
     # one contiguous block per family
     columns: dict[str, slice] = {}
-    bounds: list[tuple[float, float]] = []
     names: list[str] = []
-    objective: list[float] = []
+    boxes: list[np.ndarray] = []
+    costs: list[np.ndarray] = []
     inf = math.inf
 
-    def add_block(family, col_names, col_bounds, cost) -> int:
-        j0 = len(bounds)
+    def add_block(family, col_names, lower, upper, cost) -> int:
+        j0 = len(names)
         columns[family] = slice(j0, j0 + len(col_names))
-        bounds.extend(col_bounds)
         names.extend(col_names)
-        objective.extend([cost] * len(col_names))
+        box = np.empty((len(col_names), 2))
+        box[:, 0], box[:, 1] = lower, upper
+        boxes.append(box)
+        costs.append(np.full(len(col_names), cost, dtype=float))
         return j0
 
-    def per_step(prefix):
-        return [f"{prefix}{i + 1:06d}" for i in range(n)]
+    col_labels = [f"{i:06d}" for i in range(1, n + 1)]
 
-    g0 = add_block("p_grid", per_step("PG"), [(0.0, cfg.grid_cap)] * n, rev)
-    b0 = add_block("p_batt", per_step("PB"), [(-inf, inf)] * n, 0.0)
-    e0 = add_block("e_batt", per_step("EB"), [(0.0, inf)] * n, 0.0)
+    def per_step(prefix):
+        return [prefix + label for label in col_labels]
+
+    g0 = add_block("p_grid", per_step("PG"), 0.0, cfg.grid_cap, rev)
+    b0 = add_block("p_batt", per_step("PB"), -inf, inf, 0.0)
+    e0 = add_block("e_batt", per_step("EB"), 0.0, inf, 0.0)
     if has_curt:
-        c0 = add_block("p_curt", per_step("PC"), [(0.0, float(v)) for v in p_pv], 0.0)
+        c0 = add_block("p_curt", per_step("PC"), 0.0, p_pv, 0.0)
     if has_diesel:
         # recurring fuel cost per kW of diesel output over one step
         fuel = diesel.fuel_per_kwh * diesel.fuel_price * h * annualization
         if not cfg.undiscounted_diesel_costs:
             fuel *= factors.revenue_multiplier
-        d0 = add_block("p_diesel", per_step("PD"), [(0.0, inf)] * n, -fuel)
+        d0 = add_block("p_diesel", per_step("PD"), 0.0, inf, -fuel)
 
     if cfg.undiscounted_diesel_costs:
         beta_term = batt.capital_power / batt.eff_power
@@ -198,79 +203,104 @@ def build_case(
     else:
         beta_term = factors.beta / batt.eff_power
         gamma_term = factors.gamma / batt.eff_energy
-    j_pbmax = add_block("p_batt_max", ["PBMAX"], [(0.0, inf)], -beta_term)
-    j_ebmax = add_block("e_batt_max", ["EBMAX"], [(0.0, inf)], -gamma_term)
+    j_pbmax = add_block("p_batt_max", ["PBMAX"], 0.0, inf, -beta_term)
+    j_ebmax = add_block("e_batt_max", ["EBMAX"], 0.0, inf, -gamma_term)
     if has_diesel:
         j_pdmax = add_block(
-            "p_diesel_max", ["PDMAX"], [(0.0, inf)], -factors.sigma / diesel.efficiency
+            "p_diesel_max", ["PDMAX"], 0.0, inf, -factors.sigma / diesel.efficiency
         )
 
-    rows: list[tuple[list[tuple[int, float]], str, float]] = []
+    # each row family is one block of rows with equally many coefficients;
+    # a row's coefficients keep the order written here, because A @ x sums
+    # in stored order
     row_names: list[str] = []
+    relations: list[str] = []
+    rhs: list[np.ndarray] = []
+    counts: list[np.ndarray] = []
+    cols: list[np.ndarray] = []
+    vals: list[np.ndarray] = []
 
-    def add_row(coeffs, rel, rhs, name) -> None:
-        rows.append((coeffs, rel, rhs))
-        row_names.append(name)
+    def add_rows(block_names, relation, block_rhs, block_cols, block_vals) -> None:
+        """Rows ``block_names`` with coefficient columns ``block_cols``, an
+        integer array of shape (rows, coefficients), and values broadcast to it."""
+        r = len(block_names)
+        row_names.extend(block_names)
+        relations.extend([relation] * r)
+        rhs.append(np.broadcast_to(np.asarray(block_rhs, dtype=float), (r,)))
+        counts.append(np.full(r, block_cols.shape[1]))
+        cols.append(block_cols.ravel())
+        vals.append(np.broadcast_to(np.asarray(block_vals, dtype=float), block_cols.shape).ravel())
+
+    def stack(*terms) -> np.ndarray:
+        """Per-row arrays or scalars as the columns of one array."""
+        return np.column_stack(np.broadcast_arrays(*terms))
+
+    row_labels = [f"{i:05d}" for i in range(1, n + 1)]
+
+    def named(prefixes, steps):
+        # one row per step and prefix; an upper and a lower row interleave
+        return [prefix + row_labels[k] for k in steps for prefix in prefixes]
+
+    i = np.arange(n)
+    later = i[1:]
+    twice = np.repeat(i, 2)
+    sign = np.tile([1.0, -1.0], n)
 
     # power balance at each step: P_G - P_b + P_c - P_D = P_PV
-    for i in range(n):
-        coeffs = [(g0 + i, 1.0), (b0 + i, -1.0)]
-        if has_curt:
-            coeffs.append((c0 + i, 1.0))
-        if has_diesel:
-            coeffs.append((d0 + i, -1.0))
-        add_row(coeffs, "=", float(p_pv[i]), f"BAL{i + 1:05d}")
+    terms = [g0 + i, b0 + i]
+    coeffs = [1.0, -1.0]
+    if has_curt:
+        terms.append(c0 + i)
+        coeffs.append(1.0)
+    if has_diesel:
+        terms.append(d0 + i)
+        coeffs.append(-1.0)
+    add_rows(named(["BAL"], range(n)), "=", p_pv, stack(*terms), coeffs)
 
     # fluctuation band on the grid injection, skipped across trace gaps
     if math.isfinite(cfg.fluctuation_limit):
-        lim = cfg.fluctuation_limit
-        for i in range(1, n):
-            if starts[i]:
-                continue
-            add_row([(g0 + i, 1.0), (g0 + i - 1, -1.0)], "<=", lim, f"RUP{i + 1:05d}")
-            add_row([(g0 + i, -1.0), (g0 + i - 1, 1.0)], "<=", lim, f"RDN{i + 1:05d}")
+        inner = later[~starts[1:]]
+        inner_twice = np.repeat(inner, 2)
+        updown = np.tile([1.0, -1.0], len(inner))
+        add_rows(named(["RUP", "RDN"], inner.tolist()), "<=", cfg.fluctuation_limit,
+                 stack(g0 + inner_twice, g0 + inner_twice - 1), stack(updown, -updown))
 
     # stored-energy recursion; deliberately chained across trace gaps so the
     # battery carries its state through the night
-    for i in range(1, n):
-        add_row(
-            [(e0 + i, 1.0), (e0 + i - 1, -1.0), (b0 + i - 1, h)], "=", 0.0, f"SOC{i + 1:05d}"
-        )
+    add_rows(named(["SOC"], range(1, n)), "=", 0.0,
+             stack(e0 + later, e0 + later - 1, b0 + later - 1), [1.0, -1.0, h])
 
     # battery power within the rating, both directions
-    for i in range(n):
-        add_row([(b0 + i, 1.0), (j_pbmax, -1.0)], "<=", 0.0, f"PBU{i + 1:05d}")
-        add_row([(b0 + i, -1.0), (j_pbmax, -1.0)], "<=", 0.0, f"PBL{i + 1:05d}")
+    add_rows(named(["PBU", "PBL"], range(n)), "<=", 0.0,
+             stack(b0 + twice, j_pbmax), stack(sign, -1.0))
 
     # stored energy within [X_min * rating, rating]
-    x_min = batt.soc_min_fraction
-    for i in range(n):
-        add_row([(e0 + i, 1.0), (j_ebmax, -1.0)], "<=", 0.0, f"EBU{i + 1:05d}")
-        add_row([(e0 + i, -1.0), (j_ebmax, x_min)], "<=", 0.0, f"EBL{i + 1:05d}")
+    add_rows(named(["EBU", "EBL"], range(n)), "<=", 0.0,
+             stack(e0 + twice, j_ebmax), stack(sign, np.tile([-1.0, batt.soc_min_fraction], n)))
 
     fuel_cap_kwh = 0.0
     if has_diesel:
-        for i in range(n):
-            add_row([(d0 + i, 1.0), (j_pdmax, -1.0)], "<=", 0.0, f"DCP{i + 1:05d}")
+        add_rows(named(["DCP"], range(n)), "<=", 0.0, stack(d0 + i, j_pdmax), [1.0, -1.0])
         fuel_cap_kwh = (
             diesel.annual_fuel_cap_liters / diesel.fuel_per_kwh
         ) * (pv.total_hours / HOURS_PER_YEAR)
-        add_row([(d0 + i, h) for i in range(n)], "<=", fuel_cap_kwh, "FUELCAP")
+        add_rows(["FUELCAP"], "<=", fuel_cap_kwh, (d0 + i)[None, :], h)
 
     if cfg.initial_soc_mode == "fixed-fraction":
-        add_row(
-            [(e0, 1.0), (j_ebmax, -float(cfg.initial_soc_fraction))], "=", 0.0, "INITSOC"
-        )
+        add_rows(["INITSOC"], "=", 0.0, stack(e0, j_ebmax),
+                 [1.0, -float(cfg.initial_soc_fraction)])
     if cfg.cyclic_soc:
         # end at least as full as the start: no free stored energy
-        add_row([(e0, 1.0), (e0 + n - 1, -1.0)], "<=", 0.0, "CYCSOC")
+        add_rows(["CYCSOC"], "<=", 0.0, stack(e0, e0 + n - 1), [1.0, -1.0])
 
+    indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
+    rows = CsrRows(indptr, np.concatenate(cols), np.concatenate(vals), relations, np.concatenate(rhs))
     offset = -diesel.emission_charge_total if has_diesel else 0.0
     problem = build_problem(
         "maximize",
-        bounds,
+        np.concatenate(boxes),
         rows,
-        objective,
+        np.concatenate(costs),
         offset=offset,
         col_names=names,
         row_names=row_names,

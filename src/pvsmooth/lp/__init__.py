@@ -2,6 +2,7 @@
 
 from .mps import parse_mps, read_mps, render_mps, write_mps
 from .problem import (
+    CsrRows,
     LpProblem,
     LpRow,
     LpSolution,
@@ -12,6 +13,7 @@ from .problem import (
 from .simplex import SolveOptions, solve
 
 __all__ = [
+    "CsrRows",
     "LpProblem",
     "LpRow",
     "LpSolution",

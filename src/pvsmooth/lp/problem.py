@@ -4,8 +4,9 @@ constraint matrix."""
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -84,14 +85,42 @@ class LpProblem:
         )
 
 
-def _check_row(i: int, row: tuple, n: int) -> None:
-    coeffs, relation, rhs = row
+class CsrRows(NamedTuple):
+    """Constraint rows as CSR parts.
+
+    Row ``i`` has the coefficients ``vals[indptr[i]:indptr[i + 1]]`` on the
+    columns ``cols[indptr[i]:indptr[i + 1]]``, in the order given and explicit
+    zeros included, the relation ``relations[i]`` and the right-hand side
+    ``rhs[i]``. Each part may be a sequence or an array.
+    """
+
+    indptr: Sequence[int] | np.ndarray
+    cols: Sequence[int] | np.ndarray
+    vals: Sequence[float] | np.ndarray
+    relations: Sequence[str]
+    rhs: Sequence[float] | np.ndarray
+
+    @classmethod
+    def from_triplets(cls, rows: Sequence[tuple[list[tuple[int, float]], str, float]]) -> CsrRows:
+        """Rows given as ``(coeffs, relation, rhs)`` with sparse ``(col, val)``
+        coefficients, flattened in the order given."""
+        rows = list(rows)
+        return cls(
+            np.cumsum([0] + [len(coeffs) for coeffs, _, _ in rows]),
+            [col for coeffs, _, _ in rows for col, _ in coeffs],
+            [val for coeffs, _, _ in rows for _, val in coeffs],
+            [relation for _, relation, _ in rows],
+            [rhs for _, _, rhs in rows],
+        )
+
+
+def _check_row(i: int, cols: np.ndarray, vals: np.ndarray, relation, rhs: float, n: int) -> None:
     if relation not in RELATIONS:
         raise LpDefinitionError(f"row {i}: relation must be one of {RELATIONS}, got {relation!r}")
     if not math.isfinite(rhs):
         raise LpDefinitionError(f"row {i}: right-hand side is not finite: {rhs}")
     seen: set[int] = set()
-    for col, val in coeffs:
+    for col, val in zip(cols.tolist(), vals.tolist()):
         if not 0 <= col < n:
             raise LpDefinitionError(f"row {i}: column index {col} out of range 0..{n - 1}")
         if col in seen:
@@ -103,27 +132,29 @@ def _check_row(i: int, row: tuple, n: int) -> None:
 
 def build_problem(
     sense: str,
-    bounds: list[tuple[float, float]],
-    rows: list[tuple[list[tuple[int, float]], str, float]],
-    objective: list[float],
+    bounds: Sequence[tuple[float, float]] | np.ndarray,
+    rows: CsrRows | Sequence[tuple[list[tuple[int, float]], str, float]],
+    objective: Sequence[float] | np.ndarray,
     *,
     offset: float = 0.0,
-    col_names: list[str] | None = None,
-    row_names: list[str] | None = None,
+    col_names: Sequence[str] | None = None,
+    row_names: Sequence[str] | None = None,
     name: str = "LP",
 ) -> LpProblem:
     """Validate and assemble an :class:`LpProblem`.
 
-    ``bounds`` is one ``(lower, upper)`` pair per variable (infinities
-    allowed), ``rows`` is a list of ``(coeffs, relation, rhs)`` with sparse
-    ``(col, val)`` coefficients, and ``objective`` is dense.
+    ``bounds`` holds one ``(lower, upper)`` pair per variable (infinities
+    allowed) and ``objective`` one coefficient per variable; both may be
+    arrays. ``rows`` is a :class:`CsrRows`; a sequence of ``(coeffs,
+    relation, rhs)`` triplets is flattened by :meth:`CsrRows.from_triplets`
+    first.
     """
     if sense not in SENSES:
         raise LpDefinitionError(f"sense must be one of {SENSES}, got {sense!r}")
-    n = len(objective)
+    obj = np.asarray(objective, dtype=float)
+    n = len(obj)
     if len(bounds) != n:
         raise LpDefinitionError(f"{len(bounds)} bounds for {n} objective coefficients")
-    obj = np.asarray(objective, dtype=float)
     if not np.all(np.isfinite(obj)):
         j = int(np.flatnonzero(~np.isfinite(obj))[0])
         raise LpDefinitionError(f"objective coefficient {j} is not finite: {obj[j]}")
@@ -135,12 +166,26 @@ def build_problem(
     bad = np.isnan(lower) | np.isnan(upper) | (lower > upper)
     if np.any(bad):
         j = int(np.flatnonzero(bad)[0])
-        lo, hi = bounds[j]
+        lo, hi = lower[j], upper[j]
         if math.isnan(lo) or math.isnan(hi):
             raise LpDefinitionError(f"variable {j}: NaN bound")
         raise LpDefinitionError(f"variable {j}: lower bound {lo} exceeds upper bound {hi}")
 
-    m = len(rows)
+    if not isinstance(rows, CsrRows):
+        rows = CsrRows.from_triplets(rows)
+    relations = tuple(rows.relations)
+    rhs = np.array(rows.rhs, dtype=float)
+    indptr = np.asarray(rows.indptr, dtype=np.int64)
+    cols = np.asarray(rows.cols, dtype=np.int64)
+    vals = np.array(rows.vals, dtype=float)
+    m = len(relations)
+    if len(rhs) != m:
+        raise LpDefinitionError(f"{len(rhs)} right-hand sides for {m} rows")
+    counts = np.diff(indptr)
+    if len(indptr) != m + 1 or indptr[0] != 0 or np.any(counts < 0) or indptr[-1] != len(cols):
+        raise LpDefinitionError(f"indptr must rise from 0 to {len(cols)} over {m} rows")
+    if len(vals) != len(cols):
+        raise LpDefinitionError(f"{len(vals)} coefficients for {len(cols)} column indices")
     if col_names is None:
         col_names = [f"x{j}" for j in range(n)]
     elif len(col_names) != n:
@@ -150,33 +195,21 @@ def build_problem(
     elif len(row_names) != m:
         raise LpDefinitionError(f"{len(row_names)} row names for {m} rows")
 
-    # flatten the triplets; every check below is an array operation, and the
-    # first offending row is re-checked one coefficient at a time so that it
-    # raises the message naming its first fault
-    relations = tuple(rel for _, rel, _ in rows)
-    rhs = np.fromiter((r for _, _, r in rows), dtype=float, count=m)
-    counts = np.fromiter((len(coeffs) for coeffs, _, _ in rows), dtype=np.int64, count=m)
-    indptr = np.concatenate([[0], np.cumsum(counts)])
-    nnz = int(indptr[-1])
-    flat = np.fromiter(
-        chain.from_iterable(chain.from_iterable(coeffs for coeffs, _, _ in rows)),
-        dtype=float,
-        count=2 * nnz,
-    )
-    cols, vals = flat[0::2], flat[1::2].copy()
+    # every check is an array operation; the first offending row is then
+    # re-checked one coefficient at a time so that it raises the message
+    # naming its first fault
     row_of = np.repeat(np.arange(m), counts)
-
-    bad_entry = ~((cols >= 0) & (cols < n)) | ~np.isfinite(vals)
-    order = np.lexsort((cols, row_of))
-    duplicate = (np.diff(row_of[order]) == 0) & (np.diff(cols[order]) == 0)
-    bad_entry[order[1:][duplicate]] = True
+    in_range = (cols >= 0) & (cols < n)
     bad_row = ~np.isfinite(rhs) | np.array([rel not in RELATIONS for rel in relations], dtype=bool)
-    bad_row[row_of[bad_entry]] = True
+    bad_row[row_of[~in_range | ~np.isfinite(vals)]] = True
+    keys = np.sort(row_of[in_range] * n + cols[in_range])
+    bad_row[keys[1:][keys[1:] == keys[:-1]] // n] = True
     if np.any(bad_row):
         i = int(np.flatnonzero(bad_row)[0])
-        _check_row(i, rows[i], n)
+        span = slice(indptr[i], indptr[i + 1])
+        _check_row(i, cols[span], vals[span], relations[i], float(rhs[i]), n)
 
-    A = sp.csr_matrix((vals, cols.astype(np.int64), indptr), shape=(m, n))
+    A = sp.csr_matrix((vals, cols, indptr), shape=(m, n))
     return LpProblem(
         sense=sense,
         objective=obj,

@@ -84,6 +84,14 @@ class TestFieldPathErrors:
         with pytest.raises(ConfigError, match=f"{section}.{key}: unknown field"):
             load_run_config(path)
 
+    # "inf" is a string here, and JSON reads the number 1e999 as infinity
+    @pytest.mark.parametrize("raw", ['"inf"', "1e999"])
+    def test_infinite_annualization_names_the_field(self, tmp_path, raw):
+        path = tmp_path / "config.json"
+        path.write_text('{"constraints": {"annualization": %s}}' % raw)
+        with pytest.raises(ConfigError, match="constraints: annualization must be"):
+            load_run_config(path)
+
     def test_unknown_top_level_key(self, tmp_path):
         with pytest.raises(ConfigError, match="wether"):
             load_run_config(write_config(tmp_path, {"wether": {}}))

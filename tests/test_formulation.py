@@ -114,6 +114,73 @@ class TestProblemShape:
                 assert dict(zip(r.cols.tolist(), r.vals.tolist()))[j] == 0.0
         assert render_mps(parsed) == text
 
+    def test_case_d_csr_layout(self):
+        # five retained steps in two blocks (the third sample is dropped);
+        # columns: PG 0-4, PB 5-9, EB 10-14, PC 15-19, PD 20-24, PBMAX 25,
+        # EBMAX 26, PDMAX 27. Per-row coefficient order is pinned because
+        # A @ x sums in stored order.
+        pv = series([300, 600, 0, 250, 400, 350], active=[1, 1, 0, 1, 1, 1], h=0.5)
+        cfg = config(initial_soc_mode="fixed-fraction", initial_soc_fraction=0.5)
+        form = build_case("D", pv, replace(NAS, soc_min_fraction=0.0), ECON, cfg, diesel=DIESEL)
+        p = form.problem
+        fuel = (1e6 / 0.25) * (3.0 / 8760.0)
+        expect = [
+            ("BAL00001", "=", 300.0, [(0, 1.0), (5, -1.0), (15, 1.0), (20, -1.0)]),
+            ("BAL00002", "=", 600.0, [(1, 1.0), (6, -1.0), (16, 1.0), (21, -1.0)]),
+            ("BAL00003", "=", 250.0, [(2, 1.0), (7, -1.0), (17, 1.0), (22, -1.0)]),
+            ("BAL00004", "=", 400.0, [(3, 1.0), (8, -1.0), (18, 1.0), (23, -1.0)]),
+            ("BAL00005", "=", 350.0, [(4, 1.0), (9, -1.0), (19, 1.0), (24, -1.0)]),
+            ("RUP00002", "<=", 150.0, [(1, 1.0), (0, -1.0)]),
+            ("RDN00002", "<=", 150.0, [(1, -1.0), (0, 1.0)]),
+            ("RUP00004", "<=", 150.0, [(3, 1.0), (2, -1.0)]),
+            ("RDN00004", "<=", 150.0, [(3, -1.0), (2, 1.0)]),
+            ("RUP00005", "<=", 150.0, [(4, 1.0), (3, -1.0)]),
+            ("RDN00005", "<=", 150.0, [(4, -1.0), (3, 1.0)]),
+            ("SOC00002", "=", 0.0, [(11, 1.0), (10, -1.0), (5, 0.5)]),
+            ("SOC00003", "=", 0.0, [(12, 1.0), (11, -1.0), (6, 0.5)]),
+            ("SOC00004", "=", 0.0, [(13, 1.0), (12, -1.0), (7, 0.5)]),
+            ("SOC00005", "=", 0.0, [(14, 1.0), (13, -1.0), (8, 0.5)]),
+            ("PBU00001", "<=", 0.0, [(5, 1.0), (25, -1.0)]),
+            ("PBL00001", "<=", 0.0, [(5, -1.0), (25, -1.0)]),
+            ("PBU00002", "<=", 0.0, [(6, 1.0), (25, -1.0)]),
+            ("PBL00002", "<=", 0.0, [(6, -1.0), (25, -1.0)]),
+            ("PBU00003", "<=", 0.0, [(7, 1.0), (25, -1.0)]),
+            ("PBL00003", "<=", 0.0, [(7, -1.0), (25, -1.0)]),
+            ("PBU00004", "<=", 0.0, [(8, 1.0), (25, -1.0)]),
+            ("PBL00004", "<=", 0.0, [(8, -1.0), (25, -1.0)]),
+            ("PBU00005", "<=", 0.0, [(9, 1.0), (25, -1.0)]),
+            ("PBL00005", "<=", 0.0, [(9, -1.0), (25, -1.0)]),
+            ("EBU00001", "<=", 0.0, [(10, 1.0), (26, -1.0)]),
+            ("EBL00001", "<=", 0.0, [(10, -1.0), (26, 0.0)]),
+            ("EBU00002", "<=", 0.0, [(11, 1.0), (26, -1.0)]),
+            ("EBL00002", "<=", 0.0, [(11, -1.0), (26, 0.0)]),
+            ("EBU00003", "<=", 0.0, [(12, 1.0), (26, -1.0)]),
+            ("EBL00003", "<=", 0.0, [(12, -1.0), (26, 0.0)]),
+            ("EBU00004", "<=", 0.0, [(13, 1.0), (26, -1.0)]),
+            ("EBL00004", "<=", 0.0, [(13, -1.0), (26, 0.0)]),
+            ("EBU00005", "<=", 0.0, [(14, 1.0), (26, -1.0)]),
+            ("EBL00005", "<=", 0.0, [(14, -1.0), (26, 0.0)]),
+            ("DCP00001", "<=", 0.0, [(20, 1.0), (27, -1.0)]),
+            ("DCP00002", "<=", 0.0, [(21, 1.0), (27, -1.0)]),
+            ("DCP00003", "<=", 0.0, [(22, 1.0), (27, -1.0)]),
+            ("DCP00004", "<=", 0.0, [(23, 1.0), (27, -1.0)]),
+            ("DCP00005", "<=", 0.0, [(24, 1.0), (27, -1.0)]),
+            ("FUELCAP", "<=", fuel, [(20, 0.5), (21, 0.5), (22, 0.5), (23, 0.5), (24, 0.5)]),
+            ("INITSOC", "=", 0.0, [(10, 1.0), (26, -0.5)]),
+            ("CYCSOC", "<=", 0.0, [(10, 1.0), (14, -1.0)]),
+        ]
+        assert p.A.shape == (len(expect), 28)
+        assert list(p.row_names) == [name for name, _, _, _ in expect]
+        assert list(p.relations) == [rel for _, rel, _, _ in expect]
+        assert p.rhs.tolist() == [rhs for _, _, rhs, _ in expect]
+        indptr = np.cumsum([0] + [len(coeffs) for _, _, _, coeffs in expect])
+        assert p.A.indptr.tolist() == indptr.tolist()
+        assert p.A.indices.tolist() == [j for *_, coeffs in expect for j, _ in coeffs]
+        assert p.A.data.tolist() == [v for *_, coeffs in expect for _, v in coeffs]
+        # the EBL zeros are stored entries, and positive zeros
+        assert not np.signbit(p.A.data[p.A.data == 0.0]).any()
+        assert np.count_nonzero(p.A.data == 0.0) == 5
+
     def test_no_ramp_rows_without_a_limit(self):
         form = build_case("A", series([300, 600, 250]), NAS, ECON,
                           config(fluctuation_limit=math.inf))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pvsmooth.errors import LpDefinitionError
-from pvsmooth.lp import build_problem, evaluate_residuals, objective_value
+from pvsmooth.lp import CsrRows, build_problem, evaluate_residuals, objective_value
 
 INF = math.inf
 
@@ -92,3 +92,41 @@ def test_evaluate_residuals_measures_violation():
 def test_objective_value_includes_offset():
     p = build_problem("maximize", [(0, 1)], [], [3.0], offset=7.5)
     assert objective_value(p, np.array([1.0])) == pytest.approx(10.5)
+
+
+def test_triplet_rows_are_flattened_in_the_order_given():
+    rows = [([(1, 2.0), (0, -0.0)], "<=", 4.0), ([], "=", 0.0), ([(0, 1.0)], ">=", -1.0)]
+    flat = CsrRows.from_triplets(rows)
+    assert flat.indptr.tolist() == [0, 2, 2, 3]
+    assert list(flat.cols) == [1, 0, 0]
+    assert list(flat.relations) == ["<=", "=", ">="]
+    p = build_problem("minimize", [(0, 1), (0, 1)], rows, [1.0, 1.0])
+    q = build_problem("minimize", [(0, 1), (0, 1)], flat, [1.0, 1.0])
+    for a in (p, q):
+        assert a.A.indices.tolist() == [1, 0, 0]
+        assert np.signbit(a.A.data[1])  # the explicit -0.0 is stored as given
+    assert p.rhs.tolist() == q.rhs.tolist() == [4.0, 0.0, -1.0]
+
+
+@pytest.mark.parametrize(
+    "rows,message",
+    [
+        (CsrRows([0, 1], [0], [1.0], ["<="], [1.0, 2.0]), "2 right-hand sides for 1 rows"),
+        (CsrRows([0, 2], [0], [1.0], ["<="], [1.0]), "indptr must rise from 0 to 1 over 1 rows"),
+        (CsrRows([1, 1], [0], [1.0], ["<="], [1.0]), "indptr must rise from 0 to 1 over 1 rows"),
+        (CsrRows([0, 1], [0], [1.0, 2.0], ["<="], [1.0]), "2 coefficients for 1 column indices"),
+    ],
+)
+def test_rejects_csr_parts_that_disagree(rows, message):
+    with pytest.raises(LpDefinitionError, match=message):
+        build_problem("minimize", [(0, 1)], rows, [1.0])
+
+
+def test_first_offending_row_reports_its_first_fault():
+    rows = [
+        ([(0, 1.0)], "<=", 1.0),
+        ([(0, 1.0), (0, float("nan"))], "<=", 1.0),
+        ([(7, 1.0)], "<", 1.0),
+    ]
+    with pytest.raises(LpDefinitionError, match=r"^row 1: duplicate column index 0$"):
+        build_problem("minimize", [(0, 1)], rows, [1.0])

@@ -18,6 +18,8 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pvsmooth.errors import MpsFormatError
 from pvsmooth.lp import build_problem, parse_mps, read_mps, render_mps, solve, write_mps
@@ -113,6 +115,47 @@ class TestContainer:
             np.testing.assert_array_equal(dense[i], expect)
 
 
+# values that survive the writer's 15 significant digits exactly, with
+# signed zeros drawn often
+VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.floats(-1e300, 1e300).map(lambda v: float(f"{v:.15g}")),
+)
+
+
+@st.composite
+def small_lps(draw):
+    """Random LPs with every bound kind the writer knows, explicit and signed
+    zero coefficients and at least one row with no entries."""
+    n = draw(st.integers(1, 5))
+    bounds = []
+    for _ in range(n):
+        a, b = sorted([draw(VALUES), draw(VALUES)])
+        kind = draw(st.sampled_from(["default", "free", "fixed", "mi", "box", "lo"]))
+        bounds.append({
+            "default": (0.0, INF), "free": (-INF, INF), "fixed": (a, a),
+            "mi": (-INF, b), "box": (a, b), "lo": (-abs(a) or -1.0, INF),
+        }[kind])
+    rows = []
+    for _ in range(draw(st.integers(0, 4))):
+        cols = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+        rows.append(([(j, draw(VALUES)) for j in cols],
+                     draw(st.sampled_from(["<=", "=", ">="])), draw(VALUES)))
+    rows.insert(draw(st.integers(0, len(rows))), ([], draw(st.sampled_from(["<=", "="])), 0.0))
+    objective = [draw(VALUES) for _ in range(n)]
+    # a column with no entry and no cost would not appear in the file
+    used = {j for coeffs, _, _ in rows for j, _ in coeffs}
+    objective = [c if (j in used or c != 0.0) else 1.0 for j, c in enumerate(objective)]
+    return build_problem(
+        draw(st.sampled_from(["maximize", "minimize"])), bounds, rows, objective,
+        offset=draw(VALUES),
+    )
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
 class TestRoundTrip:
     def test_structure_survives(self):
         p = sample_problem()
@@ -130,6 +173,24 @@ class TestRoundTrip:
             assert dict(zip(rq.cols.tolist(), rq.vals.tolist())) == dict(
                 zip(rp.cols.tolist(), rp.vals.tolist())
             )
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_lps())
+    def test_round_trip_is_exact(self, p):
+        text = render_mps(p)
+        q = parse_mps(text)
+        assert render_mps(q) == text
+        assert (q.sense, q.n_vars, q.relations) == (p.sense, p.n_vars, p.relations)
+        # the writer leaves zero costs, right-hand sides, offsets and lower
+        # bounds out whatever their sign, and a fixed bound takes the sign of
+        # its lower end, so these compare with -0.0 as 0.0
+        for field in ("objective", "rhs", "lower", "upper", "objective_offset"):
+            assert np.array_equal(bits(getattr(q, field) + 0.0), bits(getattr(p, field) + 0.0))
+        # the parser sorts each row by column; signed zeros in A survive
+        order = np.lexsort((p.A.indices, np.repeat(np.arange(p.n_rows), np.diff(p.A.indptr))))
+        assert np.array_equal(q.A.indptr, p.A.indptr)
+        assert np.array_equal(q.A.indices, p.A.indices[order])
+        assert np.array_equal(bits(q.A.data), bits(p.A.data[order]))
 
     def test_same_optimum_after_round_trip(self):
         p = sample_problem()
@@ -217,12 +278,6 @@ class TestParseErrors:
         with pytest.raises(MpsFormatError, match="ENDATA"):
             parse_mps("NAME x\nROWS\n N  OBJ\nCOLUMNS\n")
 
-    def test_entry_for_undeclared_row(self):
-        bad = TESTPROB.replace("    X1        LIM2            1.0",
-                               "    X1        NOROW           1.0")
-        with pytest.raises(MpsFormatError, match="NOROW"):
-            parse_mps(bad)
-
     def test_ranges_entries_rejected(self):
         with_ranges = TESTPROB.replace(
             "BOUNDS", "RANGES\n    RNG       LIM1            2.0\nBOUNDS"
@@ -230,15 +285,48 @@ class TestParseErrors:
         with pytest.raises(MpsFormatError, match="RANGES"):
             parse_mps(with_ranges)
 
-    def test_bad_number_reports_line(self):
-        bad = TESTPROB.replace("LIM1            4.0", "LIM1            4.O")
-        with pytest.raises(MpsFormatError, match="line"):
-            parse_mps(bad)
+    # TESTPROB's lines: 8-12 COLUMNS, 14-15 RHS, 17-18 BOUNDS
+    @pytest.mark.parametrize(
+        "old,new,message",
+        [
+            ("LIM1            4.0", "LIM1            4.O", "line 14: bad numeric field '4.O'"),
+            ("X1        LIM2            1.0", "X1        NOROW           1.0",
+             "line 9: entry for undeclared row 'NOROW'"),
+            ("X1        LIM2            1.0", "X1        LIM1            1.0",
+             "line 9: duplicate entry 'X1' in row 'LIM1'"),
+            ("X1        LIM2            1.0",
+             "X1        LIM2            1.0\n    X1        COST            9.0",
+             "line 10: duplicate objective entry for 'X1'"),
+            ("RHS1      MYEQN           7.0", "RHS1      NOROW           7.0",
+             "line 15: RHS for undeclared row 'NOROW'"),
+            ("LO BND1      X2", "LO BND1      X9", "line 18: bound on undeclared column 'X9'"),
+            ("LO BND1      X2             -1.0", "LO BND1      X2",
+             "line 18: bound LO needs set, column and value"),
+            ("X2        MYEQN          -1.0", "X2        MYEQN",
+             "line 11: expected name/value pairs, got 1 fields"),
+            # a bad bound value is reported like any other bad number
+            ("X1              4.0", "X1              4.x", "line 17: bad numeric field '4.x'"),
+        ],
+    )
+    def test_fault_names_its_line(self, old, new, message):
+        assert old in TESTPROB
+        with pytest.raises(MpsFormatError) as err:
+            parse_mps(TESTPROB.replace(old, new))
+        assert str(err.value) == message
 
-    def test_duplicate_coefficient_rejected(self):
-        bad = TESTPROB.replace(
-            "    X1        LIM2            1.0",
-            "    X1        LIM2            1.0\n    X1        COST            9.0",
-        )
-        with pytest.raises(MpsFormatError, match="duplicate"):
+    def test_earlier_of_two_faults_is_reported(self):
+        # the bad number on line 11 is found by a different check than the
+        # undeclared row on line 9, and the undeclared row is a pair later
+        # in its own line than a good one
+        bad = TESTPROB.replace("X1        LIM2            1.0",
+                               "X1        LIM2            1.0   NOROW  2.0")
+        bad = bad.replace("X2        MYEQN          -1.0", "X2        MYEQN          -1.x")
+        with pytest.raises(MpsFormatError) as err:
             parse_mps(bad)
+        assert str(err.value) == "line 9: entry for undeclared row 'NOROW'"
+
+    def test_bad_number_comes_before_the_rows_of_its_line(self):
+        bad = TESTPROB.replace("X1        LIM2            1.0", "X1        NOROW  1.0   LIM2  1.y")
+        with pytest.raises(MpsFormatError) as err:
+            parse_mps(bad)
+        assert str(err.value) == "line 9: bad numeric field '1.y'"

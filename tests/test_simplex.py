@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lp_enum_oracle import vertex_enumerate
-from pvsmooth.lp import SolveOptions, build_problem, solve
+from pvsmooth.lp import CsrRows, SolveOptions, build_problem, solve
 
 INF = math.inf
 
@@ -200,11 +200,9 @@ class TestSolverInvariants:
         rng = np.random.default_rng(31)
         for _ in range(5):
             p = random_instance(rng)
+            rows = CsrRows(p.A.indptr, p.A.indices, p.A.data, p.relations, p.rhs)
             scaled = build_problem(
-                p.sense,
-                list(zip(p.lower, p.upper)),
-                [(list(zip(r.cols.tolist(), r.vals.tolist())), r.relation, r.rhs) for r in p.rows],
-                list(4.0 * p.objective),
+                p.sense, np.column_stack([p.lower, p.upper]), rows, 4.0 * p.objective
             )
             s1 = solve(p)
             s2 = solve(scaled)
