@@ -346,6 +346,8 @@ class _State:
             self.vstat[j] = BASIC
             self.basis[r] = j
             self.factor.push_eta(r, w.copy())
+            if len(self.factor.etas) >= REFACTOR_INTERVAL:
+                self._refactor()
         # artificials can never re-enter
         art = self.is_artificial
         self.lo[art] = 0.0

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lp_enum_oracle import vertex_enumerate
-from pvsmooth.lp import CsrRows, SolveOptions, build_problem, solve
+from pvsmooth.lp import CsrRows, SolveOptions, build_problem, simplex, solve
 
 INF = math.inf
 
@@ -235,3 +235,24 @@ class TestSolverInvariants:
             p = random_instance(rng)
             sol = solve(p)
             assert sol.iterations <= 50 * (p.n_rows + p.n_vars)
+
+    def test_drive_out_keeps_the_eta_file_bounded(self, monkeypatch):
+        # each row x_i - y_i = 0 holds at the start point, so its artificial
+        # sits basic at zero, phase 1 ends at once and drive-out pivots once
+        # per row
+        m = 3 * simplex.REFACTOR_INTERVAL
+        rows = [([(i, 1.0), (m + i, -1.0)], "=", 0.0) for i in range(m)]
+        p = build_problem("maximize", [(0.0, 1.0)] * (2 * m), rows, [1.0] * m + [0.0] * m)
+        longest = 0
+        push_eta = simplex._BasisFactor.push_eta
+
+        def recording_push(factor, r, w):
+            nonlocal longest
+            push_eta(factor, r, w)
+            longest = max(longest, len(factor.etas))
+
+        monkeypatch.setattr(simplex._BasisFactor, "push_eta", recording_push)
+        sol = solve(p)
+        assert sol.status == "optimal"
+        assert sol.objective_value == pytest.approx(m)
+        assert longest == simplex.REFACTOR_INTERVAL
