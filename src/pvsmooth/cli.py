@@ -45,10 +45,16 @@ def _fmt(x: float) -> str:
     return f"{float(x):.12g}"
 
 
+def _g(x: float) -> float:
+    """``x`` rounded to the 12 significant digits the CSVs carry."""
+    return float(_fmt(x))
+
+
 @dataclass
 class CaseRecord:
     label: str  # A/B/C/D/baseline
     status: str
+    iterations: int
     dispatch: DispatchSolution | None
     report: ValidationReport | None
 
@@ -91,11 +97,11 @@ def solve_case(
     form, cfg, diesel = _formulate(label, config, pv, battery)
     solution = solve(form.problem, config.solver)
     log.info("case %s: %s after %d iterations", label, solution.status, solution.iterations)
-    if solution.status != "optimal":
-        return CaseRecord(label=label, status=solution.status, dispatch=None, report=None)
-    dispatch = extract_solution(form, solution)
-    report = check_dispatch(dispatch, pv, cfg, battery, diesel)
-    return CaseRecord(label=label, status=solution.status, dispatch=dispatch, report=report)
+    dispatch = report = None
+    if solution.status == "optimal":
+        dispatch = extract_solution(form, solution)
+        report = check_dispatch(dispatch, pv, cfg, battery, diesel)
+    return CaseRecord(label, solution.status, solution.iterations, dispatch, report)
 
 
 def write_dispatch_csv(path: Path, sol: DispatchSolution) -> None:
@@ -147,19 +153,28 @@ def read_dispatch_csv(path: Path) -> dict:
 
 
 def _case_summary(record: CaseRecord) -> dict:
+    """What the optimum defines: every optimal point of the LP gives these
+    values to 12 significant digits, whichever pivot path reached it."""
     doc: dict = {"status": record.status}
     sol = record.dispatch
     if sol is not None:
-        doc.update(
-            net_benefit=sol.net_benefit,
-            p_batt_max=sol.p_batt_max,
-            e_batt_max=sol.e_batt_max,
-            p_diesel_max=sol.p_diesel_max,
-            diesel_energy=sol.diesel_energy,
-            max_curtailed_kw=float(np.max(sol.p_curt)) if len(sol.p_curt) else 0.0,
-        )
+        for name in ("net_benefit", "p_batt_max", "e_batt_max", "p_diesel_max", "diesel_energy"):
+            doc[name] = _g(getattr(sol, name))
     if record.report is not None:
-        doc["validation"] = record.report.as_dict()
+        doc["validation"] = {
+            "passed": bool(record.report.passed),
+            "tolerance": _g(record.report.tolerance),
+        }
+    return doc
+
+
+def _case_solver(record: CaseRecord) -> dict:
+    """What depends on the pivot path: the iteration count, and where and
+    how far the dispatch misses each constraint family."""
+    doc: dict = {"iterations": record.iterations}
+    if record.report is not None:
+        report = record.report.as_dict()
+        doc.update(residuals=report["residuals"], worst_step=report["worst_step"])
     return doc
 
 
@@ -175,7 +190,7 @@ def _weather_summary(config: RunConfig, seed_override: int | None) -> dict:
         "synthetic": {
             "days": spec.days,
             "seed": spec.seed if seed_override is None else seed_override,
-            "variability": spec.variability,
+            "variability": _g(spec.variability),
         }
     }
 
@@ -235,13 +250,17 @@ def cmd_run(config: RunConfig, seed_override: int | None) -> int:
         else:
             _write_json(out / "comparison.json", comparison.as_dict())
             (out / "comparison.txt").write_text(comparison.as_text() + "\n")
-            summary["baseline_net_benefit"] = comparison.baseline_net_benefit
+            summary["baseline_net_benefit"] = _g(comparison.baseline_net_benefit)
 
     write_injection_csv(
         out / "plot_injection.csv",
         [records[c] for c in selected],
     )
     _write_json(out / "summary.json", summary)
+    _write_json(
+        out / "solver.json",
+        {"cases": {label: _case_solver(rec) for label, rec in records.items()}},
+    )
 
     if "battery-select" in config.cases:
         code = cmd_battery_select(config, seed_override, pv=pv, baseline=baseline)

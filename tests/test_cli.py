@@ -57,6 +57,7 @@ class TestRun:
             "comparison.json",
             "comparison.txt",
             "plot_injection.csv",
+            "solver.json",
             "summary.json",
         ):
             assert (out / name).is_file(), name
@@ -68,6 +69,43 @@ class TestRun:
         # nothing to smooth on a flat trace, so smoothing costs nothing
         assert case_a["decrement_vs_baseline"] == pytest.approx(0.0, abs=1e-9)
         assert case_a["battery_power_kw"] == pytest.approx(0.0, abs=1e-9)
+
+    def test_summary_keeps_only_what_the_optimum_defines(self, flat_config, tmp_path):
+        assert main(["run", str(flat_config)]) == 0
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        solver = json.loads((tmp_path / "out" / "solver.json").read_text())
+        assert set(solver["cases"]) == set(summary["cases"]) == {"A", "baseline"}
+        for label, case in summary["cases"].items():
+            assert set(case) == {
+                "status", "net_benefit", "p_batt_max", "e_batt_max",
+                "p_diesel_max", "diesel_energy", "validation",
+            }
+            assert case["validation"] == {"passed": True, "tolerance": 1e-6}
+            # the pivot path's diagnostics live in solver.json
+            path = solver["cases"][label]
+            assert set(path) == {"iterations", "residuals", "worst_step"}
+            assert path["iterations"] > 0
+            assert set(path["residuals"]) == set(path["worst_step"])
+        # every number is written at the 12 significant digits of the CSVs
+        numbers = [summary["baseline_net_benefit"]]
+        numbers += [v for case in summary["cases"].values() for v in case.values()
+                    if isinstance(v, float)]
+        assert len(numbers) == 11
+        assert all(v == float(f"{v:.12g}") for v in numbers)
+
+    def test_failed_solve_reports_status_and_iterations(self, tmp_path):
+        weather = flat_weather_file(tmp_path)
+        cfg = write_config(tmp_path, {
+            "weather": {"file": weather.name},
+            "cases": ["A"],
+            "solver": {"max_iterations": 1},
+            "output_dir": "out",
+        })
+        assert main(["run", str(cfg)]) == 1
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        solver = json.loads((tmp_path / "out" / "solver.json").read_text())
+        assert summary["cases"] == {"A": {"status": "iteration-limit"}}
+        assert solver["cases"] == {"A": {"iterations": 1}}
 
     def test_dispatch_csv_header(self, flat_config, tmp_path):
         main(["run", str(flat_config)])
