@@ -1,7 +1,8 @@
 """Bounded-variable two-phase revised simplex.
 
-The basis inverse is kept as a dense LU factorization plus a short chain of
-product-form eta updates, refreshed every ``REFACTOR_INTERVAL`` pivots.
+The basis inverse is kept as a sparse LU factorization (SuperLU, through
+``scipy.sparse.linalg.splu``) plus a short chain of product-form eta updates,
+refreshed every ``REFACTOR_INTERVAL`` pivots.
 Pricing is Dantzig by default and falls back to Bland's rule after a run of
 non-improving pivots, which breaks the cycling that plagues degenerate
 dispatch bases.
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import lu_factor, lu_solve
+from scipy.sparse.linalg import splu
 
 from .problem import LpProblem, LpSolution, evaluate_residuals, objective_value
 
@@ -53,9 +54,8 @@ class _BasisFactor:
 
     def refactor(self, basis: np.ndarray) -> None:
         self.etas = []
-        B = self.A[:, basis].toarray()
-        self.lu = lu_factor(B, check_finite=False)
-        diag = np.abs(np.diag(self.lu[0]))
+        self.lu = splu(self.A[:, basis])
+        diag = np.abs(self.lu.U.diagonal())
         if diag.min() < 1e-13 * max(1.0, diag.max()):
             raise RuntimeError("basis matrix is numerically singular")
 
@@ -70,7 +70,7 @@ class _BasisFactor:
 
     def ftran(self, v: np.ndarray) -> np.ndarray:
         # B^-1 v
-        y = lu_solve(self.lu, v, check_finite=False)
+        y = self.lu.solve(v)
         for r, w in self.etas:
             yr = y[r] / w[r]
             y -= w * yr
@@ -82,7 +82,7 @@ class _BasisFactor:
         y = v.copy()
         for r, w in reversed(self.etas):
             y[r] = (y[r] - (np.dot(w, y) - w[r] * y[r])) / w[r]
-        return lu_solve(self.lu, y, trans=1, check_finite=False)
+        return self.lu.solve(y, trans="T")
 
 
 def _start_point(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
