@@ -16,6 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
+from ..errors import SolveStatusError
 from .problem import LpProblem, LpSolution, evaluate_residuals, objective_value
 
 AT_LOWER = 0
@@ -54,10 +55,13 @@ class _BasisFactor:
 
     def refactor(self, basis: np.ndarray) -> None:
         self.etas = []
-        self.lu = splu(self.A[:, basis])
+        try:
+            self.lu = splu(self.A[:, basis])
+        except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+            raise SolveStatusError(f"basis matrix is singular: {exc}") from None
         diag = np.abs(self.lu.U.diagonal())
         if diag.min() < 1e-13 * max(1.0, diag.max()):
-            raise RuntimeError("basis matrix is numerically singular")
+            raise SolveStatusError("basis matrix is numerically singular")
 
     def push_eta(self, r: int, w: np.ndarray) -> None:
         self.etas.append((r, w))
@@ -295,7 +299,7 @@ class _State:
             z = z_new
 
     def _phase1_unbounded(self) -> str:
-        raise RuntimeError("phase 1 subproblem reported unbounded; problem data is corrupt")
+        raise SolveStatusError("phase 1 subproblem reported unbounded; problem data is corrupt")
 
     def _pivot(self, q: int, r: int, w: np.ndarray, t: float, direction: float) -> None:
         x_q0 = self.x[q]

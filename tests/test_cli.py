@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from pvsmooth.cli import main
-from pvsmooth.lp import parse_mps, solve
+from pvsmooth.lp import parse_mps, simplex, solve
 
 FLAT_HEADER = "timestamp,irradiance_wm2,temp_c\n"
 
@@ -173,6 +173,17 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert "at least 2 retained steps, got 0" in err
+
+
+class TestSolverFailure:
+    def test_singular_basis_exits_1_with_one_line(self, flat_config, monkeypatch, capsys):
+        def singular(matrix):
+            raise RuntimeError("Factor is exactly singular")  # as SuperLU reports it
+
+        monkeypatch.setattr(simplex, "splu", singular)
+        assert main(["run", str(flat_config)]) == 1
+        err = capsys.readouterr().err
+        assert err == "solver failure: basis matrix is singular: Factor is exactly singular\n"
 
 
 class TestValidateSubcommand:

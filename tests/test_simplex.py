@@ -10,10 +10,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lp_enum_oracle import vertex_enumerate
+from pvsmooth.errors import SolveStatusError
 from pvsmooth.lp import CsrRows, SolveOptions, build_problem, simplex, solve
 
 INF = math.inf
@@ -256,3 +258,20 @@ class TestSolverInvariants:
         assert sol.status == "optimal"
         assert sol.objective_value == pytest.approx(m)
         assert longest == simplex.REFACTOR_INTERVAL
+
+
+class TestNumericalFailures:
+    @pytest.mark.parametrize(
+        "columns",
+        [[[1.0, 1.0], [1.0, 1.0]], [[1.0, 0.0], [0.0, 1e-14]]],
+        ids=["exactly-singular", "below-1e-13"],
+    )
+    def test_singular_basis_is_a_solve_status_error(self, columns):
+        A = sp.csc_matrix(np.array(columns))
+        with pytest.raises(SolveStatusError, match="singular"):
+            simplex._BasisFactor(A).refactor(np.array([0, 1]))
+
+    def test_unbounded_phase_1_is_a_solve_status_error(self):
+        p = build_problem("minimize", [(0.0, 1.0)], [([(0, 1.0)], "=", 1.0)], [1.0])
+        with pytest.raises(SolveStatusError, match="phase 1"):
+            simplex._State(p, None)._phase1_unbounded()
