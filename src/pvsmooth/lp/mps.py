@@ -13,7 +13,7 @@ data lines once and checks it with array operations.
 from __future__ import annotations
 
 import re
-from itertools import repeat
+from itertools import chain, count, repeat
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +47,11 @@ def _short_names(originals, fallback_prefix: str) -> list[str]:
     seen: set[str] = set()
     for k, name in enumerate(out):
         if not name or name in seen:
-            name = out[k] = f"{fallback_prefix}{k + 1:07d}"
+            # a fallback may already be some earlier column's own name
+            j = k + 1
+            while (name := f"{fallback_prefix}{j:07d}") in seen:
+                j += 1
+            out[k] = name
         seen.add(name)
     return out
 
@@ -83,9 +87,10 @@ def _lines(*fields) -> str:
 def render_mps(problem: LpProblem) -> str:
     col_names = _short_names(problem.col_names, "C")
     row_names = _short_names(problem.row_names, "R")
-    obj_name = "OBJ"
-    while obj_name in row_names:
-        obj_name = "X" + obj_name  # never more than a few collisions
+    # OBJ, XOBJ, ... while they fit in 8 characters, then numbered names
+    taken = set(row_names)
+    candidates = chain(("X" * k + "OBJ" for k in range(6)), (f"O{j:07d}" for j in count()))
+    obj_name = next(name for name in candidates if name not in taken)
     n, m = problem.n_vars, problem.n_rows
     col_pad = _padded(col_names)
     row_pad = _padded(row_names + [obj_name])  # the objective row is number m

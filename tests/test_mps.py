@@ -123,10 +123,20 @@ VALUES = st.one_of(
 )
 
 
+# names that sanitise to nothing, that look like the writer's fallback or
+# objective names, or that collide once cut to 8 characters
+NAMES = st.one_of(
+    st.sampled_from(["", "!", "c0000001", "C0000002", "C0000003", "r0000001",
+                     "R0000002", "R0000003", "OBJ", "xobj", "long_name_a", "long_name_b"]),
+    st.text(alphabet="cR0!_", max_size=9),
+)
+
+
 @st.composite
 def small_lps(draw):
     """Random LPs with every bound kind the writer knows, explicit and signed
-    zero coefficients and at least one row with no entries."""
+    zero coefficients, at least one row with no entries, and names that the
+    writer has to replace."""
     n = draw(st.integers(1, 5))
     bounds = []
     for _ in range(n):
@@ -149,6 +159,8 @@ def small_lps(draw):
     return build_problem(
         draw(st.sampled_from(["maximize", "minimize"])), bounds, rows, objective,
         offset=draw(VALUES),
+        col_names=draw(st.lists(NAMES, min_size=n, max_size=n)),
+        row_names=draw(st.lists(NAMES, min_size=len(rows), max_size=len(rows))),
     )
 
 
@@ -211,6 +223,37 @@ class TestRoundTrip:
         q = read_mps(path)
         assert q.n_vars == p.n_vars
         assert solve(q).objective_value == pytest.approx(solve(p).objective_value)
+
+    def test_fallback_names_skip_names_in_use(self):
+        # "!" sanitises to nothing; its fallback C0000002 is the first
+        # column's own name
+        p = build_problem(
+            "minimize",
+            [(0.0, 1.0), (0.0, 1.0)],
+            [([(0, 1.0), (1, 1.0)], "<=", 1.0)],
+            [1.0, 1.0],
+            col_names=["C0000002", "!"],
+        )
+        text = render_mps(p)
+        q = parse_mps(text)
+        assert q.col_names == ("C0000002", "C0000003")
+        assert render_mps(q) == text
+
+    def test_objective_name_stays_within_8_characters(self):
+        taken = ["OBJ", "XOBJ", "XXOBJ", "XXXOBJ", "XXXXOBJ", "XXXXXOBJ"]
+        p = build_problem(
+            "minimize",
+            [(0.0, 1.0)],
+            [([(0, 1.0)], "<=", 1.0)] * len(taken),
+            [1.0],
+            row_names=taken,
+        )
+        text = render_mps(p)
+        objective_row = text.splitlines()[2]
+        assert objective_row == " N  O0000000"
+        q = parse_mps(text)
+        assert q.row_names == tuple(taken)
+        assert render_mps(q) == text
 
     def test_long_names_become_deterministic_short_names(self):
         p = build_problem(
