@@ -45,7 +45,7 @@ def _fmt(x: float) -> str:
     return f"{float(x):.12g}"
 
 
-def _g(x: float) -> float:
+def _rounded(x: float) -> float:
     """``x`` rounded to the 12 significant digits the CSVs carry."""
     return float(_fmt(x))
 
@@ -159,11 +159,11 @@ def _case_summary(record: CaseRecord) -> dict:
     sol = record.dispatch
     if sol is not None:
         for name in ("net_benefit", "p_batt_max", "e_batt_max", "p_diesel_max", "diesel_energy"):
-            doc[name] = _g(getattr(sol, name))
+            doc[name] = _rounded(getattr(sol, name))
     if record.report is not None:
         doc["validation"] = {
             "passed": bool(record.report.passed),
-            "tolerance": _g(record.report.tolerance),
+            "tolerance": _rounded(record.report.tolerance),
         }
     return doc
 
@@ -190,7 +190,7 @@ def _weather_summary(config: RunConfig, seed_override: int | None) -> dict:
         "synthetic": {
             "days": spec.days,
             "seed": spec.seed if seed_override is None else seed_override,
-            "variability": _g(spec.variability),
+            "variability": _rounded(spec.variability),
         }
     }
 
@@ -250,7 +250,7 @@ def cmd_run(config: RunConfig, seed_override: int | None) -> int:
         else:
             _write_json(out / "comparison.json", comparison.as_dict())
             (out / "comparison.txt").write_text(comparison.as_text() + "\n")
-            summary["baseline_net_benefit"] = _g(comparison.baseline_net_benefit)
+            summary["baseline_net_benefit"] = _rounded(comparison.baseline_net_benefit)
 
     write_injection_csv(
         out / "plot_injection.csv",

@@ -47,7 +47,7 @@ def _short_names(originals, fallback_prefix: str) -> list[str]:
     seen: set[str] = set()
     for k, name in enumerate(out):
         if not name or name in seen:
-            # a fallback may already be some earlier column's own name
+            # a fallback may already be the name of an earlier entry
             j = k + 1
             while (name := f"{fallback_prefix}{j:07d}") in seen:
                 j += 1
