@@ -239,24 +239,35 @@ class TestSolverInvariants:
             assert sol.iterations <= 50 * (p.n_rows + p.n_vars)
 
     def test_drive_out_keeps_the_eta_file_bounded(self, monkeypatch):
-        # each row x_i - y_i = 0 holds at the start point, so its artificial
-        # sits basic at zero, phase 1 ends at once and drive-out pivots once
-        # per row
+        # the cyclic rows x_i - x_(i+1 mod m) = 0 hold at the start point and
+        # give every column two equality entries, so no crash column covers
+        # a row: each artificial sits basic at zero, phase 1 ends at once and
+        # drive-out pivots once per row but the one redundant row
         m = 3 * simplex.REFACTOR_INTERVAL
-        rows = [([(i, 1.0), (m + i, -1.0)], "=", 0.0) for i in range(m)]
-        p = build_problem("maximize", [(0.0, 1.0)] * (2 * m), rows, [1.0] * m + [0.0] * m)
-        longest = 0
+        rows = [([(i, 1.0), ((i + 1) % m, -1.0)], "=", 0.0) for i in range(m)]
+        p = build_problem("maximize", [(0.0, 1.0)] * m, rows, [1.0] * m)
+        longest = pushes = drive_out_pushes = 0
         push_eta = simplex._BasisFactor.push_eta
+        drive_out = simplex._State.drive_out_artificials
 
         def recording_push(factor, r, w):
-            nonlocal longest
+            nonlocal longest, pushes
             push_eta(factor, r, w)
+            pushes += 1
             longest = max(longest, len(factor.etas))
 
+        def recording_drive_out(state):
+            nonlocal drive_out_pushes
+            before = pushes
+            drive_out(state)
+            drive_out_pushes = pushes - before
+
         monkeypatch.setattr(simplex._BasisFactor, "push_eta", recording_push)
+        monkeypatch.setattr(simplex._State, "drive_out_artificials", recording_drive_out)
         sol = solve(p)
         assert sol.status == "optimal"
         assert sol.objective_value == pytest.approx(m)
+        assert drive_out_pushes > simplex.REFACTOR_INTERVAL
         assert longest == simplex.REFACTOR_INTERVAL
 
 
