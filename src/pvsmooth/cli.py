@@ -284,7 +284,9 @@ def cmd_battery_select(
     if baseline.dispatch is None:
         print(f"baseline solve failed: {baseline.status}", file=sys.stderr)
         return 1
-    base_net = baseline.dispatch.net_benefit
+    # every number is rounded like summary.json's, so the file and the
+    # ranking depend on the optimum and not on the pivot path
+    base_net = _rounded(baseline.dispatch.net_benefit)
 
     rows = []
     all_ok = baseline.ok
@@ -294,11 +296,12 @@ def cmd_battery_select(
         entry = {"battery": battery.name, "status": record.status}
         if record.dispatch is not None:
             sol = record.dispatch
+            net = _rounded(sol.net_benefit)
             entry.update(
-                net_benefit=sol.net_benefit,
-                imposed_cost_pct=100.0 * (sol.net_benefit - base_net) / abs(base_net),
-                p_batt_max=sol.p_batt_max,
-                e_batt_max=sol.e_batt_max,
+                net_benefit=net,
+                imposed_cost_pct=_rounded(100.0 * (net - base_net) / abs(base_net)),
+                p_batt_max=_rounded(sol.p_batt_max),
+                e_batt_max=_rounded(sol.e_batt_max),
             )
         rows.append(entry)
 

@@ -253,6 +253,11 @@ class TestBatterySelect:
         assert nets == sorted(nets, reverse=True)
         # flat trace: no storage needed, so every chemistry nets the same
         assert max(nets) - min(nets) == pytest.approx(0.0, abs=1e-6 * abs(nets[0]))
+        # every number is written at the 12 significant digits of the CSVs
+        numbers = [ranking["baseline_net_benefit"]]
+        numbers += [v for e in ranking["ranking"] for v in e.values() if isinstance(v, float)]
+        assert len(numbers) == 17
+        assert all(v == float(f"{v:.12g}") for v in numbers)
 
     def test_single_candidate_rejected(self, tmp_path, capsys):
         weather = flat_weather_file(tmp_path)
