@@ -55,6 +55,8 @@ class CaseRecord:
     label: str  # A/B/C/D/baseline
     status: str
     iterations: int
+    phase1_iterations: int
+    artificials: int
     dispatch: DispatchSolution | None
     report: ValidationReport | None
 
@@ -96,12 +98,19 @@ def solve_case(
     battery = battery if battery is not None else config.battery
     form, cfg, diesel = _formulate(label, config, pv, battery)
     solution = solve(form.problem, config.solver)
-    log.info("case %s: %s after %d iterations", label, solution.status, solution.iterations)
+    log.info(
+        "case %s: %s after %d iterations (%d in phase 1, %d artificials)",
+        label, solution.status, solution.iterations,
+        solution.phase1_iterations, solution.artificials,
+    )
     dispatch = report = None
     if solution.status == "optimal":
         dispatch = extract_solution(form, solution)
         report = check_dispatch(dispatch, pv, cfg, battery, diesel)
-    return CaseRecord(label, solution.status, solution.iterations, dispatch, report)
+    return CaseRecord(
+        label, solution.status, solution.iterations, solution.phase1_iterations,
+        solution.artificials, dispatch, report,
+    )
 
 
 def write_dispatch_csv(path: Path, sol: DispatchSolution) -> None:
@@ -169,9 +178,14 @@ def _case_summary(record: CaseRecord) -> dict:
 
 
 def _case_solver(record: CaseRecord) -> dict:
-    """What depends on the pivot path: the iteration count, and where and
-    how far the dispatch misses each constraint family."""
-    doc: dict = {"iterations": record.iterations}
+    """What depends on the pivot path: the iteration counts, the artificial
+    columns of the starting basis, and where and how far the dispatch misses
+    each constraint family."""
+    doc: dict = {
+        "iterations": record.iterations,
+        "phase1_iterations": record.phase1_iterations,
+        "artificials": record.artificials,
+    }
     if record.report is not None:
         report = record.report.as_dict()
         doc.update(residuals=report["residuals"], worst_step=report["worst_step"])

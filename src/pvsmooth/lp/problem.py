@@ -37,6 +37,8 @@ class LpSolution:
     x: np.ndarray
     objective_value: float
     iterations: int
+    phase1_iterations: int
+    artificials: int  # artificial columns in the starting basis
     max_primal_residual: float
     max_bound_violation: float
 

@@ -384,11 +384,13 @@ def solve(problem: LpProblem, options: SolveOptions | None = None) -> LpSolution
     opts = options or SolveOptions()
     if problem.n_rows == 0:
         status, xs = _solve_box(problem)
-        iterations = 0
+        iterations = phase1_iterations = artificials = 0
     else:
         st = _State(problem, opts.max_iterations)
+        artificials = int(np.count_nonzero(st.is_artificial))
         st.factor.refactor(st.basis)
         status = st.optimize(phase=1)
+        phase1_iterations = st.iterations
         if status == "optimal":
             if st.phase1_infeasibility() > FEASIBILITY_TOL * st.b_scale:
                 status = "infeasible"
@@ -407,6 +409,8 @@ def solve(problem: LpProblem, options: SolveOptions | None = None) -> LpSolution
         x=xs,
         objective_value=objective_value(problem, xs),
         iterations=iterations,
+        phase1_iterations=phase1_iterations,
+        artificials=artificials,
         max_primal_residual=max_res,
         max_bound_violation=max_bv,
     )

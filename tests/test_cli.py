@@ -83,8 +83,10 @@ class TestRun:
             assert case["validation"] == {"passed": True, "tolerance": 1e-6}
             # the pivot path's diagnostics live in solver.json
             path = solver["cases"][label]
-            assert set(path) == {"iterations", "residuals", "worst_step"}
-            assert path["iterations"] > 0
+            assert set(path) == {
+                "iterations", "phase1_iterations", "artificials", "residuals", "worst_step",
+            }
+            assert path["iterations"] >= path["phase1_iterations"] >= 0
             assert set(path["residuals"]) == set(path["worst_step"])
         # every number is written at the 12 significant digits of the CSVs
         numbers = [summary["baseline_net_benefit"]]
@@ -105,7 +107,10 @@ class TestRun:
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         solver = json.loads((tmp_path / "out" / "solver.json").read_text())
         assert summary["cases"] == {"A": {"status": "iteration-limit"}}
-        assert solver["cases"] == {"A": {"iterations": 1}}
+        # no dispatch, so no residuals: only the solver's own counters
+        assert set(solver["cases"]) == {"A"}
+        assert set(solver["cases"]["A"]) == {"iterations", "phase1_iterations", "artificials"}
+        assert solver["cases"]["A"]["iterations"] == 1
 
     def test_dispatch_csv_header(self, flat_config, tmp_path):
         main(["run", str(flat_config)])
