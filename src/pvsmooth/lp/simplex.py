@@ -3,6 +3,11 @@
 The basis inverse is kept as a sparse LU factorization (SuperLU, through
 ``scipy.sparse.linalg.splu``) plus a short chain of product-form eta updates,
 refreshed every ``REFACTOR_INTERVAL`` pivots.
+The starting basis is a triangular crash over the equality rows: a column
+that an equality row alone can pin is basic there at the value the row gives
+it, when that value is inside its bounds. The remaining rows start on a slack
+when it absorbs the residual at the crashed point, else on an artificial, so
+phase 1 only repairs the rows the start point violates.
 Pricing is Dantzig by default and falls back to Bland's rule after a run of
 non-improving pivots, which breaks the cycling that plagues degenerate
 dispatch bases.
@@ -94,6 +99,52 @@ def _start_point(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(lower), lower, np.where(np.isfinite(upper), upper, 0.0))
 
 
+def _crash(
+    problem: LpProblem, x: np.ndarray, fixed: np.ndarray, is_open: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Triangular crash over the equality rows (Bixby 1992).
+
+    Walking the columns in order, a non-fixed column covers an open equality
+    row when that row holds its only nonzero among the open equality rows
+    (``is_open`` on entry marks every equality row; the pass closes each row
+    it covers) and that coefficient is the largest in magnitude of the column. Going
+    back over the pairs in reverse, each row is solved for its column with
+    every other column at its current value; a column that lands inside its
+    bounds takes that value in ``x`` and is basic in its row, any other
+    leaves the row to an artificial. Returns the covered rows and their
+    columns.
+    """
+    A = problem.A.tocsc(copy=True)
+    A.sum_duplicates()
+    A.eliminate_zeros()
+    col_max = abs(A).max(axis=0).toarray().ravel()
+
+    pairs = []
+    for j in np.flatnonzero(~fixed):
+        entries = np.arange(A.indptr[j], A.indptr[j + 1])
+        hit = entries[is_open[A.indices[entries]]]
+        if len(hit) != 1:
+            continue
+        a = A.data[hit[0]]
+        if abs(a) < col_max[j] or abs(a) < PIVOT_TOL:
+            continue
+        r = A.indices[hit[0]]
+        is_open[r] = False
+        pairs.append((r, j, a))
+
+    rows, cols = [], []
+    for r, j, a in reversed(pairs):
+        start, end = problem.A.indptr[r], problem.A.indptr[r + 1]
+        row_cols, row_vals = problem.A.indices[start:end], problem.A.data[start:end]
+        others = row_cols != j
+        xj = (problem.rhs[r] - np.dot(row_vals[others], x[row_cols[others]])) / a
+        if problem.lower[j] <= xj <= problem.upper[j]:
+            x[j] = xj
+            rows.append(r)
+            cols.append(j)
+    return np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64)
+
+
 class _State:
     def __init__(self, problem: LpProblem, max_iterations: int | None):
         n = problem.n_vars
@@ -106,7 +157,7 @@ class _State:
             c = -c
 
         # Column layout: structural, then one slack per inequality row, then
-        # artificials for rows whose slack cannot absorb the initial residual.
+        # artificials for rows that neither the crash nor a slack covers.
         rel = np.array(problem.relations, dtype="U2")
         slack_rows = np.flatnonzero(rel != "=")
         n_slack = len(slack_rows)
@@ -125,6 +176,9 @@ class _State:
             ),
         )
 
+        crash_rows, crash_cols = _crash(problem, x_struct, vstat_struct == FIXED, rel == "=")
+        vstat_struct[crash_cols] = BASIC
+
         b = problem.rhs
         resid = b - problem.A @ x_struct
 
@@ -136,12 +190,14 @@ class _State:
         vstat_slack = np.where(slack_basic, BASIC, np.where(slack_le, AT_LOWER, AT_UPPER))
         row_covered = np.zeros(m, dtype=bool)
         row_covered[slack_rows[slack_basic]] = True
+        row_covered[crash_rows] = True
         art_rows = np.flatnonzero(~row_covered)
 
         na = len(art_rows)
         n_total = n + n_slack + na
         basis = np.empty(m, dtype=np.int64)
         basis[slack_rows[slack_basic]] = n + np.flatnonzero(slack_basic)
+        basis[crash_rows] = crash_cols
         basis[art_rows] = n + n_slack + np.arange(na)
 
         slacks = sp.csc_matrix(
