@@ -6,6 +6,7 @@ to 6 variables and 6 rows, mixing senses, relations, fixed variables and
 negative lower bounds.
 """
 
+import json
 import math
 
 import numpy as np
@@ -14,7 +15,10 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from highs_oracle import highs_objective
 from lp_enum_oracle import vertex_enumerate
+from pvsmooth.cli import _formulate, build_power_series
+from pvsmooth.config import load_run_config
 from pvsmooth.errors import SolveStatusError
 from pvsmooth.lp import CsrRows, SolveOptions, build_problem, simplex, solve
 
@@ -41,6 +45,23 @@ def random_instance(rng):
         rhs = {"<=": act + margin, ">=": act - margin, "=": act}[rel]
         rows.append(([(int(j), float(v)) for j, v in zip(cols, vals)], rel, rhs))
     return build_problem(sense, list(zip(lower, upper)), rows, list(c))
+
+
+def case_lp(tmp_path, label, days=3, **constraints):
+    """The LP of case ``label`` that ``pvsmooth run`` builds on the seed-7
+    synthetic trace, with ``constraints`` over the defaults."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "weather": {"synthetic": {"days": days, "seed": 7, "variability": 0.8}},
+        "constraints": constraints,
+    }))
+    config = load_run_config(path)
+    form, _, _ = _formulate(label, config, build_power_series(config, None), config.battery)
+    return form
+
+
+def rows_named(problem, prefix):
+    return np.array([i for i, name in enumerate(problem.row_names) if name.startswith(prefix)])
 
 
 class TestSpecExamples:
@@ -269,6 +290,128 @@ class TestSolverInvariants:
         assert sol.objective_value == pytest.approx(m)
         assert drive_out_pushes > simplex.REFACTOR_INTERVAL
         assert longest == simplex.REFACTOR_INTERVAL
+
+
+class TestCrashBasis:
+    def test_artificials_only_on_the_ramp_rows_the_raw_pv_breaks(self, tmp_path):
+        form = case_lp(tmp_path, "A")
+        p = form.problem
+        x = np.zeros(p.n_vars)
+        x[form.columns["p_grid"]] = form.p_pv
+        ramp = np.concatenate([rows_named(p, "RUP"), rows_named(p, "RDN")])
+        broken = int(np.count_nonzero((p.A @ x)[ramp] > p.rhs[ramp]))
+        assert broken == 106
+        sol = solve(p)
+        assert sol.status == "optimal"
+        assert sol.artificials == broken
+        assert sol.iterations > sol.phase1_iterations > 0
+
+    def test_baseline_starts_feasible(self, tmp_path):
+        sol = solve(case_lp(tmp_path, "baseline").problem)
+        assert sol.status == "optimal"
+        assert sol.artificials == 0
+        assert sol.phase1_iterations == 0
+
+    def test_grid_cap_below_the_pv_peak_leaves_the_balance_row_to_an_artificial(self, tmp_path):
+        cap = 6000.0
+        form = case_lp(tmp_path, "A", grid_cap=cap)
+        p = form.problem
+        over = form.p_pv > cap
+        assert over.any() and not over.all()
+        st = simplex._State(p, None)
+        bal = rows_named(p, "BAL")
+        assert st.is_artificial[st.basis[bal[over]]].all()
+        assert not st.is_artificial[st.basis[bal[~over]]].any()
+        p_grid = np.arange(p.n_vars)[form.columns["p_grid"]]
+        assert (st.vstat[p_grid[over]] == simplex.AT_LOWER).all()
+        assert (st.vstat[p_grid[~over]] == simplex.BASIC).all()
+        sol = solve(p)
+        assert sol.status == "optimal"
+        assert sol.objective_value == pytest.approx(highs_objective(p), rel=1e-9)
+
+    @pytest.mark.parametrize("other", [1.0, 0.25], ids=["largest-elsewhere", "largest-here"])
+    def test_pivot_must_be_the_columns_largest_entry(self, other):
+        # x0's only equality entry is 0.5; a larger entry elsewhere keeps
+        # it out of the crash, and the row starts on an artificial
+        p = build_problem(
+            "minimize",
+            [(0.0, 10.0)],
+            [([(0, 0.5)], "=", 1.0), ([(0, other)], "<=", 5.0)],
+            [1.0],
+        )
+        st = simplex._State(p, None)
+        crashed = other < 0.5
+        assert (st.vstat[0] == simplex.BASIC) == crashed
+        assert st.is_artificial[st.basis[0]] == (not crashed)
+        if crashed:
+            assert st.x[0] == 2.0
+        sol = solve(p)
+        assert sol.status == "optimal"
+        assert sol.x[0] == pytest.approx(2.0)
+
+    def test_pivot_below_pivot_tol_is_refused(self):
+        tiny = 0.1 * simplex.PIVOT_TOL
+        p = build_problem("minimize", [(0.0, 1.0)], [([(0, tiny)], "=", 0.0)], [1.0])
+        st = simplex._State(p, None)
+        assert st.vstat[0] == simplex.AT_LOWER
+        assert st.is_artificial[st.basis[0]]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_explicit_zeros_are_not_entries(self):
+        # x0's one stored coefficient is an explicit 0.0, which is never a
+        # pivot; x1 and x2 each have one nonzero equality entry next to an
+        # explicit 0.0 in the other equality row, so each covers its row
+        p = build_problem(
+            "maximize",
+            [(0.0, 4.0), (0.0, 10.0), (0.0, 10.0)],
+            [
+                ([(0, 0.0), (1, 1.0), (2, 0.0)], "=", 3.0),
+                ([(1, 0.0), (2, 1.0)], "=", 2.0),
+            ],
+            [1.0, 1.0, 1.0],
+        )
+        assert p.A.nnz == 5
+        st = simplex._State(p, None)
+        assert st.basis.tolist() == [1, 2]
+        assert st.vstat[0] == simplex.AT_LOWER
+        assert st.x[:3].tolist() == [0.0, 3.0, 2.0]
+        sol = solve(p)
+        assert sol.status == "optimal"
+        assert sol.artificials == 0
+        assert sol.objective_value == pytest.approx(9.0)
+
+    @pytest.mark.parametrize(
+        "pattern",
+        [
+            0,
+            1,
+            pytest.param(2, marks=pytest.mark.xfail(
+                raises=SolveStatusError, strict=True,
+                reason="phase 1 pivots onto a numerically singular basis; see CHANGES.md",
+            )),
+        ],
+    )
+    def test_coefficients_from_1e_6_to_1e6(self, tmp_path, pattern):
+        # the one-day case A LP with its rows and columns scaled by powers of
+        # ten from 1e-3 to 1e3 in a pattern-dependent cycle: the same optimum
+        # (the columns are rescaled variables), coefficients over 13 decades
+        p = case_lp(tmp_path, "A", days=1).problem
+        m, n = p.A.shape
+        r = 10.0 ** ((np.arange(m) * (pattern + 1)) % 7 - 3)
+        c = 10.0 ** ((np.arange(n) * (pattern + 2)) % 7 - 3)
+        A = (sp.diags(r) @ p.A @ sp.diags(c)).tocsr()
+        assert abs(A.data).min() < 1e-6 and abs(A.data).max() >= 1e6
+        scaled = build_problem(
+            p.sense,
+            np.column_stack([p.lower / c, p.upper / c]),
+            CsrRows(A.indptr, A.indices, A.data, p.relations, p.rhs * r),
+            p.objective * c,
+            offset=p.objective_offset,
+        )
+        sol = solve(scaled)
+        assert sol.status == "optimal"
+        assert sol.objective_value == pytest.approx(highs_objective(scaled), rel=1e-9)
+        assert sol.objective_value == pytest.approx(solve(p).objective_value, rel=1e-9)
 
 
 class TestNumericalFailures:
