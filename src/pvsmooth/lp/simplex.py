@@ -99,28 +99,26 @@ def _start_point(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(lower), lower, np.where(np.isfinite(upper), upper, 0.0))
 
 
-def _crash(
-    problem: LpProblem, x: np.ndarray, fixed: np.ndarray, is_open: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _crash(problem: LpProblem, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Triangular crash over the equality rows (Bixby 1992).
 
     Walking the columns in order, a non-fixed column covers an open equality
-    row when that row holds its only nonzero among the open equality rows
-    (``is_open`` on entry marks every equality row; the pass closes each row
-    it covers) and that coefficient is the largest in magnitude of the column. Going
-    back over the pairs in reverse, each row is solved for its column with
-    every other column at its current value; a column that lands inside its
-    bounds takes that value in ``x`` and is basic in its row, any other
-    leaves the row to an artificial. Returns the covered rows and their
-    columns.
+    row when that row holds its only nonzero among the open equality rows and
+    that coefficient is the largest in magnitude of the column; the row then
+    closes. Going back over the pairs in reverse, each row is solved for its
+    column with every other column at its current value in ``x``. A column
+    that lands inside its bounds takes that value and is basic in its row;
+    any other leaves the row to an artificial. Returns the covered rows and
+    their columns.
     """
     A = problem.A.tocsc(copy=True)
     A.sum_duplicates()
     A.eliminate_zeros()
     col_max = abs(A).max(axis=0).toarray().ravel()
+    is_open = np.array(problem.relations, dtype="U2") == "="
 
     pairs = []
-    for j in np.flatnonzero(~fixed):
+    for j in np.flatnonzero(problem.lower != problem.upper):
         entries = np.arange(A.indptr[j], A.indptr[j + 1])
         hit = entries[is_open[A.indices[entries]]]
         if len(hit) != 1:
@@ -176,7 +174,7 @@ class _State:
             ),
         )
 
-        crash_rows, crash_cols = _crash(problem, x_struct, vstat_struct == FIXED, rel == "=")
+        crash_rows, crash_cols = _crash(problem, x_struct)
         vstat_struct[crash_cols] = BASIC
 
         b = problem.rhs
