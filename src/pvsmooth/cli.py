@@ -23,20 +23,20 @@ from .config import RunConfig, load_run_config
 from .economics import BatterySpec, DieselSpec
 from .errors import ConfigError, PvSmoothError, SolveStatusError
 from .formulation import (
+    CASE_IDS,
+    DIESEL_CASES,
     CaseFormulation,
     ConstraintConfig,
     DispatchSolution,
     build_case,
     extract_solution,
 )
-from .lp import solve, write_mps
+from .lp import LpSolution, solve, write_mps
 from .pvmodel import PowerSeries, pv_power
 from .validation import ValidationReport, check_dispatch, compare_cases
 from .weather import filter_low_irradiance, load_weather, synth_weather
 
 log = logging.getLogger("pvsmooth")
-
-SMOOTHING_CASES = ("A", "B", "C", "D")
 
 DISPATCH_COLUMNS = ("step", "p_pv", "p_grid", "p_batt", "e_batt", "p_curt", "p_diesel")
 
@@ -53,16 +53,14 @@ def _rounded(x: float) -> float:
 @dataclass
 class CaseRecord:
     label: str  # A/B/C/D/baseline
-    status: str
-    iterations: int
-    phase1_iterations: int
-    artificials: int
+    solution: LpSolution
     dispatch: DispatchSolution | None
     report: ValidationReport | None
 
     @property
     def ok(self) -> bool:
-        return self.status == "optimal" and self.report is not None and self.report.passed
+        # only an optimal solve is decoded and validated
+        return self.report is not None and self.report.passed
 
 
 def build_power_series(config: RunConfig, seed_override: int | None) -> PowerSeries:
@@ -88,7 +86,7 @@ def _formulate(
     case_id, cfg = label, config.constraints
     if label == "baseline":
         case_id, cfg = "A", replace(cfg, fluctuation_limit=math.inf)
-    diesel = config.diesel if case_id in ("C", "D") else None
+    diesel = config.diesel if case_id in DIESEL_CASES else None
     return build_case(case_id, pv, battery, config.econ, cfg, diesel=diesel), cfg, diesel
 
 
@@ -97,7 +95,7 @@ def solve_case(
 ) -> CaseRecord:
     battery = battery if battery is not None else config.battery
     form, cfg, diesel = _formulate(label, config, pv, battery)
-    solution = solve(form.problem, config.solver)
+    solution = solve(form.problem)
     log.info(
         "case %s: %s after %d iterations (%d in phase 1, %d artificials)",
         label, solution.status, solution.iterations,
@@ -107,10 +105,7 @@ def solve_case(
     if solution.status == "optimal":
         dispatch = extract_solution(form, solution)
         report = check_dispatch(dispatch, pv, cfg, battery, diesel)
-    return CaseRecord(
-        label, solution.status, solution.iterations, solution.phase1_iterations,
-        solution.artificials, dispatch, report,
-    )
+    return CaseRecord(label, solution, dispatch, report)
 
 
 def write_dispatch_csv(path: Path, sol: DispatchSolution) -> None:
@@ -164,7 +159,7 @@ def read_dispatch_csv(path: Path) -> dict:
 def _case_summary(record: CaseRecord) -> dict:
     """What the optimum defines: every optimal point of the LP gives these
     values to 12 significant digits, whichever pivot path reached it."""
-    doc: dict = {"status": record.status}
+    doc: dict = {"status": record.solution.status}
     sol = record.dispatch
     if sol is not None:
         for name in ("net_benefit", "p_batt_max", "e_batt_max", "p_diesel_max", "diesel_energy"):
@@ -181,10 +176,11 @@ def _case_solver(record: CaseRecord) -> dict:
     """What depends on the pivot path: the iteration counts, the artificial
     columns of the starting basis, and where and how far the dispatch misses
     each constraint family."""
+    sol = record.solution
     doc: dict = {
-        "iterations": record.iterations,
-        "phase1_iterations": record.phase1_iterations,
-        "artificials": record.artificials,
+        "iterations": sol.iterations,
+        "phase1_iterations": sol.phase1_iterations,
+        "artificials": sol.artificials,
     }
     if record.report is not None:
         report = record.report.as_dict()
@@ -226,10 +222,10 @@ def write_injection_csv(path: Path, records: list[CaseRecord]) -> None:
 
 def cmd_run(config: RunConfig, seed_override: int | None) -> int:
     pv = build_power_series(config, seed_override)
-    selected = [c for c in config.cases if c in SMOOTHING_CASES or c == "baseline"]
+    selected = [c for c in config.cases if c in CASE_IDS or c == "baseline"]
     records = {label: solve_case(label, config, pv) for label in selected}
 
-    smoothing = [c for c in selected if c in SMOOTHING_CASES]
+    smoothing = [c for c in selected if c in CASE_IDS]
     baseline = records.get("baseline")
     if baseline is None and smoothing:
         # the comparison needs the unconstrained revenue even when the
@@ -296,7 +292,7 @@ def cmd_battery_select(
     if baseline is None:
         baseline = solve_case("baseline", config, pv)
     if baseline.dispatch is None:
-        print(f"baseline solve failed: {baseline.status}", file=sys.stderr)
+        print(f"baseline solve failed: {baseline.solution.status}", file=sys.stderr)
         return 1
     # every number is rounded like summary.json's, so the file and the
     # ranking depend on the optimum and not on the pivot path
@@ -307,7 +303,7 @@ def cmd_battery_select(
     for battery in config.battery_candidates:
         record = solve_case("A", config, pv, battery=battery)
         all_ok = all_ok and record.ok
-        entry = {"battery": battery.name, "status": record.status}
+        entry = {"battery": battery.name, "status": record.solution.status}
         if record.dispatch is not None:
             sol = record.dispatch
             net = _rounded(sol.net_benefit)
@@ -410,7 +406,7 @@ def _parser() -> argparse.ArgumentParser:
     export = sub.add_parser("export-mps", parents=[common],
                             help="write one case as a fixed-format MPS file")
     export.add_argument("--case", required=True,
-                        choices=list(SMOOTHING_CASES) + ["baseline"])
+                        choices=list(CASE_IDS) + ["baseline"])
     validate = sub.add_parser("validate", parents=[common],
                               help="re-check a dispatch CSV against a config")
     validate.add_argument("dispatch", type=Path, help="dispatch CSV to check")

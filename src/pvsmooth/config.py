@@ -16,7 +16,6 @@ from pathlib import Path
 from .economics import BatterySpec, DieselSpec, EconomicParams
 from .errors import ConfigError
 from .formulation import ConstraintConfig
-from .lp import SolveOptions
 from .pvmodel import PvPlantSpec
 
 RUN_CASES = ("A", "B", "C", "D", "baseline", "battery-select")
@@ -50,7 +49,6 @@ class RunConfig:
     constraints: ConstraintConfig
     cases: tuple[str, ...]
     output_dir: Path
-    solver: SolveOptions
 
 
 def load_preset(name: str) -> dict:
@@ -109,7 +107,7 @@ def load_run_config(path: str | Path) -> RunConfig:
 
     known_top = {
         "weather", "plant", "battery", "battery_candidates", "diesel",
-        "econ", "constraints", "cases", "output_dir", "solver",
+        "econ", "constraints", "cases", "output_dir",
     }
     for key in raw:
         if key not in known_top:
@@ -161,7 +159,6 @@ def load_run_config(path: str | Path) -> RunConfig:
             seen.append(c)
     cases = tuple(seen)
 
-    solver = _section(SolveOptions, raw.get("solver", {}), "solver")
     output_dir = Path(raw.get("output_dir", "out"))
     if not output_dir.is_absolute():
         output_dir = path.parent / output_dir
@@ -177,5 +174,4 @@ def load_run_config(path: str | Path) -> RunConfig:
         constraints=constraints,
         cases=cases,
         output_dir=output_dir,
-        solver=solver,
     )

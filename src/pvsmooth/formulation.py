@@ -28,6 +28,10 @@ from .pvmodel import PowerSeries
 HOURS_PER_YEAR = 8760.0
 
 CASE_IDS = ("A", "B", "C", "D")
+#: the cases that may curtail PV below its maximum power point
+CURTAILMENT_CASES = ("B", "D")
+#: the cases with a diesel generator
+DIESEL_CASES = ("C", "D")
 
 #: step-to-step grid injection change allowed by the smoothing requirement
 DEFAULT_FLUCTUATION_KW = 150.0
@@ -96,15 +100,14 @@ class CaseFormulation:
     steps: np.ndarray  # original trace indices of the retained horizon
     p_pv: np.ndarray  # kW at the retained steps
     step_hours: float
-    fuel_cap_kwh: float  # 0 when the case has no diesel
 
     @property
     def has_curtailment(self) -> bool:
-        return self.case_id in ("B", "D")
+        return self.case_id in CURTAILMENT_CASES
 
     @property
     def has_diesel(self) -> bool:
-        return self.case_id in ("C", "D")
+        return self.case_id in DIESEL_CASES
 
 
 @dataclass(frozen=True)
@@ -139,8 +142,8 @@ def build_case(
     """
     if case_id not in CASE_IDS:
         raise ValueError(f"unknown case {case_id!r}; expected one of {CASE_IDS}")
-    has_curt = case_id in ("B", "D")
-    has_diesel = case_id in ("C", "D")
+    has_curt = case_id in CURTAILMENT_CASES
+    has_diesel = case_id in DIESEL_CASES
     if has_diesel and diesel is None:
         raise ValueError(f"case {case_id} needs a diesel spec")
 
@@ -278,7 +281,6 @@ def build_case(
     add_rows(named(["EBU", "EBL"], range(n)), "<=", 0.0,
              stack(e0 + twice, j_ebmax), stack(sign, np.tile([-1.0, batt.soc_min_fraction], n)))
 
-    fuel_cap_kwh = 0.0
     if has_diesel:
         add_rows(named(["DCP"], range(n)), "<=", 0.0, stack(d0 + i, j_pdmax), [1.0, -1.0])
         fuel_cap_kwh = (
@@ -313,7 +315,6 @@ def build_case(
         steps=steps,
         p_pv=p_pv,
         step_hours=h,
-        fuel_cap_kwh=fuel_cap_kwh,
     )
 
 

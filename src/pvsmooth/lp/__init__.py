@@ -10,14 +10,13 @@ from .problem import (
     evaluate_residuals,
     objective_value,
 )
-from .simplex import SolveOptions, solve
+from .simplex import solve
 
 __all__ = [
     "CsrRows",
     "LpProblem",
     "LpRow",
     "LpSolution",
-    "SolveOptions",
     "build_problem",
     "evaluate_residuals",
     "objective_value",

@@ -15,8 +15,6 @@ dispatch bases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
@@ -40,13 +38,9 @@ PIVOT_TOL = 1e-10
 BLAND_TRIGGER = 200
 #: eta updates between LU refactorizations
 REFACTOR_INTERVAL = 50
-
-
-@dataclass(frozen=True)
-class SolveOptions:
-    """Solver settings; the tolerances are the module constants above."""
-
-    max_iterations: int | None = None  # default 50 * (rows + cols)
+#: iterations allowed per row plus column; a solve that reaches the limit
+#: stops with status iteration-limit
+ITERATION_LIMIT_FACTOR = 50
 
 
 class _BasisFactor:
@@ -144,7 +138,7 @@ def _crash(problem: LpProblem, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _State:
-    def __init__(self, problem: LpProblem, max_iterations: int | None):
+    def __init__(self, problem: LpProblem):
         n = problem.n_vars
         m = problem.n_rows
         self.n = n
@@ -224,7 +218,7 @@ class _State:
 
         self.factor = _BasisFactor(self.A)
         self.iterations = 0
-        self.max_iterations = max_iterations if max_iterations is not None else 50 * (m + n)
+        self.max_iterations = ITERATION_LIMIT_FACTOR * (m + n)
         self.b_scale = 1.0 + np.max(np.abs(b))
 
     # -- basis maintenance -------------------------------------------------
@@ -382,37 +376,26 @@ class _State:
         return float(np.sum(np.abs(self.x[self.is_artificial])))
 
     def drive_out_artificials(self) -> None:
-        for r in range(self.m):
-            if not self.is_artificial[self.basis[r]]:
-                continue
-            e_r = np.zeros(self.m)
-            e_r[r] = 1.0
-            brow = self.factor.btran(e_r)
-            row_vals = self.At @ brow
-            row_vals[self.is_artificial] = 0.0
-            row_vals[self.vstat == BASIC] = 0.0
-            row_vals[self.vstat == FIXED] = 0.0
-            j = int(np.argmax(np.abs(row_vals)))
-            if abs(row_vals[j]) <= 1e-7:
-                continue  # redundant row; artificial stays basic at zero
-            w = self.factor.ftran(self.factor.column(j))
-            if abs(w[r]) < PIVOT_TOL:
-                continue
-            art = self.basis[r]
-            self.vstat[art] = FIXED
-            self.x[art] = 0.0
-            self.vstat[j] = BASIC
-            self.basis[r] = j
-            self.factor.push_eta(r, w.copy())
-            if len(self.factor.etas) >= REFACTOR_INTERVAL:
-                self._refactor()
-        # artificials can never re-enter
+        # artificials can never re-enter, and each basic one leaves at zero
         art = self.is_artificial
         self.lo[art] = 0.0
         self.hi[art] = 0.0
         nonbasic_art = art & (self.vstat != BASIC)
         self.vstat[nonbasic_art] = FIXED
         self.x[nonbasic_art] = 0.0
+        for r in np.flatnonzero(art[self.basis]):
+            e_r = np.zeros(self.m)
+            e_r[r] = 1.0
+            row_vals = self.At @ self.factor.btran(e_r)
+            # the candidates are the nonbasic columns free to move; every
+            # artificial is BASIC or FIXED by now
+            row_vals[(self.vstat == BASIC) | (self.vstat == FIXED)] = 0.0
+            j = int(np.argmax(np.abs(row_vals)))
+            if abs(row_vals[j]) <= 1e-7:
+                continue  # redundant row; artificial stays basic at zero
+            w = self.factor.ftran(self.factor.column(j))
+            if abs(w[r]) >= PIVOT_TOL:
+                self._pivot(j, int(r), w, 0.0, 1.0)
         self._refactor()
 
 
@@ -429,18 +412,17 @@ def _solve_box(problem: LpProblem) -> tuple[str, np.ndarray]:
     return "optimal", x
 
 
-def solve(problem: LpProblem, options: SolveOptions | None = None) -> LpSolution:
+def solve(problem: LpProblem) -> LpSolution:
     """Solve ``problem`` to proven optimality or a definite failure status.
 
     Returns an :class:`LpSolution` whose residual fields come from an
     independent evaluation of the original rows at the reported point.
     """
-    opts = options or SolveOptions()
     if problem.n_rows == 0:
         status, xs = _solve_box(problem)
         iterations = phase1_iterations = artificials = 0
     else:
-        st = _State(problem, opts.max_iterations)
+        st = _State(problem)
         artificials = int(np.count_nonzero(st.is_artificial))
         st.factor.refactor(st.basis)
         status = st.optimize(phase=1)

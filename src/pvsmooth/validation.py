@@ -14,7 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .economics import BatterySpec, DieselSpec, EconomicParams, compute_factors
-from .formulation import HOURS_PER_YEAR, ConstraintConfig, DispatchSolution
+from .formulation import (
+    CURTAILMENT_CASES,
+    DIESEL_CASES,
+    HOURS_PER_YEAR,
+    ConstraintConfig,
+    DispatchSolution,
+)
 from .pvmodel import PowerSeries
 
 RESIDUAL_TOL = 1e-6
@@ -249,8 +255,8 @@ def brute_force_optimum(
     n = len(steps)
     if n > MAX_ORACLE_STEPS:
         raise ValueError(f"oracle horizon limited to {MAX_ORACLE_STEPS} steps, got {n}")
-    has_curt = case_id in ("B", "D")
-    has_diesel = case_id in ("C", "D")
+    has_curt = case_id in CURTAILMENT_CASES
+    has_diesel = case_id in DIESEL_CASES
     if has_diesel and diesel is None:
         raise ValueError(f"case {case_id} needs a diesel spec")
 
@@ -412,9 +418,9 @@ def oracle_gap_bound(
     n = int(np.count_nonzero(pv.active))
     h = pv.step_hours
     s = power_step_kw
-    has_diesel = case_id in ("C", "D")
+    has_diesel = case_id in DIESEL_CASES
     rev, beta_t, gamma_t, sigma_t, fuel_t = _cost_terms(pv, has_diesel, batt, econ, cfg, diesel)
-    streams = 1 + (1 if case_id in ("B", "D") else 0) + (1 if has_diesel else 0)
+    streams = 1 + (case_id in CURTAILMENT_CASES) + has_diesel
     bound = rev * n * streams * s / 2.0
     bound += beta_t * s / 2.0
     bound += gamma_t * n * h * s / (1.0 - batt.soc_min_fraction)
@@ -475,8 +481,6 @@ NESTING_REL_TOL = 1e-6
 
 #: case pairs whose feasible sets nest: the first cannot out-earn the second
 NESTED_PAIRS = (("A", "B"), ("A", "C"), ("B", "D"), ("C", "D"))
-
-DIESEL_CASES = ("C", "D")
 
 
 def compare_cases(

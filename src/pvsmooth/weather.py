@@ -41,7 +41,6 @@ class WeatherSeries:
     step_hours: float
     irradiance: np.ndarray
     ambient_temp: np.ndarray
-    origin: str = "unspecified"
     active: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
@@ -144,7 +143,6 @@ def load_weather(path: str | Path) -> WeatherSeries:
             step_hours=step / 3600.0,
             irradiance=np.asarray(irr),
             ambient_temp=np.asarray(temp),
-            origin="measured-file",
         )
     except ValueError as exc:
         raise WeatherFormatError(f"{path}: {exc}") from None
@@ -199,7 +197,6 @@ def synth_weather(days: int, seed: int, variability: float) -> WeatherSeries:
         step_hours=DEFAULT_STEP_HOURS,
         irradiance=irradiance,
         ambient_temp=ambient,
-        origin=f"synthetic(seed={seed})",
     )
 
 
@@ -217,6 +214,5 @@ def filter_low_irradiance(
         step_hours=weather.step_hours,
         irradiance=weather.irradiance,
         ambient_temp=weather.ambient_temp,
-        origin=weather.origin,
         active=weather.active & (weather.irradiance >= threshold),
     )

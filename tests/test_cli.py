@@ -95,12 +95,13 @@ class TestRun:
         assert len(numbers) == 11
         assert all(v == float(f"{v:.12g}") for v in numbers)
 
-    def test_failed_solve_reports_status_and_iterations(self, tmp_path):
+    def test_failed_solve_reports_status_and_iterations(self, tmp_path, monkeypatch):
+        # a limit below one iteration stops the solve after its first
+        monkeypatch.setattr(simplex, "ITERATION_LIMIT_FACTOR", 1e-9)
         weather = flat_weather_file(tmp_path)
         cfg = write_config(tmp_path, {
             "weather": {"file": weather.name},
             "cases": ["A"],
-            "solver": {"max_iterations": 1},
             "output_dir": "out",
         })
         assert main(["run", str(cfg)]) == 1

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from pvsmooth.cli import main
 from pvsmooth.config import BATTERY_PRESETS, load_preset, load_run_config
 from pvsmooth.errors import ConfigError
 
@@ -76,13 +77,19 @@ class TestFieldPathErrors:
             ("econ", "engery_price"),
             # the step comes from the weather trace, the tolerances are constants
             ("constraints", "step_hours"),
-            ("solver", "refactor_interval"),
         ],
     )
     def test_unknown_section_key(self, tmp_path, section, key):
         path = write_config(tmp_path, {section: {key: 1.0}})
         with pytest.raises(ConfigError, match=f"{section}.{key}: unknown field"):
             load_run_config(path)
+
+    # the iteration limit is a constant too, so no solver section is left
+    @pytest.mark.parametrize("key", ["max_iterations", "refactor_interval"])
+    def test_solver_section_exits_2(self, tmp_path, key, capsys):
+        path = write_config(tmp_path, {"solver": {key: 1}})
+        assert main(["run", str(path)]) == 2
+        assert capsys.readouterr().err == "config error: solver: unknown field\n"
 
     # "inf" is a string here, and JSON reads the number 1e999 as infinity
     @pytest.mark.parametrize("raw", ['"inf"', "1e999"])
@@ -136,10 +143,6 @@ class TestCoercions:
         )
         with pytest.raises(ConfigError, match="fluctuation_limit"):
             load_run_config(path)
-
-    def test_solver_options_pass_through(self, tmp_path):
-        path = write_config(tmp_path, {"solver": {"max_iterations": 123}})
-        assert load_run_config(path).solver.max_iterations == 123
 
     def test_case_list_deduplicated_in_order(self, tmp_path):
         path = write_config(tmp_path, {"cases": ["B", "A", "B"]})

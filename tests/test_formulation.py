@@ -20,7 +20,7 @@ from pvsmooth.formulation import (
     build_case,
     extract_solution,
 )
-from pvsmooth.lp import SolveOptions, parse_mps, render_mps, solve
+from pvsmooth.lp import parse_mps, render_mps, simplex, solve
 from pvsmooth.pvmodel import PowerSeries
 
 NAS = BatterySpec(
@@ -327,7 +327,8 @@ class TestObjectiveCoefficients:
         pv = series([300.0] * 6)  # one hour out of 8760
         form = build_case("C", pv, NAS, ECON, config(), diesel=DIESEL)
         expect = (1e6 / 0.25) * (1.0 / 8760.0)
-        assert form.fuel_cap_kwh == pytest.approx(expect, rel=1e-12)
+        fuelcap = form.problem.row_names.index("FUELCAP")
+        assert form.problem.rhs[fuelcap] == pytest.approx(expect, rel=1e-12)
 
 
 class TestNetBenefitRecomputation:
@@ -385,10 +386,12 @@ class TestPriceScaling:
 
 
 class TestExtraction:
-    def test_refuses_a_truncated_solve(self):
+    def test_refuses_a_truncated_solve(self, monkeypatch):
+        # a limit below one iteration stops the solve after its first
+        monkeypatch.setattr(simplex, "ITERATION_LIMIT_FACTOR", 1e-9)
         pv = series([300.0, 600.0])
         form = build_case("A", pv, NAS, ECON, config())
-        sol = solve(form.problem, SolveOptions(max_iterations=1))
+        sol = solve(form.problem)
         assert sol.status == "iteration-limit"
         with pytest.raises(SolveStatusError, match="iteration-limit"):
             extract_solution(form, sol)

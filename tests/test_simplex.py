@@ -20,7 +20,7 @@ from lp_enum_oracle import vertex_enumerate
 from pvsmooth.cli import _formulate, build_power_series
 from pvsmooth.config import load_run_config
 from pvsmooth.errors import SolveStatusError
-from pvsmooth.lp import CsrRows, SolveOptions, build_problem, simplex, solve
+from pvsmooth.lp import CsrRows, build_problem, simplex, solve
 
 INF = math.inf
 
@@ -89,9 +89,11 @@ class TestSpecExamples:
         p = build_problem("minimize", [(0.0, INF)], [([(0, 1.0)], "<=", -1.0)], [1.0])
         assert solve(p).status == "infeasible"
 
-    def test_iteration_limit(self):
+    def test_iteration_limit(self, monkeypatch):
+        # a limit below one iteration stops the solve after its first
+        monkeypatch.setattr(simplex, "ITERATION_LIMIT_FACTOR", 1e-9)
         p = random_instance(np.random.default_rng(5))
-        sol = solve(p, SolveOptions(max_iterations=1))
+        sol = solve(p)
         assert sol.status == "iteration-limit"
         assert sol.iterations == 1
 
@@ -257,7 +259,7 @@ class TestSolverInvariants:
         for _ in range(10):
             p = random_instance(rng)
             sol = solve(p)
-            assert sol.iterations <= 50 * (p.n_rows + p.n_vars)
+            assert sol.iterations <= simplex.ITERATION_LIMIT_FACTOR * (p.n_rows + p.n_vars)
 
     def test_drive_out_keeps_the_eta_file_bounded(self, monkeypatch):
         # the cyclic rows x_i - x_(i+1 mod m) = 0 hold at the start point and
@@ -291,6 +293,30 @@ class TestSolverInvariants:
         assert drive_out_pushes > simplex.REFACTOR_INTERVAL
         assert longest == simplex.REFACTOR_INTERVAL
 
+    def test_drive_out_pivots_every_artificial_of_the_fixed_fraction_baseline(
+        self, tmp_path, monkeypatch
+    ):
+        # E_b(0) has two equality entries in fixed-fraction mode, INITSOC and
+        # SOC(1), so no SOC row is crashed: each starts on an artificial at
+        # zero, phase 1 ends at once and drive-out pivots every one of them out
+        p = case_lp(
+            tmp_path, "baseline", initial_soc_mode="fixed-fraction", initial_soc_fraction=0.5
+        ).problem
+        basic_artificials = []
+        drive_out = simplex._State.drive_out_artificials
+
+        def recording_drive_out(state):
+            drive_out(state)
+            basic_artificials.append(int(np.count_nonzero(state.is_artificial[state.basis])))
+
+        monkeypatch.setattr(simplex._State, "drive_out_artificials", recording_drive_out)
+        sol = solve(p)
+        assert sol.status == "optimal"
+        assert sol.artificials == 212
+        assert sol.phase1_iterations == 0
+        assert basic_artificials == [0]
+        assert sol.objective_value == pytest.approx(highs_objective(p), rel=1e-9)
+
 
 class TestCrashBasis:
     def test_artificials_only_on_the_ramp_rows_the_raw_pv_breaks(self, tmp_path):
@@ -318,7 +344,7 @@ class TestCrashBasis:
         p = form.problem
         over = form.p_pv > cap
         assert over.any() and not over.all()
-        st = simplex._State(p, None)
+        st = simplex._State(p)
         bal = rows_named(p, "BAL")
         assert st.is_artificial[st.basis[bal[over]]].all()
         assert not st.is_artificial[st.basis[bal[~over]]].any()
@@ -339,7 +365,7 @@ class TestCrashBasis:
             [([(0, 0.5)], "=", 1.0), ([(0, other)], "<=", 5.0)],
             [1.0],
         )
-        st = simplex._State(p, None)
+        st = simplex._State(p)
         crashed = other < 0.5
         assert (st.vstat[0] == simplex.BASIC) == crashed
         assert st.is_artificial[st.basis[0]] == (not crashed)
@@ -352,7 +378,7 @@ class TestCrashBasis:
     def test_pivot_below_pivot_tol_is_refused(self):
         tiny = 0.1 * simplex.PIVOT_TOL
         p = build_problem("minimize", [(0.0, 1.0)], [([(0, tiny)], "=", 0.0)], [1.0])
-        st = simplex._State(p, None)
+        st = simplex._State(p)
         assert st.vstat[0] == simplex.AT_LOWER
         assert st.is_artificial[st.basis[0]]
 
@@ -371,7 +397,7 @@ class TestCrashBasis:
             [1.0, 1.0, 1.0],
         )
         assert p.A.nnz == 5
-        st = simplex._State(p, None)
+        st = simplex._State(p)
         assert st.basis.tolist() == [1, 2]
         assert st.vstat[0] == simplex.AT_LOWER
         assert st.x[:3].tolist() == [0.0, 3.0, 2.0]
@@ -428,4 +454,4 @@ class TestNumericalFailures:
     def test_unbounded_phase_1_is_a_solve_status_error(self):
         p = build_problem("minimize", [(0.0, 1.0)], [([(0, 1.0)], "=", 1.0)], [1.0])
         with pytest.raises(SolveStatusError, match="phase 1"):
-            simplex._State(p, None)._phase1_unbounded()
+            simplex._State(p)._phase1_unbounded()

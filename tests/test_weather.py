@@ -109,9 +109,6 @@ class TestSynthWeather:
         assert cloudy.irradiance.sum() < clear.irradiance.sum()
         assert cloudy.irradiance.max() > 300.0  # some sun still gets through
 
-    def test_origin_mentions_seed(self):
-        assert "seed=42" in synth_weather(1, seed=42, variability=0.1).origin
-
     def test_validates_arguments(self):
         with pytest.raises(ValueError, match="days"):
             synth_weather(0, seed=1, variability=0.5)
