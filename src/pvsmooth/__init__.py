@@ -28,15 +28,7 @@ from .formulation import (
     extract_solution,
 )
 from .pvmodel import PowerSeries, PvPlantSpec, pv_power
-from .validation import (
-    CaseComparison,
-    OracleResult,
-    ValidationReport,
-    brute_force_optimum,
-    check_dispatch,
-    compare_cases,
-    oracle_gap_bound,
-)
+from .validation import CaseComparison, ValidationReport, check_dispatch, compare_cases
 from .weather import WeatherSeries, filter_low_irradiance, load_weather, synth_weather
 
 __version__ = "0.1.0"
@@ -52,7 +44,6 @@ __all__ = [
     "EconomicParams",
     "LpDefinitionError",
     "MpsFormatError",
-    "OracleResult",
     "PowerSeries",
     "PresentWorthFactors",
     "PvPlantSpec",
@@ -63,7 +54,6 @@ __all__ = [
     "ValidationReport",
     "WeatherFormatError",
     "WeatherSeries",
-    "brute_force_optimum",
     "build_case",
     "check_dispatch",
     "compare_cases",
@@ -73,7 +63,6 @@ __all__ = [
     "load_preset",
     "load_run_config",
     "load_weather",
-    "oracle_gap_bound",
     "pv_power",
     "synth_weather",
     "__version__",

@@ -109,20 +109,17 @@ def solve_case(
 
 
 def write_dispatch_csv(path: Path, sol: DispatchSolution) -> None:
-    n = len(sol.steps)
-    p_curt = sol.p_curt if len(sol.p_curt) else np.zeros(n)
-    p_diesel = sol.p_diesel if len(sol.p_diesel) else np.zeros(n)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(DISPATCH_COLUMNS)
-        for k in range(n):
+        for k in range(len(sol.steps)):
             writer.writerow(
                 [int(sol.steps[k])]
                 + [
                     _fmt(v)
                     for v in (
                         sol.p_pv[k], sol.p_grid[k], sol.p_batt[k],
-                        sol.e_batt[k], p_curt[k], p_diesel[k],
+                        sol.e_batt[k], sol.p_curt[k], sol.p_diesel[k],
                     )
                 ]
             )

@@ -36,6 +36,17 @@ class SyntheticWeatherSpec:
     seed: int = 7
     variability: float = 0.8
 
+    def __post_init__(self) -> None:
+        for name in ("days", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if self.days < 1:
+            raise ValueError(f"days must be >= 1, got {self.days}")
+        v = self.variability
+        if not (isinstance(v, (int, float)) and not isinstance(v, bool) and 0.0 <= v <= 1.0):
+            raise ValueError(f"variability must be in [0, 1], got {v!r}")
+
 
 @dataclass(frozen=True)
 class RunConfig:

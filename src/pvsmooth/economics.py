@@ -103,8 +103,6 @@ class PresentWorthFactors:
     beta: float  # $/kW of battery power rating
     gamma: float  # $/kWh of battery energy rating
     sigma: float  # $/kW of diesel rating
-    n_battery: int
-    n_diesel: int
     revenue_multiplier: float
 
 
@@ -124,51 +122,36 @@ def annuity_factor(n_years: float, rate: float) -> float:
 
 
 def _present_worth(
-    capital: float,
-    om: float,
-    salvage: float,
-    lifetime: float,
-    econ: EconomicParams,
-    om_full_horizon: bool,
+    capital: float, om: float, salvage: float, lifetime: float, econ: EconomicParams
 ) -> float:
     n = replacement_count(econ.horizon_years, lifetime)
     i = np.arange(1, n + 1, dtype=float)
     discount = 1.0 + econ.discount_rate
     capital_term = capital * np.sum(discount ** (-(i - 1.0) * lifetime))
     salvage_term = salvage * np.sum(discount ** (-i * lifetime))
-    om_years = econ.horizon_years if om_full_horizon else lifetime
-    om_term = om * annuity_factor(om_years, econ.discount_rate)
+    om_term = om * annuity_factor(lifetime, econ.discount_rate)
     return float(capital_term + om_term - salvage_term)
 
 
-def battery_power_pw(
-    spec: BatterySpec, econ: EconomicParams, *, om_full_horizon: bool = False
-) -> float:
+def battery_power_pw(spec: BatterySpec, econ: EconomicParams) -> float:
     """Lifetime cost per kW of battery power rating ($/kW)."""
     return _present_worth(
-        spec.capital_power, spec.om_power, spec.salvage_power,
-        spec.lifetime_years, econ, om_full_horizon,
+        spec.capital_power, spec.om_power, spec.salvage_power, spec.lifetime_years, econ
     )
 
 
-def battery_energy_pw(
-    spec: BatterySpec, econ: EconomicParams, *, om_full_horizon: bool = False
-) -> float:
+def battery_energy_pw(spec: BatterySpec, econ: EconomicParams) -> float:
     """Lifetime cost per kWh of battery energy rating ($/kWh)."""
     return _present_worth(
-        spec.capital_energy, spec.om_energy, spec.salvage_energy,
-        spec.lifetime_years, econ, om_full_horizon,
+        spec.capital_energy, spec.om_energy, spec.salvage_energy, spec.lifetime_years, econ
     )
 
 
-def diesel_power_pw(
-    spec: DieselSpec, econ: EconomicParams, *, om_full_horizon: bool = False
-) -> float:
+def diesel_power_pw(spec: DieselSpec, econ: EconomicParams) -> float:
     """Lifetime cost per kW of diesel rating ($/kW), using the effective
     lifetime in years."""
     return _present_worth(
-        spec.capital, spec.om, spec.salvage,
-        spec.lifetime_years_effective, econ, om_full_horizon,
+        spec.capital, spec.om, spec.salvage, spec.lifetime_years_effective, econ
     )
 
 
@@ -182,23 +165,12 @@ def revenue_multiplier(econ: EconomicParams) -> float:
 
 
 def compute_factors(
-    battery: BatterySpec,
-    econ: EconomicParams,
-    diesel: DieselSpec | None = None,
-    *,
-    om_full_horizon: bool = False,
+    battery: BatterySpec, econ: EconomicParams, diesel: DieselSpec | None = None
 ) -> PresentWorthFactors:
     """Evaluate every present-worth factor for one parameter set."""
-    sigma = 0.0
-    n_diesel = 0
-    if diesel is not None:
-        sigma = diesel_power_pw(diesel, econ, om_full_horizon=om_full_horizon)
-        n_diesel = replacement_count(econ.horizon_years, diesel.lifetime_years_effective)
     return PresentWorthFactors(
-        beta=battery_power_pw(battery, econ, om_full_horizon=om_full_horizon),
-        gamma=battery_energy_pw(battery, econ, om_full_horizon=om_full_horizon),
-        sigma=sigma,
-        n_battery=replacement_count(econ.horizon_years, battery.lifetime_years),
-        n_diesel=n_diesel,
+        beta=battery_power_pw(battery, econ),
+        gamma=battery_energy_pw(battery, econ),
+        sigma=0.0 if diesel is None else diesel_power_pw(diesel, econ),
         revenue_multiplier=revenue_multiplier(econ),
     )

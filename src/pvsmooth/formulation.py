@@ -45,11 +45,7 @@ class ConstraintConfig:
     8760 / trace-hours, computed per build. ``initial_soc_mode`` is either
     ``free-bounded`` (first-step stored energy is a decision variable inside
     the SOC band) or ``fixed-fraction`` (pinned to ``initial_soc_fraction``
-    of the energy rating). ``undiscounted_diesel_costs`` switches the
-    diesel-case battery terms to raw capital costs and leaves recurring fuel
-    cost undiscounted instead of applying the present-worth factors.
-    ``om_full_horizon`` charges O&M over the whole study horizon instead of
-    one equipment lifetime.
+    of the energy rating).
     """
 
     fluctuation_limit: float = DEFAULT_FLUCTUATION_KW
@@ -58,8 +54,6 @@ class ConstraintConfig:
     initial_soc_fraction: float | None = None
     cyclic_soc: bool = True
     annualization: float | None = None
-    undiscounted_diesel_costs: bool = False
-    om_full_horizon: bool = False
 
     def __post_init__(self) -> None:
         if not self.fluctuation_limit > 0:
@@ -79,6 +73,8 @@ class ConstraintConfig:
                 )
         elif self.initial_soc_fraction is not None:
             raise ValueError("initial_soc_fraction is only meaningful in fixed-fraction mode")
+        if not isinstance(self.cyclic_soc, bool):
+            raise ValueError(f"cyclic_soc must be true or false, got {self.cyclic_soc!r}")
         a = self.annualization
         if a is not None and not (isinstance(a, (int, float)) and math.isfinite(a) and a > 0):
             raise ValueError(f"annualization must be a finite number > 0, got {a!r}")
@@ -119,8 +115,8 @@ class DispatchSolution:
     p_grid: np.ndarray
     p_batt: np.ndarray
     e_batt: np.ndarray
-    p_curt: np.ndarray  # empty in cases without curtailment
-    p_diesel: np.ndarray  # empty in cases without diesel
+    p_curt: np.ndarray  # zeros in cases without curtailment
+    p_diesel: np.ndarray  # zeros in cases without diesel
     p_batt_max: float
     e_batt_max: float
     p_diesel_max: float
@@ -160,9 +156,7 @@ def build_case(
     if annualization is None:
         annualization = HOURS_PER_YEAR / pv.total_hours
 
-    factors = compute_factors(
-        batt, econ, diesel if has_diesel else None, om_full_horizon=cfg.om_full_horizon
-    )
+    factors = compute_factors(batt, econ, diesel if has_diesel else None)
     rev = econ.energy_price * h * annualization * factors.revenue_multiplier
 
     # column layout: P_G, P_b, E_b, [P_c], [P_D], P_bMAX, E_bMAX, [P_DMAX],
@@ -196,18 +190,11 @@ def build_case(
     if has_diesel:
         # recurring fuel cost per kW of diesel output over one step
         fuel = diesel.fuel_per_kwh * diesel.fuel_price * h * annualization
-        if not cfg.undiscounted_diesel_costs:
-            fuel *= factors.revenue_multiplier
+        fuel *= factors.revenue_multiplier
         d0 = add_block("p_diesel", per_step("PD"), 0.0, inf, -fuel)
 
-    if cfg.undiscounted_diesel_costs:
-        beta_term = batt.capital_power / batt.eff_power
-        gamma_term = batt.capital_energy / batt.eff_energy
-    else:
-        beta_term = factors.beta / batt.eff_power
-        gamma_term = factors.gamma / batt.eff_energy
-    j_pbmax = add_block("p_batt_max", ["PBMAX"], 0.0, inf, -beta_term)
-    j_ebmax = add_block("e_batt_max", ["EBMAX"], 0.0, inf, -gamma_term)
+    j_pbmax = add_block("p_batt_max", ["PBMAX"], 0.0, inf, -factors.beta / batt.eff_power)
+    j_ebmax = add_block("e_batt_max", ["EBMAX"], 0.0, inf, -factors.gamma / batt.eff_energy)
     if has_diesel:
         j_pdmax = add_block(
             "p_diesel_max", ["PDMAX"], 0.0, inf, -factors.sigma / diesel.efficiency
@@ -338,9 +325,9 @@ def extract_solution(formulation: CaseFormulation, solution: LpSolution) -> Disp
     def scalar(name: str) -> float:
         return float(x[cols[name].start]) + 0.0
 
-    p_curt = series("p_curt") if formulation.has_curtailment else np.zeros(0)
-    p_diesel = series("p_diesel") if formulation.has_diesel else np.zeros(0)
-    diesel_energy = float(formulation.step_hours * p_diesel.sum()) if len(p_diesel) else 0.0
+    n = len(formulation.steps)
+    p_curt = series("p_curt") if formulation.has_curtailment else np.zeros(n)
+    p_diesel = series("p_diesel") if formulation.has_diesel else np.zeros(n)
     return DispatchSolution(
         steps=formulation.steps.copy(),
         p_pv=formulation.p_pv.copy(),
@@ -353,5 +340,5 @@ def extract_solution(formulation: CaseFormulation, solution: LpSolution) -> Disp
         e_batt_max=scalar("e_batt_max"),
         p_diesel_max=scalar("p_diesel_max") if formulation.has_diesel else 0.0,
         net_benefit=solution.objective_value,
-        diesel_energy=diesel_energy,
+        diesel_energy=float(formulation.step_hours * p_diesel.sum()),
     )

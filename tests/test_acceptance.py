@@ -5,7 +5,8 @@ tolerance: solver agreement with the exhaustive vertex oracle, file
 round-trips, constraint residuals and feasible-set ordering across seeded
 traces, closed-form cost factors, grid-search bounds on tiny spike
 instances, qualitative sizing patterns on the default trace, price-scaling
-linearity, and byte-identical reruns of the command line.
+linearity, byte-identical reruns of the command line, and a public API
+whose every exported name resolves.
 """
 
 import json
@@ -17,16 +18,24 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from grid_oracle import brute_force_optimum, oracle_gap_bound
 from lp_enum_oracle import vertex_enumerate
 from test_simplex import random_instance
 
+import pvsmooth.lp
 from pvsmooth.cli import build_power_series, solve_case
 from pvsmooth.config import load_preset, load_run_config
-from pvsmooth.economics import BatterySpec, DieselSpec, EconomicParams, compute_factors
+from pvsmooth.economics import (
+    BatterySpec,
+    DieselSpec,
+    EconomicParams,
+    compute_factors,
+    replacement_count,
+)
 from pvsmooth.formulation import ConstraintConfig, build_case, extract_solution
 from pvsmooth.lp import read_mps, solve, write_mps
 from pvsmooth.pvmodel import PowerSeries, PvPlantSpec, pv_power
-from pvsmooth.validation import brute_force_optimum, check_dispatch, oracle_gap_bound
+from pvsmooth.validation import check_dispatch
 from pvsmooth.weather import filter_low_irradiance, synth_weather
 
 NAS = BatterySpec(**load_preset("table1_nas"))
@@ -197,8 +206,8 @@ class TestEconomicsClosedForms:
         assert factors.beta == pytest.approx(2988.0, rel=1e-12)
         assert factors.gamma == pytest.approx(513.9, rel=1e-12)
         assert factors.sigma == pytest.approx(1368.0, rel=1e-12)
-        assert factors.n_battery == 3
-        assert factors.n_diesel == 4
+        assert replacement_count(ECON.horizon_years, NAS.lifetime_years) == 3
+        assert replacement_count(ECON.horizon_years, DIESEL.lifetime_years_effective) == 4
 
     def test_discounted_factors_match_term_by_term_oracle(self):
         factors = compute_factors(NAS, ECON, DIESEL)
@@ -400,3 +409,11 @@ class TestDeterminism:
         assert names  # the run must have produced artifacts
         for name in names:
             assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+
+# ------------------------------------------------------ 10. public names
+
+def test_every_exported_name_resolves():
+    for module in (pvsmooth, pvsmooth.lp):
+        missing = [name for name in module.__all__ if not hasattr(module, name)]
+        assert missing == [], module.__name__

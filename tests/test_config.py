@@ -77,6 +77,9 @@ class TestFieldPathErrors:
             ("econ", "engery_price"),
             # the step comes from the weather trace, the tolerances are constants
             ("constraints", "step_hours"),
+            # one cost model: present worth with discounted revenue and fuel
+            ("constraints", "undiscounted_diesel_costs"),
+            ("constraints", "om_full_horizon"),
         ],
     )
     def test_unknown_section_key(self, tmp_path, section, key):
@@ -90,6 +93,23 @@ class TestFieldPathErrors:
         path = write_config(tmp_path, {"solver": {key: 1}})
         assert main(["run", str(path)]) == 2
         assert capsys.readouterr().err == "config error: solver: unknown field\n"
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [("days", 0), ("days", 2.5), ("days", True), ("variability", 2), ("seed", "x")],
+    )
+    def test_bad_synthetic_weather_exits_2(self, tmp_path, key, value, capsys):
+        path = write_config(tmp_path, {"weather": {"synthetic": {key: value}}})
+        assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: weather.synthetic: {key} must be")
+
+    # the string "false" is truthy and would add the cyclic row
+    @pytest.mark.parametrize("value", ["false", 0, None])
+    def test_cyclic_soc_must_be_a_bool(self, tmp_path, value):
+        path = write_config(tmp_path, {"constraints": {"cyclic_soc": value}})
+        with pytest.raises(ConfigError, match="constraints: cyclic_soc must be true or false"):
+            load_run_config(path)
 
     # "inf" is a string here, and JSON reads the number 1e999 as infinity
     @pytest.mark.parametrize("raw", ['"inf"', "1e999"])

@@ -148,13 +148,6 @@ class TestStructuralProperties:
         for spec in (LEAD_ACID, NAS, LI_ION, NI_CD):
             assert battery_power_pw(spec, S5) < battery_power_pw(spec, S0)
 
-    def test_om_full_horizon_charges_more(self):
-        # NaS: o&m annuity over 18 years instead of one 6-year lifetime
-        assert battery_power_pw(NAS, S5, om_full_horizon=True) > battery_power_pw(NAS, S5)
-        base = battery_power_pw(NAS, S0)
-        full = battery_power_pw(NAS, S0, om_full_horizon=True)
-        assert full - base == pytest.approx(3.0 * (18 - 6))
-
     def test_salvage_reduces_cost(self):
         no_salvage = BatterySpec("nas0", 1000, 170, 3, 1.5, 0, 0, 6)
         assert battery_power_pw(no_salvage, S5) > battery_power_pw(NAS, S5)
@@ -164,14 +157,11 @@ class TestStructuralProperties:
         assert f.beta == pytest.approx(battery_power_pw(NAS, S5))
         assert f.gamma == pytest.approx(battery_energy_pw(NAS, S5))
         assert f.sigma == pytest.approx(diesel_power_pw(DieselSpec(), S5))
-        assert f.n_battery == 3
-        assert f.n_diesel == 4
         assert f.revenue_multiplier == pytest.approx(11.689586902650, rel=1e-10)
 
     def test_no_diesel_means_zero_sigma(self):
         f = compute_factors(NAS, S5)
         assert f.sigma == 0.0
-        assert f.n_diesel == 0
 
 
 class TestValidation:

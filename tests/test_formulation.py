@@ -311,18 +311,6 @@ class TestObjectiveCoefficients:
             -factors.gamma / 0.85, rel=1e-12
         )
 
-    def test_undiscounted_capital_only_variant(self):
-        cfg = config(undiscounted_diesel_costs=True)
-        form = build_case("C", series([300, 600]), NAS_LOSSY, ECON, cfg, diesel=DIESEL)
-        assert form.problem.objective[form.columns["p_batt_max"].start] == pytest.approx(
-            -166.0 / 0.85, rel=1e-12
-        )
-        # fuel cost per kW of diesel for one step, not amortized
-        j = form.columns["p_diesel"].start
-        assert form.problem.objective[j] == pytest.approx(
-            -0.25 * 0.8 / 6.0, rel=1e-12
-        )
-
     def test_fuel_budget_scales_with_trace_length(self):
         pv = series([300.0] * 6)  # one hour out of 8760
         form = build_case("C", pv, NAS, ECON, config(), diesel=DIESEL)
@@ -407,9 +395,10 @@ class TestExtraction:
 
     def test_absent_streams_come_back_empty(self):
         _, sol = solved("A", series([300, 600]), config())
-        assert len(sol.p_curt) == 0
-        assert len(sol.p_diesel) == 0
+        np.testing.assert_array_equal(sol.p_curt, [0.0, 0.0])
+        np.testing.assert_array_equal(sol.p_diesel, [0.0, 0.0])
         assert sol.p_diesel_max == 0.0
+        assert sol.diesel_energy == 0.0
 
     def test_emission_charge_is_a_constant_offset(self):
         # expensive fuel keeps the generator off, so the two solves differ

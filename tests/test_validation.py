@@ -1,4 +1,4 @@
-"""Tests for the independent dispatch checker and the brute-force oracle."""
+"""Tests for the independent dispatch checker and the brute-force grid oracle."""
 
 import json
 import math
@@ -7,18 +7,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from grid_oracle import brute_force_optimum, oracle_gap_bound
 from hypothesis import strategies as st
 
 from pvsmooth.economics import BatterySpec, DieselSpec, EconomicParams, compute_factors
 from pvsmooth.formulation import ConstraintConfig, DispatchSolution, build_case, extract_solution
 from pvsmooth.lp import solve
 from pvsmooth.pvmodel import PowerSeries
-from pvsmooth.validation import (
-    brute_force_optimum,
-    check_dispatch,
-    compare_cases,
-    oracle_gap_bound,
-)
+from pvsmooth.validation import check_dispatch, compare_cases
 
 NAS = BatterySpec(
     name="nas",
@@ -65,12 +61,17 @@ def config(**kw) -> ConstraintConfig:
     return ConstraintConfig(**kw)
 
 
-def manual(p_pv, p_grid, p_batt, e_batt, steps=None, p_curt=(),
-           p_diesel=(), p_batt_max=500.0, e_batt_max=500.0, p_diesel_max=0.0):
-    """Hand-built dispatch for feeding violations to the checker."""
+def manual(p_pv, p_grid, p_batt, e_batt, steps=None, p_curt=None,
+           p_diesel=None, p_batt_max=500.0, e_batt_max=500.0, p_diesel_max=0.0):
+    """Hand-built dispatch for feeding violations to the checker; the
+    curtailment and diesel series default to zeros."""
     n = len(p_grid)
     if steps is None:
         steps = np.arange(n)
+    if p_curt is None:
+        p_curt = np.zeros(n)
+    if p_diesel is None:
+        p_diesel = np.zeros(n)
     return DispatchSolution(
         steps=np.asarray(steps),
         p_pv=np.asarray(p_pv, float),
@@ -83,7 +84,7 @@ def manual(p_pv, p_grid, p_batt, e_batt, steps=None, p_curt=(),
         e_batt_max=e_batt_max,
         p_diesel_max=p_diesel_max,
         net_benefit=0.0,
-        diesel_energy=float(H * np.sum(p_diesel)) if len(p_diesel) else 0.0,
+        diesel_energy=float(H * np.sum(p_diesel)),
     )
 
 
@@ -185,10 +186,13 @@ class TestCheckDispatchCatchesViolations:
         assert report.residuals["fuel_cap"] == pytest.approx(expect)
         assert not report.passed
 
-    def test_length_mismatch_rejected(self):
+    # a series one step too long, and an absent resource's series left empty
+    @pytest.mark.parametrize("name,values", [("p_batt", [0, 0, 0]), ("p_curt", [])])
+    def test_length_mismatch_rejected(self, name, values):
         pv = series([200.0, 200.0])
-        sol = manual(pv.values, [200, 200], [0, 0, 0], [100, 100])
-        with pytest.raises(ValueError, match="p_batt"):
+        sol = manual(pv.values, [200, 200], [0, 0], [100, 100])
+        sol = replace(sol, **{name: np.asarray(values, float)})
+        with pytest.raises(ValueError, match=name):
             check_dispatch(sol, pv, config(), NAS)
 
     def test_solver_output_passes_end_to_end(self):
