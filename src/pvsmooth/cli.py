@@ -63,15 +63,12 @@ class CaseRecord:
         return self.report is not None and self.report.passed
 
 
-def build_power_series(config: RunConfig, seed_override: int | None) -> PowerSeries:
+def build_power_series(config: RunConfig) -> PowerSeries:
     if config.weather_file is not None:
-        if seed_override is not None:
-            raise ConfigError("--seed only applies to synthetic weather")
         weather = load_weather(config.weather_file)
     else:
         spec = config.weather_synth
-        seed = spec.seed if seed_override is None else seed_override
-        weather = synth_weather(spec.days, seed, spec.variability)
+        weather = synth_weather(spec.days, spec.seed, spec.variability)
     weather = filter_low_irradiance(weather)
     return pv_power(weather, config.plant)
 
@@ -189,14 +186,14 @@ def _write_json(path: Path, doc: dict) -> None:
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _weather_summary(config: RunConfig, seed_override: int | None) -> dict:
+def _weather_summary(config: RunConfig) -> dict:
     if config.weather_file is not None:
         return {"file": str(config.weather_file)}
     spec = config.weather_synth
     return {
         "synthetic": {
             "days": spec.days,
-            "seed": spec.seed if seed_override is None else seed_override,
+            "seed": spec.seed,
             "variability": _rounded(spec.variability),
         }
     }
@@ -217,8 +214,8 @@ def write_injection_csv(path: Path, records: list[CaseRecord]) -> None:
             writer.writerow(row)
 
 
-def cmd_run(config: RunConfig, seed_override: int | None) -> int:
-    pv = build_power_series(config, seed_override)
+def cmd_run(config: RunConfig) -> int:
+    pv = build_power_series(config)
     selected = [c for c in config.cases if c in CASE_IDS or c == "baseline"]
     records = {label: solve_case(label, config, pv) for label in selected}
 
@@ -236,7 +233,7 @@ def cmd_run(config: RunConfig, seed_override: int | None) -> int:
             write_dispatch_csv(out / f"case_{label}_dispatch.csv", record.dispatch)
 
     summary = {
-        "weather": _weather_summary(config, seed_override),
+        "weather": _weather_summary(config),
         "battery": config.battery.name,
         "cases": {label: _case_summary(rec) for label, rec in records.items()},
     }
@@ -270,22 +267,19 @@ def cmd_run(config: RunConfig, seed_override: int | None) -> int:
     )
 
     if "battery-select" in config.cases:
-        code = cmd_battery_select(config, seed_override, pv=pv, baseline=baseline)
+        code = cmd_battery_select(config, pv=pv, baseline=baseline)
         exit_code = exit_code or code
     return exit_code
 
 
 def cmd_battery_select(
-    config: RunConfig,
-    seed_override: int | None,
-    pv: PowerSeries | None = None,
-    baseline: CaseRecord | None = None,
+    config: RunConfig, pv: PowerSeries | None = None, baseline: CaseRecord | None = None
 ) -> int:
     """Rank the battery candidates; ``run`` passes the baseline it already solved."""
     if len(config.battery_candidates) < 2:
         raise ConfigError("battery_candidates: ranking needs at least two specs")
     if pv is None:
-        pv = build_power_series(config, seed_override)
+        pv = build_power_series(config)
     if baseline is None:
         baseline = solve_case("baseline", config, pv)
     if baseline.dispatch is None:
@@ -342,8 +336,8 @@ def cmd_battery_select(
     return 0 if all_ok else 1
 
 
-def cmd_export_mps(config: RunConfig, seed_override: int | None, label: str) -> int:
-    pv = build_power_series(config, seed_override)
+def cmd_export_mps(config: RunConfig, label: str) -> int:
+    pv = build_power_series(config)
     form, _, _ = _formulate(label, config, pv, config.battery)
     config.output_dir.mkdir(parents=True, exist_ok=True)
     path = config.output_dir / f"case_{label}.mps"
@@ -352,8 +346,8 @@ def cmd_export_mps(config: RunConfig, seed_override: int | None, label: str) -> 
     return 0
 
 
-def cmd_validate(config: RunConfig, seed_override: int | None, csv_path: Path) -> int:
-    pv = build_power_series(config, seed_override)
+def cmd_validate(config: RunConfig, csv_path: Path) -> int:
+    pv = build_power_series(config)
     data = read_dispatch_csv(csv_path)
     steps = data["steps"]
     if np.any(steps < 0) or np.any(steps >= len(pv.values)):
@@ -390,8 +384,6 @@ def _parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("config", type=Path, help="path to a JSON run configuration")
-    common.add_argument("--seed", type=int, default=None,
-                        help="override the synthetic weather seed")
     common.add_argument("--output-dir", type=Path, default=None,
                         help="override the configured output directory")
 
@@ -419,13 +411,13 @@ def main(argv: list[str] | None = None) -> int:
         if args.output_dir is not None:
             config = replace(config, output_dir=args.output_dir)
         if args.command == "run":
-            return cmd_run(config, args.seed)
+            return cmd_run(config)
         if args.command == "battery-select":
-            return cmd_battery_select(config, args.seed)
+            return cmd_battery_select(config)
         if args.command == "export-mps":
-            return cmd_export_mps(config, args.seed, args.case)
+            return cmd_export_mps(config, args.case)
         if args.command == "validate":
-            return cmd_validate(config, args.seed, args.dispatch)
+            return cmd_validate(config, args.dispatch)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

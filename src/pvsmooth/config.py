@@ -88,10 +88,13 @@ def _coerce_inf(data: dict) -> dict:
 def _section(cls, data, path: str):
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: expected an object, got {type(data).__name__}")
-    known = {f.name for f in fields(cls)}
-    for key in data:
-        if key not in known:
+    types = {f.name: f.type for f in fields(cls)}
+    for key, value in data.items():
+        if key not in types:
             raise ConfigError(f"{path}.{key}: unknown field")
+        # JSON true/false would otherwise pass as the numbers 1 and 0
+        if isinstance(value, bool) and types[key] not in ("bool", bool):
+            raise ConfigError(f"{path}: {key} must be {types[key]}, not a boolean")
     try:
         return cls(**data)
     except (TypeError, ValueError) as exc:
@@ -170,7 +173,10 @@ def load_run_config(path: str | Path) -> RunConfig:
             seen.append(c)
     cases = tuple(seen)
 
-    output_dir = Path(raw.get("output_dir", "out"))
+    output_dir = raw.get("output_dir", "out")
+    if not isinstance(output_dir, str):
+        raise ConfigError(f"output_dir: expected a path string, got {output_dir!r}")
+    output_dir = Path(output_dir)
     if not output_dir.is_absolute():
         output_dir = path.parent / output_dir
 

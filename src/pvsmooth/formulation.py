@@ -42,15 +42,13 @@ class ConstraintConfig:
     """Dispatch-level constraint settings shared by all cases.
 
     ``annualization`` scales horizon energy to annual energy; ``None`` means
-    8760 / trace-hours, computed per build. ``initial_soc_mode`` is either
-    ``free-bounded`` (first-step stored energy is a decision variable inside
-    the SOC band) or ``fixed-fraction`` (pinned to ``initial_soc_fraction``
-    of the energy rating).
+    8760 / trace-hours, computed per build. ``initial_soc_fraction`` pins
+    the first-step stored energy to that fraction of the energy rating;
+    ``None`` leaves it a decision variable inside the SOC band.
     """
 
     fluctuation_limit: float = DEFAULT_FLUCTUATION_KW
     grid_cap: float = 10000.0
-    initial_soc_mode: str = "free-bounded"
     initial_soc_fraction: float | None = None
     cyclic_soc: bool = True
     annualization: float | None = None
@@ -60,19 +58,9 @@ class ConstraintConfig:
             raise ValueError(f"fluctuation_limit must be > 0, got {self.fluctuation_limit}")
         if not self.grid_cap > 0:
             raise ValueError(f"grid_cap must be > 0, got {self.grid_cap}")
-        if self.initial_soc_mode not in ("free-bounded", "fixed-fraction"):
-            raise ValueError(
-                "initial_soc_mode must be 'free-bounded' or 'fixed-fraction', "
-                f"got {self.initial_soc_mode!r}"
-            )
-        if self.initial_soc_mode == "fixed-fraction":
-            r = self.initial_soc_fraction
-            if r is None or not 0.0 <= r <= 1.0:
-                raise ValueError(
-                    f"fixed-fraction mode needs initial_soc_fraction in [0, 1], got {r}"
-                )
-        elif self.initial_soc_fraction is not None:
-            raise ValueError("initial_soc_fraction is only meaningful in fixed-fraction mode")
+        r = self.initial_soc_fraction
+        if r is not None and not (isinstance(r, (int, float)) and 0.0 <= r <= 1.0):
+            raise ValueError(f"initial_soc_fraction must be in [0, 1] or null, got {r!r}")
         if not isinstance(self.cyclic_soc, bool):
             raise ValueError(f"cyclic_soc must be true or false, got {self.cyclic_soc!r}")
         a = self.annualization
@@ -275,7 +263,7 @@ def build_case(
         ) * (pv.total_hours / HOURS_PER_YEAR)
         add_rows(["FUELCAP"], "<=", fuel_cap_kwh, (d0 + i)[None, :], h)
 
-    if cfg.initial_soc_mode == "fixed-fraction":
+    if cfg.initial_soc_fraction is not None:
         add_rows(["INITSOC"], "=", 0.0, stack(e0, j_ebmax),
                  [1.0, -float(cfg.initial_soc_fraction)])
     if cfg.cyclic_soc:

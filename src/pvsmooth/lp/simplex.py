@@ -239,7 +239,7 @@ class _State:
         y = self.factor.btran(c_work[self.basis])
         return c_work - self.At @ y
 
-    def _choose_entering(self, d: np.ndarray, banned: np.ndarray, bland: bool, otol: float) -> int:
+    def _choose_entering(self, d: np.ndarray, bland: bool, otol: float) -> int:
         viol = np.zeros(self.n_total)
         at_lo = self.vstat == AT_LOWER
         at_up = self.vstat == AT_UPPER
@@ -247,7 +247,6 @@ class _State:
         viol[at_lo] = -d[at_lo]
         viol[at_up] = d[at_up]
         viol[free] = np.abs(d[free])
-        viol[banned] = 0.0
         eligible = viol > otol
         if not np.any(eligible):
             return -1
@@ -271,71 +270,54 @@ class _State:
                 return "optimal"
 
             d = self._reduced_costs(c_work)
-            banned = np.zeros(self.n_total, dtype=bool)
+            q = self._choose_entering(d, bland, otol)
+            if q == -1:
+                return "optimal"
+            direction = 1.0
+            if self.vstat[q] == AT_UPPER or (self.vstat[q] == FREE and d[q] > 0):
+                direction = -1.0
 
-            while True:
-                q = self._choose_entering(d, banned, bland, otol)
-                if q == -1:
-                    return "optimal"
-                direction = 1.0
-                if self.vstat[q] == AT_UPPER or (self.vstat[q] == FREE and d[q] > 0):
-                    direction = -1.0
+            w = self.factor.ftran(self.factor.column(q))
 
-                w = self.factor.ftran(self.factor.column(q))
+            # ratio test over the basics plus the entering bound flip
+            delta = -direction * w
+            t_cand = np.full(self.m, np.inf)
+            dec = delta < -PIVOT_TOL
+            inc = delta > PIVOT_TOL
+            if np.any(dec):
+                room = np.maximum(self.x[self.basis[dec]] - self.lo[self.basis[dec]], 0.0)
+                t_cand[dec] = room / -delta[dec]
+            if np.any(inc):
+                room = np.maximum(self.hi[self.basis[inc]] - self.x[self.basis[inc]], 0.0)
+                t_cand[inc] = room / delta[inc]
 
-                # ratio test over the basics plus the entering bound flip
-                delta = -direction * w
-                t_cand = np.full(self.m, np.inf)
-                dec = delta < -PIVOT_TOL
-                inc = delta > PIVOT_TOL
-                if np.any(dec):
-                    room = np.maximum(self.x[self.basis[dec]] - self.lo[self.basis[dec]], 0.0)
-                    t_cand[dec] = room / -delta[dec]
-                if np.any(inc):
-                    room = np.maximum(self.hi[self.basis[inc]] - self.x[self.basis[inc]], 0.0)
-                    t_cand[inc] = room / delta[inc]
+            t_min = float(np.min(t_cand))
+            lo_q, hi_q = self.lo[q], self.hi[q]
+            t_flip = hi_q - lo_q if np.isfinite(lo_q) and np.isfinite(hi_q) else np.inf
 
-                t_min = float(np.min(t_cand))
-                lo_q, hi_q = self.lo[q], self.hi[q]
-                t_flip = hi_q - lo_q if np.isfinite(lo_q) and np.isfinite(hi_q) else np.inf
-
-                if t_flip <= t_min:
-                    if not np.isfinite(t_flip):
-                        return "unbounded" if phase == 2 else self._phase1_unbounded()
-                    self.x[self.basis] += t_flip * delta
-                    if self.vstat[q] == AT_LOWER:
-                        self.x[q] = hi_q
-                        self.vstat[q] = AT_UPPER
-                    else:
-                        self.x[q] = lo_q
-                        self.vstat[q] = AT_LOWER
-                    self.iterations += 1
-                    break
-
+            if t_flip <= t_min:
+                if not np.isfinite(t_flip):
+                    return "unbounded" if phase == 2 else self._phase1_unbounded()
+                self.x[self.basis] += t_flip * delta
+                if self.vstat[q] == AT_LOWER:
+                    self.x[q] = hi_q
+                    self.vstat[q] = AT_UPPER
+                else:
+                    self.x[q] = lo_q
+                    self.vstat[q] = AT_LOWER
+            else:
                 if not np.isfinite(t_min):
                     return "unbounded" if phase == 2 else self._phase1_unbounded()
-
+                # a finite ratio needs |w[r]| > PIVOT_TOL, so every candidate pivots
                 near = t_cand <= t_min + 1e-9 * (1.0 + t_min)
                 cand = np.flatnonzero(near)
                 if bland:
                     r = int(cand[np.argmin(self.basis[cand])])
                 else:
                     r = int(cand[np.argmax(np.abs(w[cand]))])
-
-                if abs(w[r]) < PIVOT_TOL:
-                    if self.factor.etas:
-                        self._refactor()
-                        banned = None
-                        break  # stale factor; redo the iteration fresh
-                    banned[q] = True
-                    continue
-
                 self._pivot(q, r, w, t_min, direction)
-                self.iterations += 1
-                break
+            self.iterations += 1
 
-            if banned is None:
-                continue
             z_new = float(np.dot(c_work, self.x))
             if z - z_new > 1e-12 * (1.0 + abs(z)):
                 stall = 0

@@ -37,18 +37,17 @@ MAX_ORACLE_STEPS = 4
 MAX_ORACLE_COMBOS = 60_000_000
 
 
-def _minimal_energy_rating(
-    d_cum: np.ndarray, x_min: float, mode: str, r: float | None
-) -> np.ndarray:
+def _minimal_energy_rating(d_cum: np.ndarray, x_min: float, r: float | None) -> np.ndarray:
     """Cost-minimal E_bMAX for fixed cumulative discharge trajectories.
 
     ``d_cum`` has shape (n_steps, ...); entry k is the energy discharged
-    before step k (row 0 is zero). Infeasible fixed-fraction combinations
-    come back as +inf.
+    before step k (row 0 is zero). ``r`` is the pinned initial fraction of
+    E_bMAX, or None for a free start; infeasible pinned combinations come
+    back as +inf.
     """
     d_max = np.max(d_cum, axis=0)
     d_min = np.min(d_cum, axis=0)
-    if mode == "free-bounded":
+    if r is None:
         return (d_max - d_min) / (1.0 - x_min)
     need = np.zeros_like(d_max)
     # initial energy pinned at r * E: D_k <= (r - x_min) E and D_k >= -(1 - r) E
@@ -212,7 +211,7 @@ def brute_force_optimum(
         if cfg.cyclic_soc:
             feas = feas & (d_stack[-1] <= 1e-9)
         e_need = _minimal_energy_rating(
-            d_stack, batt.soc_min_fraction, cfg.initial_soc_mode, cfg.initial_soc_fraction
+            d_stack, batt.soc_min_fraction, cfg.initial_soc_fraction
         )
         feas = feas & np.isfinite(e_need)
 
@@ -249,8 +248,7 @@ def brute_force_optimum(
     d_cum = np.concatenate([[0.0], h * np.cumsum(b[:-1])])
     e_max = float(
         _minimal_energy_rating(
-            d_cum.reshape(-1, 1), batt.soc_min_fraction,
-            cfg.initial_soc_mode, cfg.initial_soc_fraction,
+            d_cum.reshape(-1, 1), batt.soc_min_fraction, cfg.initial_soc_fraction
         )[0]
     )
     return OracleResult(

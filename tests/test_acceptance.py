@@ -88,7 +88,7 @@ def default_run(tmp_path_factory):
     cfg_path = tmp_path_factory.mktemp("acceptance") / "config.json"
     cfg_path.write_text("{}")
     config = load_run_config(cfg_path)
-    pv = build_power_series(config, None)
+    pv = build_power_series(config)
     assert len(pv.values) == 432  # three days at ten-minute resolution
     records, elapsed = {}, {}
     for label in ("A", "B", "C", "D", "baseline"):

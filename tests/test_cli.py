@@ -131,24 +131,28 @@ class TestRun:
         for path in sorted(a.iterdir()):
             assert path.read_bytes() == (b / path.name).read_bytes(), path.name
 
-    def test_seed_override_only_for_synthetic(self, flat_config, capsys):
-        assert main(["run", str(flat_config), "--seed", "3"]) == 2
-        assert "--seed" in capsys.readouterr().err
+    # the seed is set in the config file, as weather.synthetic.seed
+    def test_seed_flag_is_gone(self, flat_config, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", str(flat_config), "--seed", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
 
     def test_synthetic_seed_changes_output(self, tmp_path):
-        cfg = write_config(
-            tmp_path,
-            {
-                "weather": {"synthetic": {"days": 1, "seed": 1}},
-                "cases": ["A"],
-                "output_dir": "out",
-            },
-        )
-        main(["run", str(cfg)])
-        first = (tmp_path / "out" / "summary.json").read_text()
-        main(["run", str(cfg), "--seed", "2"])
-        second = (tmp_path / "out" / "summary.json").read_text()
-        assert first != second
+        summaries = []
+        for seed in (1, 2):
+            cfg = write_config(
+                tmp_path,
+                {
+                    "weather": {"synthetic": {"days": 1, "seed": seed}},
+                    "cases": ["A"],
+                    "output_dir": f"out{seed}",
+                },
+                name=f"seed{seed}.json",
+            )
+            main(["run", str(cfg)])
+            summaries.append((tmp_path / f"out{seed}" / "summary.json").read_text())
+        assert summaries[0] != summaries[1]
 
     def test_bad_config_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"constraints": {"fluctuation_limit": -5}})

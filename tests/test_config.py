@@ -64,6 +64,13 @@ class TestPresets:
         cfg = load_run_config(write_config(tmp_path, {"battery": spec}))
         assert cfg.battery.capital_power == 900.0
 
+    def test_inline_diesel_spec(self, tmp_path):
+        spec = load_preset("table3_diesel")
+        spec["fuel_price"] = 2.0
+        cfg = load_run_config(write_config(tmp_path, {"diesel": spec}))
+        assert cfg.diesel.fuel_price == 2.0
+        assert cfg.diesel.capital == spec["capital"]
+
 
 class TestFieldPathErrors:
     def test_negative_fluctuation_limit_names_the_field(self, tmp_path):
@@ -80,6 +87,8 @@ class TestFieldPathErrors:
             # one cost model: present worth with discounted revenue and fuel
             ("constraints", "undiscounted_diesel_costs"),
             ("constraints", "om_full_horizon"),
+            # a fraction pins the first-step energy, null leaves it free
+            ("constraints", "initial_soc_mode"),
         ],
     )
     def test_unknown_section_key(self, tmp_path, section, key):
@@ -103,6 +112,27 @@ class TestFieldPathErrors:
         assert main(["run", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"config error: weather.synthetic: {key} must be")
+
+    # json loads true as a bool, and a bool is an int, so true would run as a
+    # 1-year horizon, a 1 kW grid cap or an efficiency of 1.0
+    @pytest.mark.parametrize(
+        "section,key",
+        [("econ", "horizon_years"), ("constraints", "grid_cap"), ("diesel", "efficiency")],
+    )
+    def test_boolean_number_exits_2(self, tmp_path, section, key, capsys):
+        path = write_config(tmp_path, {section: {key: True}})
+        assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {section}: {key} must be ")
+
+    @pytest.mark.parametrize("value", [1.5, -0.1, "half"])
+    def test_initial_soc_fraction_out_of_range_exits_2(self, tmp_path, value, capsys):
+        path = write_config(tmp_path, {"constraints": {"initial_soc_fraction": value}})
+        assert main(["run", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: constraints: initial_soc_fraction must be in [0, 1] "
+            f"or null, got {value!r}\n"
+        )
 
     # the string "false" is truthy and would add the cyclic row
     @pytest.mark.parametrize("value", ["false", 0, None])
@@ -141,6 +171,23 @@ class TestFieldPathErrors:
         with pytest.raises(ConfigError, match="not found"):
             load_run_config(tmp_path / "absent.json")
 
+    @pytest.mark.parametrize(
+        "doc,message",
+        [
+            ([], "top level must be an object"),
+            ({"plant": 3}, "plant: expected an object, got int"),
+            ({"weather": {"rain": {}}}, "weather.rain: unknown weather source"),
+            ({"battery_candidates": []}, "battery_candidates: expected a non-empty list"),
+            ({"output_dir": 5}, "output_dir: expected a path string, got 5"),
+        ],
+    )
+    def test_malformed_config_exits_2(self, tmp_path, doc, message, capsys):
+        path = write_config(tmp_path, doc)
+        assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.endswith(f"{message}\n")
+        assert err.count("\n") == 1
+
     def test_two_weather_sources_rejected(self, tmp_path):
         path = write_config(
             tmp_path, {"weather": {"file": "w.csv", "synthetic": {}}}
@@ -167,3 +214,13 @@ class TestCoercions:
     def test_case_list_deduplicated_in_order(self, tmp_path):
         path = write_config(tmp_path, {"cases": ["B", "A", "B"]})
         assert load_run_config(path).cases == ("B", "A")
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_cyclic_soc_loads_a_bool(self, tmp_path, value):
+        path = write_config(tmp_path, {"constraints": {"cyclic_soc": value}})
+        assert load_run_config(path).constraints.cyclic_soc is value
+
+    @pytest.mark.parametrize("value", [None, 0.0, 0.5, 1])
+    def test_initial_soc_fraction_loads(self, tmp_path, value):
+        path = write_config(tmp_path, {"constraints": {"initial_soc_fraction": value}})
+        assert load_run_config(path).constraints.initial_soc_fraction == value

@@ -120,7 +120,7 @@ class TestProblemShape:
         # EBMAX 26, PDMAX 27. Per-row coefficient order is pinned because
         # A @ x sums in stored order.
         pv = series([300, 600, 0, 250, 400, 350], active=[1, 1, 0, 1, 1, 1], h=0.5)
-        cfg = config(initial_soc_mode="fixed-fraction", initial_soc_fraction=0.5)
+        cfg = config(initial_soc_fraction=0.5)
         form = build_case("D", pv, replace(NAS, soc_min_fraction=0.0), ECON, cfg, diesel=DIESEL)
         p = form.problem
         fuel = (1e6 / 0.25) * (3.0 / 8760.0)
@@ -197,12 +197,10 @@ class TestProblemShape:
         soc = sorted(n for n in names if n.startswith("SOC"))
         assert soc == ["SOC00002", "SOC00003", "SOC00004"]
 
-    def test_initial_soc_row_only_in_fixed_fraction_mode(self):
+    def test_initial_soc_row_only_with_a_fraction(self):
         pv = series([300, 600])
         free = build_case("A", pv, NAS, ECON, config())
-        fixed = build_case("A", pv, NAS, ECON,
-                           config(initial_soc_mode="fixed-fraction",
-                                  initial_soc_fraction=0.5))
+        fixed = build_case("A", pv, NAS, ECON, config(initial_soc_fraction=0.5))
         assert "INITSOC" not in free.problem.row_names
         assert "INITSOC" in fixed.problem.row_names
 

@@ -56,7 +56,7 @@ def case_lp(tmp_path, label, days=3, **constraints):
         "constraints": constraints,
     }))
     config = load_run_config(path)
-    form, _, _ = _formulate(label, config, build_power_series(config, None), config.battery)
+    form, _, _ = _formulate(label, config, build_power_series(config), config.battery)
     return form
 
 
@@ -296,12 +296,10 @@ class TestSolverInvariants:
     def test_drive_out_pivots_every_artificial_of_the_fixed_fraction_baseline(
         self, tmp_path, monkeypatch
     ):
-        # E_b(0) has two equality entries in fixed-fraction mode, INITSOC and
-        # SOC(1), so no SOC row is crashed: each starts on an artificial at
+        # E_b(0) has two equality entries once its fraction is fixed, INITSOC
+        # and SOC(1), so no SOC row is crashed: each starts on an artificial at
         # zero, phase 1 ends at once and drive-out pivots every one of them out
-        p = case_lp(
-            tmp_path, "baseline", initial_soc_mode="fixed-fraction", initial_soc_fraction=0.5
-        ).problem
+        p = case_lp(tmp_path, "baseline", initial_soc_fraction=0.5).problem
         basic_artificials = []
         drive_out = simplex._State.drive_out_artificials
 

@@ -69,7 +69,7 @@ def gated_run(request, tmp_path_factory):
     out = work / "out"
     code = main(["run", str(config_path), "--output-dir", str(out)])
     config = load_run_config(config_path)
-    pv = build_power_series(config, None)
+    pv = build_power_series(config)
     forms = {label: _formulate(label, config, pv, config.battery) for label in CASES}
     return {
         "seed": seed,
