@@ -252,7 +252,14 @@ def cmd_run(config: RunConfig) -> int:
             print(f"comparison failed: {exc}", file=sys.stderr)
             exit_code = 1
         else:
-            _write_json(out / "comparison.json", comparison.as_dict())
+            doc = comparison.as_dict()
+            _write_json(out / "comparison.json", {
+                "baseline_net_benefit": _rounded(doc["baseline_net_benefit"]),
+                "cases": {
+                    c: {name: _rounded(v) for name, v in case.items()}
+                    for c, case in doc["cases"].items()
+                },
+            })
             (out / "comparison.txt").write_text(comparison.as_text() + "\n")
             summary["baseline_net_benefit"] = _rounded(comparison.baseline_net_benefit)
 

@@ -1,7 +1,9 @@
 """Bounded-variable two-phase revised simplex.
 
 The basis inverse is kept as a sparse LU factorization (SuperLU, through
-``scipy.sparse.linalg.splu``) plus a short chain of product-form eta updates,
+``scipy.sparse.linalg.splu``) of the basis at the last refactor, times the
+pivots since then collapsed into one low-rank update (I - U T^-1 S), so an
+FTRAN or BTRAN is one LU solve plus two small dense products. The factor is
 refreshed every ``REFACTOR_INTERVAL`` pivots.
 The starting basis is a triangular crash over the equality rows: a column
 that an equality row alone can pin is basic there at the value the row gives
@@ -44,18 +46,29 @@ ITERATION_LIMIT_FACTOR = 50
 
 
 class _BasisFactor:
-    """LU of the current basis matrix with eta-file updates."""
+    """LU of the refactored basis B0 times a collapsed eta file.
+
+    Pivot j on row r_j with column w_j = B^-1 a_q multiplies B^-1 by
+    I - u_j e_(r_j)^T, where u_j = (w_j - e_(r_j)) / w_j[r_j]. The k pivots
+    since the last refactor collapse to B^-1 = (I - U T^-1 S) B0^-1: row j of
+    ``U`` holds u_j, S selects rows r_1..r_k, and T is unit lower triangular
+    with T[j, i] = u_i[r_j]. ``push_eta`` appends u_k and row k of T^-1.
+    """
 
     def __init__(self, A: sp.csc_matrix):
         self.A = A
         self.m = A.shape[0]
         self.lu = None
-        self.etas: list[tuple[int, np.ndarray]] = []
+        self.n_etas = 0
+        self.rows = np.empty(REFACTOR_INTERVAL, dtype=np.int64)
+        self.U = np.empty((REFACTOR_INTERVAL, self.m))
+        # only the lower triangle is ever written; the upper stays zero
+        self.T_inv = np.zeros((REFACTOR_INTERVAL, REFACTOR_INTERVAL))
 
     def refactor(self, basis: np.ndarray) -> None:
-        self.etas = []
+        self.n_etas = 0
         try:
-            self.lu = splu(self.A[:, basis])
+            self.lu = splu(self.A[:, basis], relax=1, panel_size=1)
         except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
             raise SolveStatusError(f"basis matrix is singular: {exc}") from None
         diag = np.abs(self.lu.U.diagonal())
@@ -63,7 +76,14 @@ class _BasisFactor:
             raise SolveStatusError("basis matrix is numerically singular")
 
     def push_eta(self, r: int, w: np.ndarray) -> None:
-        self.etas.append((r, w))
+        k = self.n_etas
+        np.divide(w, w[r], out=self.U[k])
+        self.U[k, r] = (w[r] - 1.0) / w[r]
+        # T's new row is [U[:k, r], 1], so row k of T^-1 is [-U[:k, r] T^-1, 1]
+        self.T_inv[k, :k] = -(self.U[:k, r] @ self.T_inv[:k, :k])
+        self.T_inv[k, k] = 1.0
+        self.rows[k] = r
+        self.n_etas = k + 1
 
     def column(self, q: int) -> np.ndarray:
         a = np.zeros(self.m)
@@ -72,19 +92,17 @@ class _BasisFactor:
         return a
 
     def ftran(self, v: np.ndarray) -> np.ndarray:
-        # B^-1 v
+        # B^-1 v = (I - U T^-1 S) B0^-1 v
+        k = self.n_etas
         y = self.lu.solve(v)
-        for r, w in self.etas:
-            yr = y[r] / w[r]
-            y -= w * yr
-            y[r] = yr
+        y -= (self.T_inv[:k, :k] @ y[self.rows[:k]]) @ self.U[:k]
         return y
 
     def btran(self, v: np.ndarray) -> np.ndarray:
-        # B^-T v
+        # B^-T v = B0^-T (I - S^T T^-T U^T) v; a row can repeat in S
+        k = self.n_etas
         y = v.copy()
-        for r, w in reversed(self.etas):
-            y[r] = (y[r] - (np.dot(w, y) - w[r] * y[r])) / w[r]
+        np.subtract.at(y, self.rows[:k], (self.U[:k] @ v) @ self.T_inv[:k, :k])
         return self.lu.solve(y, trans="T")
 
 
@@ -279,26 +297,24 @@ class _State:
 
             w = self.factor.ftran(self.factor.column(q))
 
-            # ratio test over the basics plus the entering bound flip
-            delta = -direction * w
-            t_cand = np.full(self.m, np.inf)
-            dec = delta < -PIVOT_TOL
-            inc = delta > PIVOT_TOL
-            if np.any(dec):
-                room = np.maximum(self.x[self.basis[dec]] - self.lo[self.basis[dec]], 0.0)
-                t_cand[dec] = room / -delta[dec]
-            if np.any(inc):
-                room = np.maximum(self.hi[self.basis[inc]] - self.x[self.basis[inc]], 0.0)
-                t_cand[inc] = room / delta[inc]
+            # ratio test over the basics that move plus the entering bound
+            # flip; only rows with |w| > PIVOT_TOL get a finite ratio
+            moving = np.flatnonzero(np.abs(w) > PIVOT_TOL)
+            delta = -direction * w[moving]
+            basics = self.basis[moving]
+            room = np.where(
+                delta < 0.0, self.x[basics] - self.lo[basics], self.hi[basics] - self.x[basics]
+            )
+            t_cand = np.maximum(room, 0.0) / np.abs(delta)
 
-            t_min = float(np.min(t_cand))
+            t_min = float(np.min(t_cand, initial=np.inf))
             lo_q, hi_q = self.lo[q], self.hi[q]
             t_flip = hi_q - lo_q if np.isfinite(lo_q) and np.isfinite(hi_q) else np.inf
 
             if t_flip <= t_min:
                 if not np.isfinite(t_flip):
                     return "unbounded" if phase == 2 else self._phase1_unbounded()
-                self.x[self.basis] += t_flip * delta
+                self.x[self.basis] -= t_flip * direction * w
                 if self.vstat[q] == AT_LOWER:
                     self.x[q] = hi_q
                     self.vstat[q] = AT_UPPER
@@ -308,9 +324,8 @@ class _State:
             else:
                 if not np.isfinite(t_min):
                     return "unbounded" if phase == 2 else self._phase1_unbounded()
-                # a finite ratio needs |w[r]| > PIVOT_TOL, so every candidate pivots
-                near = t_cand <= t_min + 1e-9 * (1.0 + t_min)
-                cand = np.flatnonzero(near)
+                # every candidate has |w[r]| > PIVOT_TOL, so each one pivots
+                cand = moving[t_cand <= t_min + 1e-9 * (1.0 + t_min)]
                 if bland:
                     r = int(cand[np.argmin(self.basis[cand])])
                 else:
@@ -348,8 +363,8 @@ class _State:
         self.x[q] = x_q0 + t * direction
         self.vstat[q] = BASIC
         self.basis[r] = q
-        self.factor.push_eta(r, w.copy())
-        if len(self.factor.etas) >= REFACTOR_INTERVAL:
+        self.factor.push_eta(r, w)
+        if self.factor.n_etas >= REFACTOR_INTERVAL:
             self._refactor()
 
     # -- phase transition --------------------------------------------------

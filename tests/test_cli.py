@@ -95,6 +95,15 @@ class TestRun:
         assert len(numbers) == 11
         assert all(v == float(f"{v:.12g}") for v in numbers)
 
+    def test_comparison_is_written_at_12_digits(self, tmp_path):
+        cfg = write_config(tmp_path, {"weather": {"synthetic": {"days": 1}}, "output_dir": "out"})
+        assert main(["run", str(cfg)]) == 0
+        comparison = json.loads((tmp_path / "out" / "comparison.json").read_text())
+        numbers = [comparison["baseline_net_benefit"]]
+        numbers += [v for case in comparison["cases"].values() for v in case.values()]
+        assert len(numbers) == 1 + 4 * 6
+        assert all(v == float(f"{v:.12g}") for v in numbers)
+
     def test_failed_solve_reports_status_and_iterations(self, tmp_path, monkeypatch):
         # a limit below one iteration stops the solve after its first
         monkeypatch.setattr(simplex, "ITERATION_LIMIT_FACTOR", 1e-9)
@@ -187,7 +196,7 @@ class TestRun:
 
 class TestSolverFailure:
     def test_singular_basis_exits_1_with_one_line(self, flat_config, monkeypatch, capsys):
-        def singular(matrix):
+        def singular(matrix, **options):
             raise RuntimeError("Factor is exactly singular")  # as SuperLU reports it
 
         monkeypatch.setattr(simplex, "splu", singular)

@@ -277,7 +277,7 @@ class TestSolverInvariants:
             nonlocal longest, pushes
             push_eta(factor, r, w)
             pushes += 1
-            longest = max(longest, len(factor.etas))
+            longest = max(longest, factor.n_etas)
 
         def recording_drive_out(state):
             nonlocal drive_out_pushes
@@ -436,6 +436,46 @@ class TestCrashBasis:
         assert sol.status == "optimal"
         assert sol.objective_value == pytest.approx(highs_objective(scaled), rel=1e-9)
         assert sol.objective_value == pytest.approx(solve(p).objective_value, rel=1e-9)
+
+
+class TestBasisFactor:
+    def test_ftran_and_btran_match_a_dense_solve_after_every_pivot(self):
+        # [I | N] starts on the identity basis; each pivot enters a random
+        # nonbasic column on its largest |w| row, except that pivot 10 goes
+        # back to pivot 9's row, so that row appears twice in the eta file
+        rng = np.random.default_rng(3)
+        m = 40
+        N = sp.random(m, 3 * m, density=0.15, random_state=rng, format="csc")
+        A = sp.hstack([sp.identity(m, format="csc"), N], format="csc")
+        basis = np.arange(m)
+        factor = simplex._BasisFactor(A)
+        factor.refactor(basis)
+        dense = A.toarray()
+        rows = []
+        for pivot in range(simplex.REFACTOR_INTERVAL - 1):
+            nonbasic = np.setdiff1d(np.arange(A.shape[1]), basis)
+            if pivot == 10:
+                r = rows[-1]
+                ws = {int(q): factor.ftran(factor.column(q)) for q in nonbasic}
+                q = max(ws, key=lambda j: abs(ws[j][r]))
+                w = ws[q]
+            else:
+                q = int(rng.choice(nonbasic))
+                w = factor.ftran(factor.column(q))
+                r = int(np.argmax(np.abs(w)))
+            factor.push_eta(r, w)
+            basis[r] = q
+            rows.append(r)
+            B = dense[:, basis]
+            for _ in range(2):
+                v = rng.standard_normal(m)
+                for got, want in (
+                    (factor.ftran(v), np.linalg.solve(B, v)),
+                    (factor.btran(v), np.linalg.solve(B.T, v)),
+                ):
+                    assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want)), pivot
+        assert factor.n_etas == simplex.REFACTOR_INTERVAL - 1
+        assert rows[10] == rows[9]
 
 
 class TestNumericalFailures:
