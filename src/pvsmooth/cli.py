@@ -33,7 +33,7 @@ from .formulation import (
 )
 from .lp import LpSolution, solve, write_mps
 from .pvmodel import PowerSeries, pv_power
-from .validation import ValidationReport, check_dispatch, compare_cases
+from .validation import NESTED_PAIRS, ValidationReport, check_dispatch, compare_cases
 from .weather import filter_low_irradiance, load_weather, synth_weather
 
 log = logging.getLogger("pvsmooth")
@@ -56,6 +56,7 @@ class CaseRecord:
     solution: LpSolution
     dispatch: DispatchSolution | None
     report: ValidationReport | None
+    start: str  # label of the case whose basis the solve started from, or "crash"
 
     @property
     def ok(self) -> bool:
@@ -88,21 +89,28 @@ def _formulate(
 
 
 def solve_case(
-    label: str, config: RunConfig, pv: PowerSeries, battery: BatterySpec | None = None
+    label: str,
+    config: RunConfig,
+    pv: PowerSeries,
+    battery: BatterySpec | None = None,
+    start: CaseRecord | None = None,
 ) -> CaseRecord:
+    """Solve case ``label``, from the optimal basis of ``start`` when it has one."""
     battery = battery if battery is not None else config.battery
     form, cfg, diesel = _formulate(label, config, pv, battery)
-    solution = solve(form.problem)
+    basis = start.solution.basis if start is not None else None
+    solution = solve(form.problem, start=basis)
+    start_label = start.label if solution.warm_start else "crash"
     log.info(
-        "case %s: %s after %d iterations (%d in phase 1, %d artificials)",
+        "case %s: %s after %d iterations (%d in phase 1, %d artificials) from %s",
         label, solution.status, solution.iterations,
-        solution.phase1_iterations, solution.artificials,
+        solution.phase1_iterations, solution.artificials, start_label,
     )
     dispatch = report = None
     if solution.status == "optimal":
         dispatch = extract_solution(form, solution)
         report = check_dispatch(dispatch, pv, cfg, battery, diesel)
-    return CaseRecord(label, solution, dispatch, report)
+    return CaseRecord(label, solution, dispatch, report, start_label)
 
 
 def write_dispatch_csv(path: Path, sol: DispatchSolution) -> None:
@@ -167,15 +175,19 @@ def _case_summary(record: CaseRecord) -> dict:
 
 
 def _case_solver(record: CaseRecord) -> dict:
-    """What depends on the pivot path: the iteration counts, the artificial
-    columns of the starting basis, and where and how far the dispatch misses
-    each constraint family."""
+    """What depends on the pivot path: where the solve started, the iteration
+    counts, the artificial columns of the starting basis, the largest
+    curtailment of the optimal point reached, and where and how far the
+    dispatch misses each constraint family."""
     sol = record.solution
     doc: dict = {
+        "start": record.start,
         "iterations": sol.iterations,
         "phase1_iterations": sol.phase1_iterations,
         "artificials": sol.artificials,
     }
+    if record.dispatch is not None:
+        doc["max_curtailed_kw"] = _rounded(np.max(record.dispatch.p_curt))
     if record.report is not None:
         report = record.report.as_dict()
         doc.update(residuals=report["residuals"], worst_step=report["worst_step"])
@@ -217,7 +229,15 @@ def write_injection_csv(path: Path, records: list[CaseRecord]) -> None:
 def cmd_run(config: RunConfig) -> int:
     pv = build_power_series(config)
     selected = [c for c in config.cases if c in CASE_IDS or c == "baseline"]
-    records = {label: solve_case(label, config, pv) for label in selected}
+    records: dict[str, CaseRecord] = {}
+    # solved in A-D order, a case starts from the optimum of the last case it
+    # extends (B and C from A, D from C), which is a feasible point of it
+    for label in sorted(selected, key=(*CASE_IDS, "baseline").index):
+        extended = [
+            records[lo] for lo, hi in NESTED_PAIRS
+            if hi == label and lo in records and records[lo].solution.basis is not None
+        ]
+        records[label] = solve_case(label, config, pv, start=extended[-1] if extended else None)
 
     smoothing = [c for c in selected if c in CASE_IDS]
     baseline = records.get("baseline")
@@ -298,8 +318,11 @@ def cmd_battery_select(
 
     rows = []
     all_ok = baseline.ok
+    record = None
     for battery in config.battery_candidates:
-        record = solve_case("A", config, pv, battery=battery)
+        # the candidates share case A's structure, so each starts from the
+        # basis of the one before
+        record = solve_case("A", config, pv, battery=battery, start=record)
         all_ok = all_ok and record.ok
         entry = {"battery": battery.name, "status": record.solution.status}
         if record.dispatch is not None:

@@ -3,6 +3,7 @@
 from .mps import parse_mps, read_mps, render_mps, write_mps
 from .problem import (
     CsrRows,
+    LpBasis,
     LpProblem,
     LpRow,
     LpSolution,
@@ -14,6 +15,7 @@ from .simplex import solve
 
 __all__ = [
     "CsrRows",
+    "LpBasis",
     "LpProblem",
     "LpRow",
     "LpSolution",

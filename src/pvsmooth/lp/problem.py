@@ -29,6 +29,23 @@ class LpRow:
 
 
 @dataclass(frozen=True)
+class LpBasis:
+    """A simplex basis keyed by names, so it carries over to another LP that
+    shares them.
+
+    Each row has one logical column: its slack, or an artificial on an
+    equality row. A row's logical is basic unless the row is ``tight``, so
+    the basic set is ``basic`` plus the logicals of the rows not in
+    ``tight``. It is a set and not a row-to-column map, because after pivots
+    the position a column holds in the basis is not its row.
+    """
+
+    basic: tuple[str, ...]  # basic structural columns
+    tight: tuple[str, ...]  # rows whose logical is nonbasic
+    at_upper: tuple[str, ...]  # nonbasic structural columns at their upper bound
+
+
+@dataclass(frozen=True)
 class LpSolution:
     """Solver output; residuals are recomputed from the problem data, not
     taken from solver state."""
@@ -41,6 +58,8 @@ class LpSolution:
     artificials: int  # artificial columns in the starting basis
     max_primal_residual: float
     max_bound_violation: float
+    basis: LpBasis | None = None  # final basis of an optimal solve of an LP with rows
+    warm_start: bool = False  # started from the given basis, not the crash
 
 
 @dataclass(frozen=True)

@@ -5,11 +5,17 @@ The basis inverse is kept as a sparse LU factorization (SuperLU, through
 pivots since then collapsed into one low-rank update (I - U T^-1 S), so an
 FTRAN or BTRAN is one LU solve plus two small dense products. The factor is
 refreshed every ``REFACTOR_INTERVAL`` pivots.
-The starting basis is a triangular crash over the equality rows: a column
-that an equality row alone can pin is basic there at the value the row gives
-it, when that value is inside its bounds. The remaining rows start on a slack
-when it absorbs the residual at the crashed point, else on an artificial, so
-phase 1 only repairs the rows the start point violates.
+A solve given a starting basis (an :class:`LpBasis`, such as the final
+basis of an LP that this one extends) factors it and starts there, with each
+row it does not name on its slack or artificial; phase 1 then only runs if
+an artificial is above zero. A start that is singular, has the wrong basic
+count or names what the LP lacks, or whose point misses its bounds, falls
+back to the crash.
+The crash is triangular over the equality rows: a column that an equality
+row alone can pin is basic there at the value the row gives it, when that
+value is inside its bounds. The remaining rows start on a slack when it
+absorbs the residual at the crashed point, else on an artificial, so phase 1
+only repairs the rows the start point violates.
 Pricing is Dantzig by default and falls back to Bland's rule after a run of
 non-improving pivots, which breaks the cycling that plagues degenerate
 dispatch bases.
@@ -22,7 +28,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from ..errors import SolveStatusError
-from .problem import LpProblem, LpSolution, evaluate_residuals, objective_value
+from .problem import LpBasis, LpProblem, LpSolution, evaluate_residuals, objective_value
 
 AT_LOWER = 0
 AT_UPPER = 1
@@ -111,6 +117,19 @@ def _start_point(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(lower), lower, np.where(np.isfinite(upper), upper, 0.0))
 
 
+def _resting_status(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """The nonbasic status of each variable at its :func:`_start_point`."""
+    return np.where(
+        lower == upper,
+        FIXED,
+        np.where(
+            np.isfinite(lower),
+            AT_LOWER,
+            np.where(np.isfinite(upper), AT_UPPER, FREE),
+        ),
+    )
+
+
 def _crash(problem: LpProblem, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Triangular crash over the equality rows (Bixby 1992).
 
@@ -155,8 +174,77 @@ def _crash(problem: LpProblem, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64)
 
 
+def _crash_start(problem: LpProblem) -> tuple:
+    """The crash's basic set: the crashed columns, and a slack on each
+    inequality row it absorbs at the crashed point."""
+    x = _start_point(problem.lower, problem.upper)
+    vstat = _resting_status(problem.lower, problem.upper)
+    rows, cols = _crash(problem, x)
+    vstat[cols] = BASIC
+    rel = np.array(problem.relations, dtype="U2")
+    resid = problem.rhs - problem.A @ x
+    slack_basic = ((rel == "<=") & (resid >= 0.0)) | ((rel == ">=") & (resid <= 0.0))
+    return x, vstat, rows, cols, slack_basic
+
+
+def _named_start(problem: LpProblem, start: LpBasis) -> tuple | None:
+    """The basic set ``start`` names in ``problem``, or None when a name is
+    unknown or repeated or the basic count is not one per row.
+
+    The logical of each row outside ``start.tight`` is basic, so rows that
+    ``start`` does not know start on their slack or artificial.
+    """
+    col = {name: j for j, name in enumerate(problem.col_names)}
+    row = {name: i for i, name in enumerate(problem.row_names)}
+    try:
+        cols = np.array([col[name] for name in start.basic], dtype=np.int64)
+        rows = np.array([row[name] for name in start.tight], dtype=np.int64)
+        up = np.array([col[name] for name in start.at_upper], dtype=np.int64)
+    except KeyError:
+        return None
+    if not len(np.unique(cols)) == len(cols) == len(np.unique(rows)) == len(rows):
+        return None
+    lo, hi = problem.lower, problem.upper
+    x = _start_point(lo, hi)
+    vstat = _resting_status(lo, hi)
+    up = up[np.isfinite(hi[up]) & (lo[up] < hi[up])]
+    x[up] = hi[up]
+    vstat[up] = AT_UPPER
+    vstat[cols] = BASIC
+    tight = np.zeros(problem.n_rows, dtype=bool)
+    tight[rows] = True
+    return x, vstat, rows, cols, ~tight & (np.array(problem.relations, dtype="U2") != "=")
+
+
 class _State:
-    def __init__(self, problem: LpProblem):
+    """The solver's working state over structural, slack and artificial
+    columns. It starts from the basis ``start`` names when that basis is
+    nonsingular and its point misses no bound by more than
+    ``FEASIBILITY_TOL`` times ``b_scale``, else from the crash; ``warm``
+    tells which."""
+
+    def __init__(self, problem: LpProblem, start: LpBasis | None = None):
+        self.warm = False
+        named = _named_start(problem, start) if start is not None else None
+        if named is not None:
+            self._build(problem, *named)
+            self.warm = self._factor_start()
+        if not self.warm:
+            self._build(problem, *_crash_start(problem))
+            self.factor.refactor(self.basis)
+
+    def _build(
+        self,
+        problem: LpProblem,
+        x_struct: np.ndarray,
+        vstat_struct: np.ndarray,
+        rows: np.ndarray,
+        cols: np.ndarray,
+        slack_basic: np.ndarray,
+    ) -> None:
+        """The state with structural columns ``cols`` basic in rows ``rows``,
+        the slack of each row where ``slack_basic`` holds basic in its row,
+        and an artificial basic in every other row."""
         n = problem.n_vars
         m = problem.n_rows
         self.n = n
@@ -167,47 +255,32 @@ class _State:
             c = -c
 
         # Column layout: structural, then one slack per inequality row, then
-        # artificials for rows that neither the crash nor a slack covers.
+        # artificials for the rows that neither a structural column nor a
+        # slack covers.
         rel = np.array(problem.relations, dtype="U2")
         slack_rows = np.flatnonzero(rel != "=")
         n_slack = len(slack_rows)
         slack_le = rel[slack_rows] == "<="
         slack_lo = np.where(slack_le, 0.0, -np.inf)
         slack_hi = np.where(slack_le, np.inf, 0.0)
-
-        x_struct = _start_point(problem.lower, problem.upper)
-        vstat_struct = np.where(
-            problem.lower == problem.upper,
-            FIXED,
-            np.where(
-                np.isfinite(problem.lower),
-                AT_LOWER,
-                np.where(np.isfinite(problem.upper), AT_UPPER, FREE),
-            ),
-        )
-
-        crash_rows, crash_cols = _crash(problem, x_struct)
-        vstat_struct[crash_cols] = BASIC
+        slack_basic = slack_basic[slack_rows]
 
         b = problem.rhs
         resid = b - problem.A @ x_struct
 
-        # a slack starts basic when it absorbs the row's initial residual;
-        # otherwise it rests at its bound nearest feasibility, which is 0
-        slack_resid = resid[slack_rows]
-        slack_basic = np.where(slack_le, slack_resid >= 0.0, slack_resid <= 0.0)
-        x_slack = np.where(slack_basic, slack_resid, 0.0)
+        # a nonbasic slack rests at its bound nearest feasibility, which is 0
+        x_slack = np.where(slack_basic, resid[slack_rows], 0.0)
         vstat_slack = np.where(slack_basic, BASIC, np.where(slack_le, AT_LOWER, AT_UPPER))
         row_covered = np.zeros(m, dtype=bool)
         row_covered[slack_rows[slack_basic]] = True
-        row_covered[crash_rows] = True
+        row_covered[rows] = True
         art_rows = np.flatnonzero(~row_covered)
 
         na = len(art_rows)
         n_total = n + n_slack + na
         basis = np.empty(m, dtype=np.int64)
         basis[slack_rows[slack_basic]] = n + np.flatnonzero(slack_basic)
-        basis[crash_rows] = crash_cols
+        basis[rows] = cols
         basis[art_rows] = n + n_slack + np.arange(na)
 
         slacks = sp.csc_matrix(
@@ -220,6 +293,8 @@ class _State:
         self.b = b
         self.n_total = n_total
         self.basis = basis
+        self.slack_rows = slack_rows
+        self.art_rows = art_rows
 
         self.lo = np.concatenate([problem.lower, slack_lo, np.zeros(na)])
         self.hi = np.concatenate([problem.upper, slack_hi, np.full(na, np.inf)])
@@ -235,9 +310,40 @@ class _State:
         self.c_phase1 = np.concatenate([np.zeros(n + n_slack), np.ones(na)])
 
         self.factor = _BasisFactor(self.A)
+        # True while x_B is the current factor's B^-1 (b - N x_N)
+        self.x_factored = False
         self.iterations = 0
         self.max_iterations = ITERATION_LIMIT_FACTOR * (m + n)
         self.b_scale = 1.0 + np.max(np.abs(b))
+
+    def _factor_start(self) -> bool:
+        """Factor a named start and set x_B = B^-1 (b - N x_N); False when the
+        basis is singular or some x_B misses its bounds by more than
+        ``FEASIBILITY_TOL`` times ``b_scale``."""
+        try:
+            self._refactor()
+        except SolveStatusError:
+            return False
+        tol = FEASIBILITY_TOL * self.b_scale
+        xb = self.x[self.basis]
+        return bool(
+            np.all(xb >= self.lo[self.basis] - tol) and np.all(xb <= self.hi[self.basis] + tol)
+        )
+
+    def final_basis(self, problem: LpProblem) -> LpBasis:
+        """The current basis by name: a row is tight when neither its slack
+        nor an artificial on it is basic."""
+        n = self.n
+        logical_basic = np.zeros(self.m, dtype=bool)
+        n_slack = len(self.slack_rows)
+        logical_basic[self.slack_rows[self.vstat[n : n + n_slack] == BASIC]] = True
+        logical_basic[self.art_rows[self.vstat[n + n_slack :] == BASIC]] = True
+        names = problem.col_names
+        return LpBasis(
+            basic=tuple(names[j] for j in np.flatnonzero(self.vstat[:n] == BASIC)),
+            tight=tuple(problem.row_names[i] for i in np.flatnonzero(~logical_basic)),
+            at_upper=tuple(names[j] for j in np.flatnonzero(self.vstat[:n] == AT_UPPER)),
+        )
 
     # -- basis maintenance -------------------------------------------------
 
@@ -250,6 +356,7 @@ class _State:
     def _refactor(self) -> None:
         self.factor.refactor(self.basis)
         self._recompute_basics()
+        self.x_factored = True
 
     # -- pricing -----------------------------------------------------------
 
@@ -315,6 +422,7 @@ class _State:
                 if not np.isfinite(t_flip):
                     return "unbounded" if phase == 2 else self._phase1_unbounded()
                 self.x[self.basis] -= t_flip * direction * w
+                self.x_factored = False
                 if self.vstat[q] == AT_LOWER:
                     self.x[q] = hi_q
                     self.vstat[q] = AT_UPPER
@@ -347,6 +455,7 @@ class _State:
         raise SolveStatusError("phase 1 subproblem reported unbounded; problem data is corrupt")
 
     def _pivot(self, q: int, r: int, w: np.ndarray, t: float, direction: float) -> None:
+        self.x_factored = False
         x_q0 = self.x[q]
         leave = self.basis[r]
         delta = -direction * w
@@ -393,7 +502,8 @@ class _State:
             w = self.factor.ftran(self.factor.column(j))
             if abs(w[r]) >= PIVOT_TOL:
                 self._pivot(j, int(r), w, 0.0, 1.0)
-        self._refactor()
+        if not self.x_factored:
+            self._refactor()
 
 
 def _solve_box(problem: LpProblem) -> tuple[str, np.ndarray]:
@@ -409,19 +519,24 @@ def _solve_box(problem: LpProblem) -> tuple[str, np.ndarray]:
     return "optimal", x
 
 
-def solve(problem: LpProblem) -> LpSolution:
+def solve(problem: LpProblem, start: LpBasis | None = None) -> LpSolution:
     """Solve ``problem`` to proven optimality or a definite failure status.
 
-    Returns an :class:`LpSolution` whose residual fields come from an
-    independent evaluation of the original rows at the reported point.
+    ``start`` is a basis to start from, such as the final basis of an LP
+    that ``problem`` extends; a start that is singular or infeasible, or
+    that names what ``problem`` lacks, falls back to the crash. Returns an
+    :class:`LpSolution` whose residual fields come from an independent
+    evaluation of the original rows at the reported point.
     """
+    basis = None
+    warm_start = False
     if problem.n_rows == 0:
         status, xs = _solve_box(problem)
         iterations = phase1_iterations = artificials = 0
     else:
-        st = _State(problem)
+        st = _State(problem, start)
+        warm_start = st.warm
         artificials = int(np.count_nonzero(st.is_artificial))
-        st.factor.refactor(st.basis)
         status = st.optimize(phase=1)
         phase1_iterations = st.iterations
         if status == "optimal":
@@ -432,7 +547,9 @@ def solve(problem: LpProblem) -> LpSolution:
         if status == "optimal":
             status = st.optimize(phase=2)
         if status == "optimal":
-            st._refactor()
+            if not st.x_factored:
+                st._refactor()
+            basis = st.final_basis(problem)
         xs = st.x[: st.n].copy()
         iterations = st.iterations
 
@@ -446,4 +563,6 @@ def solve(problem: LpProblem) -> LpSolution:
         artificials=artificials,
         max_primal_residual=max_res,
         max_bound_violation=max_bv,
+        basis=basis,
+        warm_start=warm_start,
     )

@@ -135,7 +135,12 @@ def check_dispatch(
 
 @dataclass(frozen=True)
 class CaseComparison:
-    """Cross-case summary shaped like a sizing-and-revenue results table."""
+    """Cross-case summary shaped like a sizing-and-revenue results table.
+
+    It holds only what the optimum of each case defines; the largest
+    curtailment of the optimal point the solver reached depends on the pivot
+    path, so ``solver.json`` carries it.
+    """
 
     net_benefits: dict
     decrements: dict  # fraction of the unconstrained baseline revenue lost
@@ -143,7 +148,6 @@ class CaseComparison:
     battery_power_kw: dict
     battery_energy_kwh: dict
     diesel_power_kw: dict
-    max_curtailed_kw: dict
 
     def as_dict(self) -> dict:
         return {
@@ -155,7 +159,6 @@ class CaseComparison:
                     "battery_power_kw": self.battery_power_kw[cid],
                     "battery_energy_kwh": self.battery_energy_kwh[cid],
                     "diesel_power_kw": self.diesel_power_kw[cid],
-                    "max_curtailed_kw": self.max_curtailed_kw[cid],
                 }
                 for cid in self.net_benefits
             },
@@ -169,7 +172,6 @@ class CaseComparison:
             ("Battery power rating (kW)", [f"{self.battery_power_kw[c]:.1f}" for c in cases]),
             ("Battery energy rating (kWh)", [f"{self.battery_energy_kwh[c]:.1f}" for c in cases]),
             ("Diesel rating (kW)", [f"{self.diesel_power_kw[c]:.1f}" for c in cases]),
-            ("Max curtailed power (kW)", [f"{self.max_curtailed_kw[c]:.1f}" for c in cases]),
         ]
         label_w = max(len(r[0]) for r in rows)
         col_w = max(10, *(len(v) for _, vals in rows for v in vals))
@@ -219,5 +221,4 @@ def compare_cases(
         battery_power_kw={c: r.p_batt_max for c, r in results.items()},
         battery_energy_kwh={c: r.e_batt_max for c, r in results.items()},
         diesel_power_kw={c: r.p_diesel_max for c, r in results.items()},
-        max_curtailed_kw={c: float(np.max(r.p_curt)) for c, r in results.items()},
     )

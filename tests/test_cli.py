@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from pvsmooth import cli
 from pvsmooth.cli import main
 from pvsmooth.lp import parse_mps, simplex, solve
 
@@ -84,8 +85,10 @@ class TestRun:
             # the pivot path's diagnostics live in solver.json
             path = solver["cases"][label]
             assert set(path) == {
-                "iterations", "phase1_iterations", "artificials", "residuals", "worst_step",
+                "start", "iterations", "phase1_iterations", "artificials",
+                "max_curtailed_kw", "residuals", "worst_step",
             }
+            assert path["start"] == "crash"  # neither case extends a solved one
             assert path["iterations"] >= path["phase1_iterations"] >= 0
             assert set(path["residuals"]) == set(path["worst_step"])
         # every number is written at the 12 significant digits of the CSVs
@@ -101,8 +104,21 @@ class TestRun:
         comparison = json.loads((tmp_path / "out" / "comparison.json").read_text())
         numbers = [comparison["baseline_net_benefit"]]
         numbers += [v for case in comparison["cases"].values() for v in case.values()]
-        assert len(numbers) == 1 + 4 * 6
+        # the largest curtailment depends on the pivot path; solver.json has it
+        assert all("max_curtailed_kw" not in case for case in comparison["cases"].values())
+        assert len(numbers) == 1 + 4 * 5
         assert all(v == float(f"{v:.12g}") for v in numbers)
+
+    def test_cases_start_from_the_case_they_extend_in_any_order(self, tmp_path):
+        cfg = write_config(tmp_path, {
+            "weather": {"synthetic": {"days": 1}},
+            "cases": ["D", "baseline", "C", "B", "A"],
+            "output_dir": "out",
+        })
+        assert main(["run", str(cfg)]) == 0
+        solver = json.loads((tmp_path / "out" / "solver.json").read_text())
+        starts = {label: case["start"] for label, case in solver["cases"].items()}
+        assert starts == {"A": "crash", "B": "A", "C": "A", "D": "C", "baseline": "crash"}
 
     def test_failed_solve_reports_status_and_iterations(self, tmp_path, monkeypatch):
         # a limit below one iteration stops the solve after its first
@@ -119,7 +135,9 @@ class TestRun:
         assert summary["cases"] == {"A": {"status": "iteration-limit"}}
         # no dispatch, so no residuals: only the solver's own counters
         assert set(solver["cases"]) == {"A"}
-        assert set(solver["cases"]["A"]) == {"iterations", "phase1_iterations", "artificials"}
+        assert set(solver["cases"]["A"]) == {
+            "start", "iterations", "phase1_iterations", "artificials",
+        }
         assert solver["cases"]["A"]["iterations"] == 1
 
     def test_dispatch_csv_header(self, flat_config, tmp_path):
@@ -277,6 +295,22 @@ class TestBatterySelect:
         numbers += [v for e in ranking["ranking"] for v in e.values() if isinstance(v, float)]
         assert len(numbers) == 17
         assert all(v == float(f"{v:.12g}") for v in numbers)
+
+    def test_each_candidate_starts_from_the_one_before(self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path, {"weather": {"synthetic": {"days": 1}}, "output_dir": "out"})
+        solves = []
+
+        def recording_solve(problem, start=None):
+            sol = solve(problem, start=start)
+            solves.append((start is not None, sol.warm_start, sol.phase1_iterations))
+            return sol
+
+        monkeypatch.setattr(cli, "solve", recording_solve)
+        assert main(["battery-select", str(cfg)]) == 0
+        # the baseline and the first candidate crash; the other three start
+        # from the candidate before and skip phase 1
+        assert [given for given, _, _ in solves] == [False, False, True, True, True]
+        assert all(warm and phase1 == 0 for _, warm, phase1 in solves[2:])
 
     def test_single_candidate_rejected(self, tmp_path, capsys):
         weather = flat_weather_file(tmp_path)

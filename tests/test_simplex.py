@@ -20,7 +20,7 @@ from lp_enum_oracle import vertex_enumerate
 from pvsmooth.cli import _formulate, build_power_series
 from pvsmooth.config import load_run_config
 from pvsmooth.errors import SolveStatusError
-from pvsmooth.lp import CsrRows, build_problem, simplex, solve
+from pvsmooth.lp import CsrRows, LpBasis, build_problem, simplex, solve
 
 INF = math.inf
 
@@ -436,6 +436,132 @@ class TestCrashBasis:
         assert sol.status == "optimal"
         assert sol.objective_value == pytest.approx(highs_objective(scaled), rel=1e-9)
         assert sol.objective_value == pytest.approx(solve(p).objective_value, rel=1e-9)
+
+
+class TestWarmStart:
+    def test_resolve_from_its_own_basis_takes_no_iteration(self, tmp_path):
+        p = case_lp(tmp_path, "A", days=1).problem
+        cold = solve(p)
+        assert cold.status == "optimal" and not cold.warm_start
+        assert len(cold.basis.basic) == len(cold.basis.tight)
+        warm = solve(p, start=cold.basis)
+        assert warm.status == "optimal" and warm.warm_start
+        assert warm.iterations == warm.phase1_iterations == warm.artificials == 0
+        np.testing.assert_allclose(warm.x, cold.x, rtol=1e-12, atol=1e-9)
+        assert warm.basis == cold.basis
+
+    def test_each_case_from_the_case_it_extends_skips_phase_1(self, tmp_path):
+        lps = {label: case_lp(tmp_path, label, days=1).problem for label in "ABCD"}
+        basis = {"A": solve(lps["A"]).basis}
+        for label, parent in (("B", "A"), ("C", "A"), ("D", "C")):
+            sol = solve(lps[label], start=basis[parent])
+            assert sol.status == "optimal" and sol.warm_start, label
+            assert sol.phase1_iterations == sol.artificials == 0, label
+            assert sol.objective_value == pytest.approx(highs_objective(lps[label]), rel=1e-9)
+            basis[label] = sol.basis
+
+    def assert_falls_back_to_the_crash(self, problem, start):
+        cold = solve(problem)
+        sol = solve(problem, start=start)
+        assert not sol.warm_start
+        assert sol.status == "optimal"
+        assert (sol.iterations, sol.phase1_iterations, sol.artificials) == (
+            cold.iterations, cold.phase1_iterations, cold.artificials,
+        )
+        np.testing.assert_array_equal(sol.x, cold.x)
+        assert sol.objective_value == pytest.approx(highs_objective(problem), rel=1e-9)
+
+    def test_baseline_basis_breaks_the_ramp_rows_of_case_a(self, tmp_path):
+        # every name of the baseline's basis is in case A and the count
+        # matches, since A's extra ramp rows start on their slacks; those
+        # slacks come out negative wherever the baseline's injection jumps
+        a = case_lp(tmp_path, "A", days=1).problem
+        start = solve(case_lp(tmp_path, "baseline", days=1).problem).basis
+        assert set(start.basic) <= set(a.col_names)
+        assert set(start.tight) <= set(a.row_names)
+        assert len(start.basic) == len(start.tight)
+        self.assert_falls_back_to_the_crash(a, start)
+
+    def test_wrong_basic_count_falls_back(self, tmp_path):
+        p = case_lp(tmp_path, "A", days=1).problem
+        own = solve(p).basis
+        self.assert_falls_back_to_the_crash(p, LpBasis(own.basic[1:], own.tight, own.at_upper))
+
+    def test_unknown_names_fall_back(self, tmp_path):
+        p = case_lp(tmp_path, "A", days=1).problem
+        own = solve(p).basis
+        start = LpBasis(own.basic + ("nowhere",), own.tight + ("NOROW",), own.at_upper)
+        self.assert_falls_back_to_the_crash(p, start)
+
+    def test_singular_start_falls_back(self):
+        p = build_problem(
+            "maximize",
+            [(0.0, 3.0), (0.0, 3.0)],
+            [([(0, 1.0), (1, 1.0)], "<=", 4.0), ([(0, 1.0), (1, 1.0)], ">=", 1.0)],
+            [1.0, 2.0],
+        )
+        self.assert_falls_back_to_the_crash(p, LpBasis(("x0", "x1"), ("r0", "r1"), ()))
+
+    def test_equality_row_with_its_artificial_basic_at_zero(self):
+        # r1 is twice r0, so r0 keeps its artificial basic at zero: r0 is not
+        # tight, and a start from that basis carries the artificial along
+        p = build_problem(
+            "maximize",
+            [(0.0, 3.0), (0.0, 3.0)],
+            [([(0, 1.0), (1, 1.0)], "=", 2.0), ([(0, 2.0), (1, 2.0)], "=", 4.0)],
+            [1.0, 2.0],
+        )
+        cold = solve(p)
+        assert cold.basis == LpBasis(("x1",), ("r1",), ())
+        sol = solve(p, start=cold.basis)
+        assert sol.status == "optimal" and sol.warm_start
+        assert sol.artificials == 1
+        assert sol.iterations == sol.phase1_iterations == 0
+        np.testing.assert_allclose(sol.x, [0.0, 2.0], atol=1e-12)
+
+    def test_nonbasic_columns_start_at_the_bound_the_basis_names(self):
+        # x0 and x1 are both at their upper bound in the optimum; a start
+        # that puts only x1 there takes one bound flip to reach it
+        p = build_problem(
+            "maximize",
+            [(0.0, 1.0), (0.0, 1.0)],
+            [([(0, 1.0), (1, 1.0)], "<=", 2.0)],
+            [1.0, 2.0],
+        )
+        cold = solve(p)
+        assert cold.basis == LpBasis((), (), ("x0", "x1"))
+        assert solve(p, start=cold.basis).iterations == 0
+        sol = solve(p, start=LpBasis((), (), ("x1",)))
+        assert sol.warm_start and sol.iterations == 1
+        np.testing.assert_allclose(sol.x, [1.0, 1.0])
+
+    def test_new_rows_start_on_their_logicals(self):
+        # a row the start does not know is not tight, so its slack is basic
+        p = build_problem(
+            "maximize",
+            [(0.0, 1.0), (0.0, 1.0)],
+            [([(0, 1.0), (1, 1.0)], "<=", 2.0)],
+            [1.0, 2.0],
+        )
+        extended = build_problem(
+            "maximize",
+            [(0.0, 1.0), (0.0, 1.0)],
+            [([(0, 1.0), (1, 1.0)], "<=", 2.0), ([(0, 1.0)], "<=", 0.5)],
+            [1.0, 2.0],
+        )
+        sol = solve(extended, start=solve(p).basis)
+        assert sol.warm_start is False  # x0 = 1 breaks the new row
+        np.testing.assert_allclose(sol.x, [0.5, 1.0])
+        loose = build_problem(
+            "maximize",
+            [(0.0, 1.0), (0.0, 1.0)],
+            [([(0, 1.0), (1, 1.0)], "<=", 2.0), ([(0, 1.0)], "<=", 5.0)],
+            [1.0, 2.0],
+        )
+        sol = solve(loose, start=solve(p).basis)
+        assert sol.warm_start and sol.iterations == 0
+        assert sol.basis.tight == ()
+        np.testing.assert_allclose(sol.x, [1.0, 1.0])
 
 
 class TestBasisFactor:

@@ -10,7 +10,9 @@ cases A-D and the baseline:
 - the sizing agrees with the values recorded below;
 - every dispatch CSV passes ``check_dispatch`` and re-evaluates, from its own
   columns, to the optimal objective, so it is an optimal point;
-- the objectives nest: A <= B <= D and A <= C <= D.
+- the objectives nest: A <= B <= D and A <= C <= D;
+- B and C start from A's optimal basis and D from C's, each with no phase 1
+  and no artificial, so the checks above cover the warm-started path.
 
 On the one-day traces at seeds 0-9 (variability 0.8), each case's objective
 agrees with HiGHS and the objectives nest.
@@ -78,6 +80,7 @@ def gated_run(request, tmp_path_factory):
         "seed": seed,
         "code": code,
         "summary": json.loads((out / "summary.json").read_text()),
+        "solver": json.loads((out / "solver.json").read_text()),
         "csv": {label: read_dispatch_csv(out / f"case_{label}_dispatch.csv") for label in CASES},
         "forms": forms,
         "config": config,
@@ -156,6 +159,15 @@ def assert_nested(net, lump):
 def test_objectives_nest(gated_run):
     net = {label: gated_run["summary"]["cases"][label]["net_benefit"] for label in CASES}
     assert_nested(net, gated_run["config"].diesel.emission_charge_total)
+
+
+def test_each_case_starts_from_the_case_it_extends(gated_run):
+    cases = gated_run["solver"]["cases"]
+    starts = {label: cases[label]["start"] for label in CASES}
+    assert starts == {"A": "crash", "B": "A", "C": "A", "D": "C", "baseline": "crash"}
+    for label in "BCD":
+        assert cases[label]["phase1_iterations"] == 0, label
+        assert cases[label]["artificials"] == 0, label
 
 
 @pytest.mark.parametrize("seed", range(10))
