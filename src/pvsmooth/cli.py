@@ -74,6 +74,13 @@ def build_power_series(config: RunConfig) -> PowerSeries:
     return pv_power(weather, config.plant)
 
 
+def _case_constraints(label: str, config: RunConfig) -> ConstraintConfig:
+    """The constraints of case ``label``: the baseline drops the fluctuation band."""
+    if label == "baseline":
+        return replace(config.constraints, fluctuation_limit=math.inf)
+    return config.constraints
+
+
 def _formulate(
     label: str, config: RunConfig, pv: PowerSeries, battery: BatterySpec
 ) -> tuple[CaseFormulation, ConstraintConfig, DieselSpec | None]:
@@ -81,9 +88,8 @@ def _formulate(
 
     The baseline is case A with the fluctuation band removed.
     """
-    case_id, cfg = label, config.constraints
-    if label == "baseline":
-        case_id, cfg = "A", replace(cfg, fluctuation_limit=math.inf)
+    case_id = "A" if label == "baseline" else label
+    cfg = _case_constraints(label, config)
     diesel = config.diesel if case_id in DIESEL_CASES else None
     return build_case(case_id, pv, battery, config.econ, cfg, diesel=diesel), cfg, diesel
 
@@ -294,15 +300,19 @@ def cmd_run(config: RunConfig) -> int:
     )
 
     if "battery-select" in config.cases:
-        code = cmd_battery_select(config, pv=pv, baseline=baseline)
+        code = cmd_battery_select(config, pv=pv, baseline=baseline, start=records.get("A"))
         exit_code = exit_code or code
     return exit_code
 
 
 def cmd_battery_select(
-    config: RunConfig, pv: PowerSeries | None = None, baseline: CaseRecord | None = None
+    config: RunConfig,
+    pv: PowerSeries | None = None,
+    baseline: CaseRecord | None = None,
+    start: CaseRecord | None = None,
 ) -> int:
-    """Rank the battery candidates; ``run`` passes the baseline it already solved."""
+    """Rank the battery candidates; ``run`` passes the baseline and the case A
+    it already solved, and the first candidate starts from that case A."""
     if len(config.battery_candidates) < 2:
         raise ConfigError("battery_candidates: ranking needs at least two specs")
     if pv is None:
@@ -318,10 +328,10 @@ def cmd_battery_select(
 
     rows = []
     all_ok = baseline.ok
-    record = None
+    record = start
     for battery in config.battery_candidates:
         # the candidates share case A's structure, so each starts from the
-        # basis of the one before
+        # basis of the one before, and the first from ``start``
         record = solve_case("A", config, pv, battery=battery, start=record)
         all_ok = all_ok and record.ok
         entry = {"battery": battery.name, "status": record.solution.status}
@@ -400,8 +410,11 @@ def cmd_validate(config: RunConfig, csv_path: Path) -> int:
         net_benefit=0.0,
         diesel_energy=float(pv.step_hours * np.sum(data["p_diesel"])),
     )
+    # run names each dispatch file for its case, and the baseline's is
+    # checked without the fluctuation band that the baseline drops
+    label = csv_path.name.removeprefix("case_").removesuffix("_dispatch.csv")
     report = check_dispatch(
-        sol, pv, config.constraints, config.battery, config.diesel
+        sol, pv, _case_constraints(label, config), config.battery, config.diesel
     )
     print(json.dumps(report.as_dict(), indent=2, sort_keys=True))
     return 0 if report.passed else 1

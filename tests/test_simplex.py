@@ -47,12 +47,12 @@ def random_instance(rng):
     return build_problem(sense, list(zip(lower, upper)), rows, list(c))
 
 
-def case_lp(tmp_path, label, days=3, **constraints):
-    """The LP of case ``label`` that ``pvsmooth run`` builds on the seed-7
-    synthetic trace, with ``constraints`` over the defaults."""
+def case_lp(tmp_path, label, days=3, seed=7, **constraints):
+    """The LP of case ``label`` that ``pvsmooth run`` builds on the synthetic
+    trace of ``seed``, with ``constraints`` over the defaults."""
     path = tmp_path / "config.json"
     path.write_text(json.dumps({
-        "weather": {"synthetic": {"days": days, "seed": 7, "variability": 0.8}},
+        "weather": {"synthetic": {"days": days, "seed": seed, "variability": 0.8}},
         "constraints": constraints,
     }))
     config = load_run_config(path)
@@ -335,6 +335,55 @@ class TestCrashBasis:
         assert sol.status == "optimal"
         assert sol.artificials == 0
         assert sol.phase1_iterations == 0
+
+    @pytest.mark.parametrize("days, seed", [(3, 7), (3, 8), (14, 7)])
+    def test_baseline_seats_its_battery_power_and_ends_at_once(self, tmp_path, days, seed):
+        # every P_b(k) is free and blocked by the zero slack of its PBU or
+        # PBL row while P_bMAX is 0; seated in the crash, each saves the
+        # zero-step pivot that Dantzig pricing would spend on it
+        p = case_lp(tmp_path, "baseline", days=days, seed=seed).problem
+        sol = solve(p)
+        assert sol.status == "optimal"
+        assert sol.artificials == 0
+        assert sol.iterations <= 2
+        assert sol.objective_value == pytest.approx(highs_objective(p), rel=1e-9)
+
+    def test_free_column_blocked_by_a_zero_slack_is_seated(self):
+        # x0 is free and its cost pushes it up; the zero slack of r0
+        # (x0 - x1 <= 0 with x1 at 0) blocks that, so x0 takes the slack's
+        # place in r0, and r1, which does not block x0 going up, keeps its slack
+        p = build_problem(
+            "maximize",
+            [(-INF, INF), (0.0, INF)],
+            [([(0, 1.0), (1, -1.0)], "<=", 0.0), ([(0, -1.0), (1, -1.0)], "<=", 0.0)],
+            [1.0, -2.0],
+        )
+        st = simplex._State(p)
+        assert st.basis.tolist() == [0, 3]
+        assert st.vstat[2] == simplex.AT_LOWER
+        sol = solve(p)
+        assert sol.status == "optimal"
+        assert sol.iterations == 0
+        assert sol.objective_value == 0.0
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [([(0, 1.0), (1, -2.0)], "<=", 0.0)],
+            [([(0, 1.0), (1, -1.0)], "<=", 0.0), ([(0, 2.0), (1, -1.0)], "<=", 5.0)],
+        ],
+        ids=["larger-in-the-row", "larger-in-the-column"],
+    )
+    def test_free_column_stays_nonbasic_unless_its_entry_is_the_largest(self, rows):
+        # x0's blocking entry in r0 is 1, and a 2 elsewhere in r0 or in x0's
+        # column keeps it out of the basis; the slack of r0 stays basic
+        p = build_problem("maximize", [(-INF, INF), (0.0, INF)], rows, [1.0, -3.0])
+        st = simplex._State(p)
+        assert st.vstat[0] == simplex.FREE
+        assert st.basis[0] == p.n_vars
+        sol = solve(p)
+        assert sol.status == "optimal"
+        assert sol.objective_value == pytest.approx(highs_objective(p), abs=1e-12)
 
     def test_grid_cap_below_the_pv_peak_leaves_the_balance_row_to_an_artificial(self, tmp_path):
         cap = 6000.0

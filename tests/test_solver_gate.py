@@ -12,7 +12,9 @@ cases A-D and the baseline:
   columns, to the optimal objective, so it is an optimal point;
 - the objectives nest: A <= B <= D and A <= C <= D;
 - B and C start from A's optimal basis and D from C's, each with no phase 1
-  and no artificial, so the checks above cover the warm-started path.
+  and no artificial, so the checks above cover the warm-started path;
+- ``pvsmooth validate`` passes every dispatch CSV of the run, and fails the
+  baseline's series under the name of a case the fluctuation band binds.
 
 On the one-day traces at seeds 0-9 (variability 0.8), each case's objective
 agrees with HiGHS and the objectives nest.
@@ -79,6 +81,8 @@ def gated_run(request, tmp_path_factory):
     return {
         "seed": seed,
         "code": code,
+        "config_path": config_path,
+        "out": out,
         "summary": json.loads((out / "summary.json").read_text()),
         "solver": json.loads((out / "solver.json").read_text()),
         "csv": {label: read_dispatch_csv(out / f"case_{label}_dispatch.csv") for label in CASES},
@@ -144,6 +148,26 @@ def test_every_dispatch_csv_is_an_optimal_point(gated_run):
             x[form.columns["p_diesel_max"]] = np.max(data["p_diesel"])
         net = gated_run["summary"]["cases"][label]["net_benefit"]
         assert close(objective_value(form.problem, x), net), label
+
+
+def test_validate_passes_every_dispatch_csv(gated_run, capsys):
+    for label in CASES:
+        csv_path = gated_run["out"] / f"case_{label}_dispatch.csv"
+        assert main(["validate", str(gated_run["config_path"]), str(csv_path)]) == 0, label
+        assert json.loads(capsys.readouterr().out)["passed"] is True, label
+
+
+def test_validate_holds_case_a_to_the_band_the_baseline_drops(gated_run, tmp_path, capsys):
+    # the baseline's series break the fluctuation band, so under case A's
+    # file name they fail on the ramp residual alone
+    baseline = gated_run["out"] / "case_baseline_dispatch.csv"
+    renamed = tmp_path / "case_A_dispatch.csv"
+    renamed.write_text(baseline.read_text())
+    assert main(["validate", str(gated_run["config_path"]), str(renamed)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["passed"] is False
+    failed = {name for name, v in report["residuals"].items() if v > report["tolerance"]}
+    assert failed == {"ramp"}
 
 
 def assert_nested(net, lump):
