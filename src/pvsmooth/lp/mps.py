@@ -5,16 +5,24 @@ comment for maximize problems; readers missing the comment assume minimize.
 The objective constant rides on the objective row's RHS entry, negated, per
 the usual convention.
 
-Both directions work on whole sections as arrays: the writer formats each
-distinct value and pads each name once, and the reader splits each run of
-data lines once and checks it with array operations.
+Both directions work in blocks of at most ``_BLOCK_LINES`` lines, so that
+beyond the problem itself only one block's text, tokens and line tables are
+held at a time. The writer formats each distinct value once per file and
+pads each name once, then joins each block's lines from those tables:
+:func:`write_mps` writes the blocks to the file as they come, and
+:func:`render_mps` joins them into one string. The reader splits each
+block's runs of data lines once and checks them with array operations.
+What the sections have read so far is kept across blocks, so a block's work
+is in proportion to the block, and a fault is reported at its line whatever
+the block size. A file's byte past ASCII is a fault of its line too.
 """
 
 from __future__ import annotations
 
 import re
-from itertools import chain, count, repeat
-from pathlib import Path
+from bisect import bisect_right
+from collections.abc import Iterator
+from itertools import chain, count, islice, repeat
 
 import numpy as np
 
@@ -22,6 +30,10 @@ from ..errors import MpsFormatError
 from .problem import CsrRows, LpProblem, build_problem
 
 _REL_TO_TYPE = {"<=": "L", ">=": "G", "=": "E"}
+_ROW_TYPE = {rel: f" {key}  " for rel, key in _REL_TO_TYPE.items()}
+_BOUND_KEYS = np.array(
+    [f" {key} BND       " for key in ("FX", "FR", "MI", "LO", "UP")], dtype=object
+)
 _TYPE_TO_REL = {"L": "<=", "G": ">=", "E": "="}
 #: characters a name keeps; the newline separates names sanitised together
 _NAME_RE = re.compile(r"[^A-Za-z0-9_\n]")
@@ -30,6 +42,10 @@ _SECTIONS = ("ROWS", "COLUMNS", "RHS", "RANGES", "BOUNDS")
 _MARK_RE = re.compile(r"\n(?=\S)")
 #: line breaks of str.splitlines other than "\n"
 _OTHER_BREAKS = "\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+#: what a byte past ASCII decodes to with errors="surrogateescape"
+_ESCAPED_RE = re.compile("[\udc80-\udcff]")
+#: at most this many lines are rendered, or read and parsed, at a time
+_BLOCK_LINES = 1 << 15
 
 
 def _short_names(originals, fallback_prefix: str) -> list[str]:
@@ -60,63 +76,73 @@ def _num(v: float) -> str:
     return f"{v:.15g}"
 
 
-def _text(values) -> np.ndarray:
-    """Each value as written, formatted once per distinct bit pattern so
-    that -0.0 stays apart from 0.0."""
-    bits, inverse = np.unique(
-        np.ascontiguousarray(values, dtype=float).view(np.int64), return_inverse=True
-    )
-    return np.array([_num(v) for v in bits.view(float).tolist()], dtype=object)[inverse.ravel()]
+def _padded(names) -> np.ndarray:
+    return np.array([f"{name:<8}  " for name in names], dtype=object)
 
 
-def _padded(names, prefix: str = "") -> np.ndarray:
-    return np.array([f"{prefix}{name:<8}  " for name in names], dtype=object)
+def _lines(count: int, *fields) -> Iterator[str]:
+    """``count`` lines made of ``fields``, in blocks of at most
+    ``_BLOCK_LINES``. A field is a string, the same on every line, or a
+    function from a slice of the lines to their strings; no line is built
+    on its own."""
+    for start in range(0, count, _BLOCK_LINES):
+        lines = slice(start, min(start + _BLOCK_LINES, count))
+        table = np.empty((lines.stop - start, len(fields) + 1), dtype=object)
+        for k, field in enumerate(fields):
+            table[:, k] = field if isinstance(field, str) else field(lines)
+        table[:, -1] = "\n"
+        yield "".join(table.ravel().tolist())
 
 
-def _lines(*fields) -> str:
-    """Lines made of ``fields``, each a string or an array with one entry
-    per line, joined without building each line on its own."""
-    count = max(len(field) for field in fields if not isinstance(field, str))
-    table = np.empty((count, len(fields) + 1), dtype=object)
-    for k, field in enumerate(fields):
-        table[:, k] = field
-    table[:, -1] = "\n"
-    return "".join(table.ravel().tolist())
+def _pick(table: np.ndarray, index: np.ndarray):
+    """The field whose entry on line ``k`` is ``table[index[k]]``."""
+    return lambda lines: table[index[lines]]
 
 
-def render_mps(problem: LpProblem) -> str:
-    col_names = _short_names(problem.col_names, "C")
-    row_names = _short_names(problem.row_names, "R")
+def _blocks(problem: LpProblem) -> Iterator[str]:
+    """The MPS text of ``problem`` in blocks of whole lines.
+
+    A table is made just before the first section that reads it, a name is
+    held bare or padded but not both, and each block looks up its own
+    values, so little beyond the problem is held at once.
+    """
+    n, m = problem.n_vars, problem.n_rows
+    names = _short_names(problem.row_names, "R")
     # OBJ, XOBJ, ... while they fit in 8 characters, then numbered names
-    taken = set(row_names)
+    taken = set(names)
     candidates = chain(("X" * k + "OBJ" for k in range(6)), (f"O{j:07d}" for j in count()))
     obj_name = next(name for name in candidates if name not in taken)
-    n, m = problem.n_vars, problem.n_rows
-    col_pad = _padded(col_names)
-    row_pad = _padded(row_names + [obj_name])  # the objective row is number m
-
-    head = "* SENSE: MAX\n" if problem.sense == "maximize" else ""
-    head += f"NAME          {_NAME_RE.sub('', problem.name)[:8].upper() or 'LP'}\n"
-    head += f"ROWS\n N  {obj_name}\n"
-    types = np.array([f" {_REL_TO_TYPE[rel]}  " for rel in problem.relations], dtype=object)
-    rows = _lines(types, np.array(row_names, dtype=object))
+    del taken
+    yield "* SENSE: MAX\n" if problem.sense == "maximize" else ""
+    yield f"NAME          {_NAME_RE.sub('', problem.name)[:8].upper() or 'LP'}\n"
+    yield f"ROWS\n N  {obj_name}\n"
+    types = np.array([_ROW_TYPE[rel] for rel in problem.relations], dtype=object)
+    yield from _lines(m, types.__getitem__, np.array(names, dtype=object).__getitem__)
+    row_pad = _padded(names + [obj_name])  # the objective row is number m
+    names = _short_names(problem.col_names, "C")
+    col_pad = _padded(names)
 
     # column-major entries, one coefficient per line, each column's
     # objective entry ahead of its constraint entries
     by_col = problem.A.tocsc()
-    costed = np.flatnonzero(problem.objective)
-    col_of = np.concatenate([costed, np.repeat(np.arange(n), np.diff(by_col.indptr))])
-    order = np.argsort(col_of, kind="stable")
-    row_of = np.concatenate([np.full(len(costed), m), by_col.indices])[order]
-    value = np.concatenate([problem.objective[costed], by_col.data])[order]
-    columns = _lines(_padded(col_names, "    ")[col_of[order]], row_pad[row_of], _text(value))
+    costed = problem.objective != 0.0
+    per_col = np.diff(by_col.indptr) + costed
+    col_of = np.repeat(np.arange(n), per_col)
+    lead = (np.cumsum(per_col) - per_col)[costed]
+    entry = np.ones(len(col_of), dtype=bool)
+    entry[lead] = False
+    row_of = np.full(len(col_of), m)
+    row_of[entry] = by_col.indices
+    value = np.empty(len(col_of))
+    value[lead] = problem.objective[costed]
+    value[entry] = by_col.data
+    del by_col, entry
 
     with_rhs = np.flatnonzero(problem.rhs != 0.0)
     rhs_rows, rhs_values = with_rhs, problem.rhs[with_rhs]
     if problem.objective_offset != 0.0:
         rhs_rows = np.concatenate([[m], rhs_rows])
         rhs_values = np.concatenate([[-problem.objective_offset], rhs_values])
-    rhs = _lines("    RHS       ", row_pad[rhs_rows], _text(rhs_values))
 
     # at most two lines per column: FX, FR, MI or LO, then UP
     lo, hi = problem.lower, problem.upper
@@ -125,22 +151,48 @@ def render_mps(problem: LpProblem) -> str:
     minus = ~fixed & ~free & ~np.isfinite(lo)
     low = ~fixed & ~free & np.isfinite(lo) & (lo != 0.0)
     up = ~fixed & ~free & np.isfinite(hi)
-    names = np.array(col_names, dtype=object)
-    lines = np.empty((n, 2), dtype=object)
-    lines[fixed, 0] = " FX BND       " + col_pad[fixed] + _text(lo[fixed])
-    lines[free, 0] = " FR BND       " + names[free]
-    lines[minus, 0] = " MI BND       " + names[minus]
-    lines[low, 0] = " LO BND       " + col_pad[low] + _text(lo[low])
-    lines[up, 1] = " UP BND       " + col_pad[up] + _text(hi[up])
-    bounds = _lines(lines[np.column_stack([fixed | free | minus | low, up])])
+    key = np.full((n, 2), -1)  # each line's place in _BOUND_KEYS
+    for k, has in enumerate([fixed, free, minus, low]):
+        key[has, 0] = k
+    key[up, 1] = 4
+    bound_col = np.nonzero(key >= 0)[0]
+    key = key[key >= 0]
+    bound_values = np.where(key == 4, hi[bound_col], lo[bound_col])
+    # FR and MI lines name the column bare and carry no value
+    bare = (key == 1) | (key == 2)
+    bound_names = np.concatenate([col_pad, np.array(names, dtype=object)[bound_col[bare]]])
+    bound_col[bare] = n + np.arange(np.count_nonzero(bare))
+    del names
 
-    return "".join(
-        [head, rows, "COLUMNS\n", columns, "RHS\n", rhs, "RANGES\nBOUNDS\n", bounds, "ENDATA\n"]
-    )
+    # each distinct value in the file is formatted once, by bit pattern so
+    # that -0.0 stays apart from 0.0; a block looks its values up
+    bits = np.unique(np.concatenate([value, rhs_values, bound_values]).view(np.int64))
+    text = np.array([_num(v) for v in bits.view(float).tolist()], dtype=object)
+
+    def written(values):
+        return lambda lines: text[np.searchsorted(bits, values[lines].view(np.int64))]
+
+    bound_text = written(bound_values)
+    yield "COLUMNS\n"
+    yield from _lines(len(col_of), "    ", _pick(col_pad, col_of), _pick(row_pad, row_of),
+                      written(value))
+    yield "RHS\n"
+    yield from _lines(len(rhs_rows), "    RHS       ", _pick(row_pad, rhs_rows),
+                      written(rhs_values))
+    yield "RANGES\nBOUNDS\n"
+    yield from _lines(len(key), _pick(_BOUND_KEYS, key), _pick(bound_names, bound_col),
+                      lambda lines: np.where(bare[lines], "", bound_text(lines)))
+    yield "ENDATA\n"
+
+
+def render_mps(problem: LpProblem) -> str:
+    return "".join(_blocks(problem))
 
 
 def write_mps(problem: LpProblem, path) -> None:
-    Path(path).write_text(render_mps(problem), encoding="ascii")
+    """Write ``problem`` to ``path`` block by block, never holding its whole text."""
+    with open(path, "w", encoding="ascii") as fh:
+        fh.writelines(_blocks(problem))
 
 
 def _floats(tokens) -> tuple[np.ndarray, int]:
@@ -210,14 +262,16 @@ class _Reader:
         self.saw: set[str] = set()
         self.ended = False
         self.obj_row: str | None = None
-        self.row_names: list[str] = []
         self.relations: list[str] = []
-        self.row_index: dict[str, int] = {}
+        self.row_index: dict[str, int] = {}  # constraint rows, in file order
         self.col_index: dict[str, int] = {}
-        self.entry_keys: list[np.ndarray] = []  # row << 32 | column
+        # per run of COLUMNS lines: its entries' keys, row << 32 | column with
+        # row -1 for the objective, their values, and the first column it added
+        self.entry_keys: list[np.ndarray] = []
         self.entry_vals: list[np.ndarray] = []
-        self.cost_cols: list[np.ndarray] = []
-        self.cost_vals: list[np.ndarray] = []
+        self.first_col: list[int] = []
+        # per column that a later run came back to: every run that holds it
+        self.back_in: dict[int, list[int]] = {}
         self.rhs_rows: list[np.ndarray] = []
         self.rhs_vals: list[np.ndarray] = []
         self.offset = 0.0
@@ -286,21 +340,20 @@ class _Reader:
         if self.obj_row is None and objective.any():
             extra_n[np.argmax(objective)] = False
         faults.check(extra_n, lines, 1, lambda k: "multiple objective (N) rows")
+        # a name that already has a place, from an earlier run or earlier in
+        # this one, keeps it and repeats
         new = names[constraint].tolist()
-        everything = self.row_names + new
-        first = dict(zip(reversed(everything), range(len(everything) - 1, -1, -1)))
+        base = len(self.row_index)
         again = np.zeros(len(names), dtype=bool)
         again[constraint] = np.fromiter(
-            map(first.__getitem__, new), dtype=np.int64, count=len(new)
-        ) != np.arange(len(self.row_names), len(everything))
+            map(self.row_index.setdefault, new, count(base)), dtype=np.int64, count=len(new)
+        ) != np.arange(base, base + len(new))
         faults.check(again, lines, 1, lambda k: f"duplicate row {names[k]!r}")
         faults.raise_first()
 
         if self.obj_row is None and objective.any():
             self.obj_row = names[np.argmax(objective)]
-        self.row_names = everything
         self.relations += [_TYPE_TO_REL[t] for t in types[constraint]]
-        self.row_index = first
 
     def _pairs(self, tokens, start, counts, faults: _Faults) -> None:
         """COLUMNS or RHS lines: a column or set name, then name/value pairs."""
@@ -316,11 +369,10 @@ class _Reader:
         values, bad = _floats(value_tokens)
         faults.check(np.arange(len(values)) == bad, pair_line, 1,
                      lambda k: f"bad numeric field {value_tokens[k]!r}")
-        lookup = dict(self.row_index)
-        if self.obj_row is not None:
-            lookup[self.obj_row] = -1  # the objective row is looked for first
-        row = np.fromiter(map(lookup.get, row_tokens, repeat(-2)), dtype=np.int64,
+        row = np.fromiter(map(self.row_index.get, row_tokens, repeat(-2)), dtype=np.int64,
                           count=len(row_tokens))
+        if self.obj_row is not None:
+            row[row_tokens == self.obj_row] = -1  # the objective row is looked for first
         cost = row == -1
         known = row >= 0
 
@@ -347,23 +399,38 @@ class _Reader:
             np.diff(np.append(run, len(col_tokens))),
         )[pair_line]
 
-        done = sum(map(len, self.cost_cols))
+        valid = row >= -1
+        keys = row[valid] << 32 | col[valid]
         again = np.zeros(len(row), dtype=bool)
-        again[cost] = _repeats(np.concatenate(self.cost_cols + [col[cost]]))[done:]
-        faults.check(again, pair_line, 2,
-                     lambda k: f"duplicate objective entry for {col_tokens[pair_line[k]]!r}")
-        keys = row[known] << 32 | col[known]
-        done = sum(map(len, self.entry_keys))
-        again = np.zeros(len(row), dtype=bool)
-        again[known] = _repeats(np.concatenate(self.entry_keys + [keys]))[done:]
+        again[valid] = self._seen(keys, col[valid], len(self.col_index) - len(new))
         faults.check(again, pair_line, 2, lambda k: (
-            f"duplicate entry {col_tokens[pair_line[k]]!r} in row {row_tokens[k]!r}"))
+            f"duplicate objective entry for {col_tokens[pair_line[k]]!r}" if row[k] == -1
+            else f"duplicate entry {col_tokens[pair_line[k]]!r} in row {row_tokens[k]!r}"))
         faults.raise_first()
 
-        self.cost_cols.append(col[cost])
-        self.cost_vals.append(values[cost])
+        self.first_col.append(len(self.col_index) - len(new))
         self.entry_keys.append(keys)
-        self.entry_vals.append(values[known])
+        self.entry_vals.append(values[valid])
+
+    def _seen(self, keys: np.ndarray, col: np.ndarray, n_before: int) -> np.ndarray:
+        """True where an entry key of this run occurred before, in this run
+        or an earlier one; notes this run among those of each column that
+        earlier runs had, those below ``n_before``, as only they can repeat
+        an earlier run's key."""
+        again = _repeats(keys)
+        back = col < n_before
+        if back.any():
+            cols = np.unique(col[back])
+            runs: set[int] = set()
+            for c in cols.tolist():
+                # the run that added the column, then each it came back in
+                held = self.back_in.setdefault(c, [bisect_right(self.first_col, c) - 1])
+                runs.update(held)
+                held.append(len(self.entry_keys))
+            earlier = [self.entry_keys[k] for k in runs]
+            earlier = [ks[np.isin(ks & 0xFFFFFFFF, cols)] for ks in earlier]
+            again[back] |= np.isin(keys[back], np.concatenate(earlier))
+        return again
 
     def _bounds(self, tokens, start, counts, faults: _Faults) -> None:
         lines = np.arange(len(counts))
@@ -409,67 +476,95 @@ class _Reader:
             raise MpsFormatError("missing COLUMNS section")
         if self.obj_row is None:
             raise MpsFormatError("no objective (N) row declared")
-        n, m = len(self.col_index), len(self.row_names)
+        # the reader is spent: each part is let go once the problem's copy of
+        # it is made, so that no part is held twice
+        col_names, row_names = list(self.col_index), list(self.row_index)
+        self.col_index.clear()
+        self.row_index.clear()
+        n, m = len(col_names), len(row_names)
 
         def joined(parts, dtype=float):
-            return np.concatenate(parts) if parts else np.zeros(0, dtype=dtype)
+            out = np.concatenate(parts) if parts else np.zeros(0, dtype=dtype)
+            parts.clear()
+            return out
 
+        keys, values = joined(self.entry_keys, np.int64), joined(self.entry_vals)
+        cost = keys < 0
         objective = np.zeros(n)
-        objective[joined(self.cost_cols, np.int64)] = joined(self.cost_vals)
+        objective[keys[cost] & 0xFFFFFFFF] = values[cost]
+        order = np.argsort(keys)[np.count_nonzero(cost):]  # the objective's keys sort first
+        keys, values = keys[order], values[order]
+        del order, cost
 
         rhs = np.zeros(m)
-        rows, values = joined(self.rhs_rows, np.int64), joined(self.rhs_vals)
+        rows, rhs_values = joined(self.rhs_rows, np.int64), joined(self.rhs_vals)
         last = _last(rows)
-        rhs[rows[last]] = values[last]
+        rhs[rows[last]] = rhs_values[last]
 
         # the last bound line to set an end of a column's box wins
         bounds = np.zeros((n, 2))
         bounds[:, 1] = np.inf
         for end in (0, 1):
-            cols, values = joined(self.bound_cols[end], np.int64), joined(self.bound_vals[end])
+            cols, ends = joined(self.bound_cols[end], np.int64), joined(self.bound_vals[end])
             last = _last(cols)
-            bounds[cols[last], end] = values[last]
+            bounds[cols[last], end] = ends[last]
 
-        keys = joined(self.entry_keys, np.int64)
-        order = np.argsort(keys)
-        keys, values = keys[order], joined(self.entry_vals)[order]
-        rows = keys >> 32
-        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=m))])
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(keys >> 32, minlength=m))])
         return build_problem(
             self.sense,
             bounds,
             CsrRows(indptr, keys & 0xFFFFFFFF, values, self.relations, rhs),
             objective,
             offset=self.offset,
-            col_names=list(self.col_index),
-            row_names=self.row_names,
+            col_names=col_names,
+            row_names=row_names,
             name=self.name,
         )
 
 
-def parse_mps(text: str) -> LpProblem:
-    if any(brk in text for brk in _OTHER_BREAKS):
-        # lines are numbered as str.splitlines counts them
-        text = "\n".join(text.splitlines())
-    marks = [m.end() for m in _MARK_RE.finditer(text)]
-    if text[:1].strip():
-        marks.insert(0, 0)
+def _parse(blocks) -> LpProblem:
+    """The problem in ``blocks``, runs of whole lines in file order."""
     reader = _Reader()
-    pos, line_no = 0, 1
-    for start in marks:
-        if start > pos:
-            reader.data(text[pos:start], line_no)
-            line_no += text.count("\n", pos, start)
-        end = text.find("\n", start)
-        if end < 0:
-            end = len(text)
-        if not reader.mark(text[start:end], line_no):
-            break
-        pos, line_no = end + 1, line_no + 1
-    else:
-        reader.data(text[pos:], line_no)
+    line_no = 1
+    for block in blocks:
+        if any(brk in block for brk in _OTHER_BREAKS):
+            # lines are numbered as str.splitlines counts them
+            block = "\n".join(block.splitlines()) + "\n"
+        escaped = None if block.isascii() else _ESCAPED_RE.search(block)
+        if escaped:
+            # the lines before the one with the byte are read first
+            bad_line = line_no + block.count("\n", 0, escaped.start())
+            block = block[: block.rfind("\n", 0, escaped.start()) + 1]
+        marks = [m.end() for m in _MARK_RE.finditer(block)]
+        if block[:1].strip():
+            marks.insert(0, 0)
+        pos = 0
+        for start in marks:
+            if start > pos:
+                reader.data(block[pos:start], line_no)
+                line_no += block.count("\n", pos, start)
+            end = block.find("\n", start)
+            if end < 0:
+                end = len(block)
+            if not reader.mark(block[start:end], line_no):
+                return reader.problem()
+            pos, line_no = end + 1, line_no + 1
+        reader.data(block[pos:], line_no)
+        line_no += block.count("\n", pos)
+        if escaped:
+            byte = ord(escaped.group()) - 0xDC00
+            raise MpsFormatError(f"line {bad_line}: non-ASCII byte 0x{byte:02x}")
     return reader.problem()
 
 
+def parse_mps(text: str) -> LpProblem:
+    runs = re.finditer(r"(?:[^\n]*\n){1,%d}|[^\n]+" % _BLOCK_LINES, text)
+    return _parse(run.group() for run in runs)
+
+
 def read_mps(path) -> LpProblem:
-    return parse_mps(Path(path).read_text(encoding="ascii"))
+    with open(path, "rb") as fh:
+        # a byte past ASCII decodes to an escape, which the parse reports
+        return _parse(iter(
+            lambda: b"".join(islice(fh, _BLOCK_LINES)).decode("ascii", "surrogateescape"), ""
+        ))

@@ -10,8 +10,10 @@ consecutive in real time.
 from __future__ import annotations
 
 import csv
+import operator
 from dataclasses import dataclass, field
-from datetime import datetime
+from datetime import datetime, timedelta, timezone
+from itertools import compress, repeat
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +30,8 @@ PEAK_IRRADIANCE_WM2 = 1000.0
 
 #: Samples below this irradiance are dropped from the optimization horizon.
 LOW_IRRADIANCE_WM2 = 2.0
+
+_EPOCH = datetime(1970, 1, 1)
 
 
 @dataclass(frozen=True)
@@ -82,12 +86,12 @@ def load_weather(path: str | Path) -> WeatherSeries:
     """Read a measured weather trace from a CSV file.
 
     Expected header: ``timestamp,irradiance_wm2,temp_c`` with ISO-8601
-    timestamps at a uniform spacing, which becomes the series' step.
+    timestamps at a uniform spacing, which becomes the series' step. A
+    timestamp without an offset is read as UTC, so the step does not depend
+    on the machine's time zone or its daylight saving changes. Blank rows are
+    skipped; the first faulty row is named with its first fault.
     """
     path = Path(path)
-    times: list[datetime] = []
-    irr: list[float] = []
-    temp: list[float] = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -99,35 +103,40 @@ def load_weather(path: str | Path) -> WeatherSeries:
             raise WeatherFormatError(
                 f"{path}: expected header {','.join(WEATHER_CSV_COLUMNS)}, got {','.join(header)}"
             )
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != 3:
-                raise WeatherFormatError(f"{path}: row {lineno}: expected 3 fields, got {len(row)}")
-            for col_name, cell in zip(WEATHER_CSV_COLUMNS, row):
-                if not cell.strip():
-                    raise WeatherFormatError(
-                        f"{path}: row {lineno}: missing value in column '{col_name}'"
-                    )
-            try:
-                times.append(datetime.fromisoformat(row[0].strip()))
-            except ValueError:
-                raise WeatherFormatError(
-                    f"{path}: row {lineno}: bad value in column 'timestamp': {row[0]!r}"
-                ) from None
-            for col_name, cell, dest in (
-                ("irradiance_wm2", row[1], irr),
-                ("temp_c", row[2], temp),
-            ):
-                try:
-                    dest.append(float(cell))
-                except ValueError:
-                    raise WeatherFormatError(
-                        f"{path}: row {lineno}: bad value in column '{col_name}': {cell!r}"
-                    ) from None
+        records = list(reader)
+    # a row's line is its place among the records, the header being line 1
+    blank = np.fromiter(map(operator.not_, map(str.strip, map("".join, records))), dtype=bool,
+                        count=len(records))
+    lineno = np.flatnonzero(~blank) + 2
+    rows = list(compress(records, ~blank))
+
+    # each check runs on whole columns, up to the first row that is not
+    # three fields wide; a fault is (row, the check's place in the order a
+    # row is checked, message), so the least is the one to report
+    width = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    faults: list[tuple[int, int, str]] = []
+    if np.any(width != 3):
+        k = int(np.argmax(width != 3))
+        faults.append((k, 0, f"expected 3 fields, got {width[k]}"))
+    checked = rows[: faults[0][0]] if faults else rows
+    columns = [list(map(operator.itemgetter(j), checked)) for j in range(3)]
+    stripped = [list(map(str.strip, cells)) for cells in columns]
+    for stage, (col_name, values) in enumerate(zip(WEATHER_CSV_COLUMNS, stripped), start=1):
+        missing = np.fromiter(map(operator.not_, values), dtype=bool, count=len(values))
+        if missing.any():
+            message = f"missing value in column '{col_name}'"
+            faults.append((int(np.argmax(missing)), stage, message))
+    times, irr, temp = (
+        _converted(convert, stripped[j], columns[j], j, faults)
+        for j, convert in enumerate((datetime.fromisoformat, float, float))
+    )
+    if faults:
+        k, _, message = min(faults)
+        raise WeatherFormatError(f"{path}: row {lineno[k]}: {message}")
+
     if len(times) < 2:
         raise WeatherFormatError(f"{path}: need at least 2 data rows, got {len(times)}")
-    steps = np.diff([t.timestamp() for t in times])
+    steps = np.diff(_utc_seconds(times))
     step = steps[0]
     if step <= 0:
         raise WeatherFormatError(f"{path}: timestamps must be strictly increasing")
@@ -146,6 +155,36 @@ def load_weather(path: str | Path) -> WeatherSeries:
         )
     except ValueError as exc:
         raise WeatherFormatError(f"{path}: {exc}") from None
+
+
+def _converted(convert, values: list[str], cells: list[str], j: int, faults: list) -> list:
+    """``convert`` of each of ``values``, the stripped ``cells`` of column
+    ``j``. If it rejects one, the first such fault, which a row meets after
+    its missing-value checks, is added to ``faults`` and the list is empty."""
+    try:
+        return list(map(convert, values))
+    except ValueError:
+        for k, value in enumerate(values):
+            try:
+                convert(value)
+            except ValueError:
+                col_name = WEATHER_CSV_COLUMNS[j]
+                faults.append((k, 4 + j, f"bad value in column '{col_name}': {cells[k]!r}"))
+                return []
+        raise
+
+
+def _utc_seconds(times: list[datetime]) -> np.ndarray:
+    """POSIX seconds of each time: a naive one read as UTC, an aware one by
+    its offset."""
+    aware = np.fromiter(map(operator.is_not, map(datetime.utcoffset, times), repeat(None)),
+                        dtype=bool, count=len(times))
+    out = np.empty(len(times))
+    for part, epoch in ((~aware, _EPOCH), (aware, _EPOCH.replace(tzinfo=timezone.utc))):
+        since = map(operator.sub, compress(times, part), repeat(epoch))
+        out[part] = np.fromiter(map(timedelta.total_seconds, since), dtype=float,
+                                count=int(np.count_nonzero(part)))
+    return out
 
 
 def synth_weather(days: int, seed: int, variability: float) -> WeatherSeries:

@@ -13,7 +13,9 @@ CPLEX file-format documentation):
 Transcribed field by field; the parse assertions below restate that LP.
 """
 
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +23,11 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pvsmooth.lp.mps as mps
+from pvsmooth.cli import build_power_series
+from pvsmooth.config import load_run_config
 from pvsmooth.errors import MpsFormatError
+from pvsmooth.formulation import build_case
 from pvsmooth.lp import build_problem, parse_mps, read_mps, render_mps, solve, write_mps
 
 INF = math.inf
@@ -47,6 +53,18 @@ BOUNDS
  LO BND1      X2             -1.0
 ENDATA
 """
+
+
+#: one- and two-line blocks, which put nearly every pair of lines in
+#: different blocks, and the module's own size
+BLOCK_SIZES = [1, 2, mps._BLOCK_LINES]
+
+
+@pytest.fixture(params=BLOCK_SIZES)
+def block_lines(request, monkeypatch):
+    """MPS text is written and read in blocks of this many lines."""
+    monkeypatch.setattr(mps, "_BLOCK_LINES", request.param)
+    return request.param
 
 
 def sample_problem():
@@ -186,12 +204,16 @@ class TestRoundTrip:
                 zip(rp.cols.tolist(), rp.vals.tolist())
             )
 
+    # patched in the body, as hypothesis runs every example in one call
+    @pytest.mark.parametrize("size", BLOCK_SIZES)
     @settings(max_examples=150, deadline=None)
-    @given(small_lps())
-    def test_round_trip_is_exact(self, p):
-        text = render_mps(p)
-        q = parse_mps(text)
-        assert render_mps(q) == text
+    @given(p=small_lps())
+    def test_round_trip_is_exact(self, size, p):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mps, "_BLOCK_LINES", size)
+            text = render_mps(p)
+            q = parse_mps(text)
+            assert render_mps(q) == text
         assert (q.sense, q.n_vars, q.relations) == (p.sense, p.n_vars, p.relations)
         # the writer leaves zero costs, right-hand sides, offsets and lower
         # bounds out whatever their sign, and a fixed bound takes the sign of
@@ -223,6 +245,22 @@ class TestRoundTrip:
         q = read_mps(path)
         assert q.n_vars == p.n_vars
         assert solve(q).objective_value == pytest.approx(solve(p).objective_value)
+
+    def test_file_holds_the_rendered_text(self, tmp_path, block_lines):
+        path = tmp_path / "sample.mps"
+        for p in (sample_problem(), parse_mps(TESTPROB)):
+            write_mps(p, path)
+            text = render_mps(p)
+            assert path.read_bytes() == text.encode("ascii")
+            assert render_mps(read_mps(path)) == text
+
+    def test_column_that_comes_back(self, block_lines):
+        # X1's lines resume after X3's: its new entry joins its column
+        text = TESTPROB.replace("RHS\n", "    X1        MYEQN           2.0\nRHS\n", 1)
+        p = parse_mps(text)
+        assert p.col_names == ("X1", "X2", "X3")
+        myeqn = p.rows[2]
+        assert dict(zip(myeqn.cols.tolist(), myeqn.vals.tolist())) == {0: 2.0, 1: -1.0, 2: 1.0}
 
     def test_fallback_names_skip_names_in_use(self):
         # "!" sanitises to nothing; its fallback C0000002 is the first
@@ -303,6 +341,7 @@ class TestFormatDetails:
                 assert len(line) <= 61
 
 
+@pytest.mark.usefixtures("block_lines")
 class TestParseErrors:
     def test_missing_columns_section(self):
         with pytest.raises(MpsFormatError, match="COLUMNS"):
@@ -349,6 +388,15 @@ class TestParseErrors:
              "line 11: expected name/value pairs, got 1 fields"),
             # a bad bound value is reported like any other bad number
             ("X1              4.0", "X1              4.x", "line 17: bad numeric field '4.x'"),
+            # X1 comes back after X3, several lines and blocks after its
+            # first entry in that row, or its objective entry
+            ("X3        COST           -1.0   MYEQN           1.0",
+             "X3        COST           -1.0   MYEQN           1.0\n    X1        LIM1  5.0",
+             "line 13: duplicate entry 'X1' in row 'LIM1'"),
+            ("X3        COST           -1.0   MYEQN           1.0",
+             "X3        COST           -1.0   MYEQN           1.0\n    X1        COST  5.0",
+             "line 13: duplicate objective entry for 'X1'"),
+            ("E  MYEQN", "E  MYEQN\n L  LIM1", "line 7: duplicate row 'LIM1'"),
         ],
     )
     def test_fault_names_its_line(self, old, new, message):
@@ -373,3 +421,50 @@ class TestParseErrors:
         with pytest.raises(MpsFormatError) as err:
             parse_mps(bad)
         assert str(err.value) == "line 9: bad numeric field '1.y'"
+
+    def test_non_ascii_byte_names_its_line(self, tmp_path):
+        path = tmp_path / "accent.mps"
+        path.write_bytes(TESTPROB.replace("LIM2", "Ré").encode("utf-8"))
+        with pytest.raises(MpsFormatError) as err:
+            read_mps(path)
+        assert str(err.value) == "line 5: non-ASCII byte 0xc3"
+
+    def test_fault_before_a_non_ascii_byte_comes_first(self, tmp_path):
+        path = tmp_path / "accent.mps"
+        text = TESTPROB.replace("X1        LIM2            1.0", "X1        LIM2            1.x")
+        text = text.replace("LIM1            4.0", "LIMé            4.0")
+        path.write_bytes(text.encode("utf-8"))
+        with pytest.raises(MpsFormatError) as err:
+            read_mps(path)
+        assert str(err.value) == "line 9: bad numeric field '1.x'"
+
+
+#: the most a traced write or read may allocate at once, per byte of file
+PEAK_PER_FILE_BYTE = 5.0
+
+
+def test_peak_memory_follows_the_block_not_the_file(tmp_path, monkeypatch):
+    """Writing or reading an MPS file holds about one block's text and
+    tokens beyond the problem, not the whole file: at 14 days the case D
+    file spans ten 4,096-line blocks, and a whole-text writer or reader
+    allocates 7 to 12 times the file size at once."""
+    monkeypatch.setattr(mps, "_BLOCK_LINES", 4096)
+    config_path = tmp_path / "run.json"
+    config_path.write_text(json.dumps({"weather": {"synthetic": {"days": 14}}}))
+    config = load_run_config(config_path)
+    problem = build_case("D", build_power_series(config), config.battery, config.econ,
+                         config.constraints, diesel=config.diesel).problem
+    path = tmp_path / "case_D.mps"
+    peaks = []
+    for step in (lambda: write_mps(problem, path), lambda: read_mps(path)):
+        tracemalloc.start()
+        try:
+            step()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert path.read_text().count("\n") > 8 * 4096
+    write_peak, read_peak = peaks
+    size = path.stat().st_size
+    assert write_peak < PEAK_PER_FILE_BYTE * size
+    assert read_peak < PEAK_PER_FILE_BYTE * size

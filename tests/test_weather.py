@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -76,6 +78,33 @@ class TestLoadWeather:
         p = write_csv(tmp_path, ["2024-06-01T10:00:00,800,25"])
         with pytest.raises(WeatherFormatError, match="at least 2"):
             load_weather(p)
+
+    @pytest.mark.skipif(not hasattr(time, "tzset"), reason="needs time.tzset")
+    def test_naive_timestamps_are_utc_across_a_dst_change(self, tmp_path, monkeypatch):
+        # Central European time, which springs forward at 02:00 on the last
+        # Sunday of March: read as local time, 01:50 to 03:00 is 10 minutes
+        monkeypatch.setenv("TZ", "CET-1CEST,M3.5.0,M10.5.0/3")
+        time.tzset()
+        try:
+            p = write_csv(tmp_path, [
+                f"2024-03-31T{h:02d}:{m:02d}:00,0,5" for h in range(1, 4) for m in range(0, 60, 10)
+            ])
+            w = load_weather(p)
+        finally:
+            monkeypatch.undo()
+            time.tzset()
+        assert len(w) == 18
+        assert w.step_hours == pytest.approx(1.0 / 6.0)
+
+    def test_aware_timestamps_are_read_by_their_offset(self, tmp_path):
+        p = write_csv(tmp_path, [
+            "2024-06-01T12:00:00+02:00,800,25",
+            "2024-06-01T11:10:00+01:00,810,25",
+            "2024-06-01T10:20:00+00:00,820,25",
+        ])
+        w = load_weather(p)
+        assert len(w) == 3
+        assert w.step_hours == pytest.approx(1.0 / 6.0)
 
 
 class TestSynthWeather:
