@@ -14,6 +14,7 @@ import logging
 import math
 import os
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -34,7 +35,7 @@ from .formulation import (
 from .lp import LpSolution, solve, write_mps
 from .pvmodel import PowerSeries, pv_power
 from .validation import NESTED_PAIRS, ValidationReport, check_dispatch, compare_cases
-from .weather import filter_low_irradiance, load_weather, synth_weather
+from .weather import filter_low_irradiance, load_weather, read_table, synth_weather
 
 log = logging.getLogger("pvsmooth")
 
@@ -119,49 +120,29 @@ def solve_case(
     return CaseRecord(label, solution, dispatch, report, start_label)
 
 
-def write_dispatch_csv(path: Path, sol: DispatchSolution) -> None:
+def _write_table(
+    path: Path, header: Sequence[str], steps: np.ndarray, series: Sequence[np.ndarray]
+) -> None:
+    """A CSV table of the integer ``steps`` and then each of ``series`` at
+    12 significant digits."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(DISPATCH_COLUMNS)
-        for k in range(len(sol.steps)):
-            writer.writerow(
-                [int(sol.steps[k])]
-                + [
-                    _fmt(v)
-                    for v in (
-                        sol.p_pv[k], sol.p_grid[k], sol.p_batt[k],
-                        sol.e_batt[k], sol.p_curt[k], sol.p_diesel[k],
-                    )
-                ]
-            )
+        writer.writerow(header)
+        writer.writerows(zip(map(int, steps), *(map(_fmt, values) for values in series)))
+
+
+def write_dispatch_csv(path: Path, sol: DispatchSolution) -> None:
+    _write_table(path, DISPATCH_COLUMNS, sol.steps,
+                 [getattr(sol, name) for name in DISPATCH_COLUMNS[1:]])
 
 
 def read_dispatch_csv(path: Path) -> dict:
     if not Path(path).exists():
         raise ConfigError(f"dispatch file not found: {path}")
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != DISPATCH_COLUMNS:
-            raise ConfigError(
-                f"{path}: expected header {','.join(DISPATCH_COLUMNS)}"
-            )
-        rows = [row for row in reader if row]
-    if not rows:
+    values, lines = read_table(path, DISPATCH_COLUMNS, (int,) + (float,) * 6, ConfigError)
+    if not len(lines):
         raise ConfigError(f"{path}: no dispatch rows")
-    try:
-        data = np.array([[float(v) for v in row] for row in rows])
-    except ValueError as exc:
-        raise ConfigError(f"{path}: non-numeric value: {exc}") from None
-    return {
-        "steps": data[:, 0].astype(int),
-        "p_pv": data[:, 1],
-        "p_grid": data[:, 2],
-        "p_batt": data[:, 3],
-        "e_batt": data[:, 4],
-        "p_curt": data[:, 5],
-        "p_diesel": data[:, 6],
-    }
+    return dict(zip(("steps",) + DISPATCH_COLUMNS[1:], map(np.asarray, values)))
 
 
 def _case_summary(record: CaseRecord) -> dict:
@@ -223,13 +204,12 @@ def write_injection_csv(path: Path, records: list[CaseRecord]) -> None:
     if not written:
         return
     first = written[0].dispatch
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "p_pv"] + [f"p_grid_{r.label}" for r in written])
-        for k in range(len(first.steps)):
-            row = [int(first.steps[k]), _fmt(first.p_pv[k])]
-            row += [_fmt(r.dispatch.p_grid[k]) for r in written]
-            writer.writerow(row)
+    _write_table(
+        path,
+        ["step", "p_pv"] + [f"p_grid_{r.label}" for r in written],
+        first.steps,
+        [first.p_pv] + [r.dispatch.p_grid for r in written],
+    )
 
 
 def cmd_run(config: RunConfig) -> int:

@@ -35,11 +35,16 @@ from scipy.sparse.linalg import splu
 from ..errors import SolveStatusError
 from .problem import LpBasis, LpProblem, LpSolution, evaluate_residuals, objective_value
 
+# variable statuses, numbered 0-4 because _PRICE_SIGN is indexed by them
 AT_LOWER = 0
 AT_UPPER = 1
 BASIC = 2
 FREE = 3
 FIXED = 4
+
+#: by status, the sign that turns a reduced cost into the rate at which the
+#: objective improves as the column leaves its bound (0: it cannot leave)
+_PRICE_SIGN = np.array([-1.0, 1.0, 0.0, 0.0, 0.0])
 
 #: phase-1 infeasibility above this, times (1 + max|b|), means infeasible
 FEASIBILITY_TOL = 1e-7
@@ -433,13 +438,8 @@ class _State:
         return c_work - self.At @ y
 
     def _choose_entering(self, d: np.ndarray, bland: bool, otol: float) -> int:
-        viol = np.zeros(self.n_total)
-        at_lo = self.vstat == AT_LOWER
-        at_up = self.vstat == AT_UPPER
-        free = self.vstat == FREE
-        viol[at_lo] = -d[at_lo]
-        viol[at_up] = d[at_up]
-        viol[free] = np.abs(d[free])
+        # a free column moves whichever way improves the objective
+        viol = np.where(self.vstat == FREE, np.abs(d), _PRICE_SIGN[self.vstat] * d)
         eligible = viol > otol
         if not np.any(eligible):
             return -1
@@ -466,9 +466,8 @@ class _State:
             q = self._choose_entering(d, bland, otol)
             if q == -1:
                 return "optimal"
-            direction = 1.0
-            if self.vstat[q] == AT_UPPER or (self.vstat[q] == FREE and d[q] > 0):
-                direction = -1.0
+            # an eligible q at its lower bound has d[q] < 0, at its upper d[q] > 0
+            direction = -1.0 if d[q] > 0 else 1.0
 
             w = self.factor.ftran(self.factor.column(q))
 
@@ -484,10 +483,10 @@ class _State:
 
             t_min = float(np.min(t_cand, initial=np.inf))
             lo_q, hi_q = self.lo[q], self.hi[q]
-            t_flip = hi_q - lo_q if np.isfinite(lo_q) and np.isfinite(hi_q) else np.inf
+            t_flip = hi_q - lo_q  # inf unless both bounds are finite
 
             if t_flip <= t_min:
-                if not np.isfinite(t_flip):
+                if t_flip == np.inf:
                     return "unbounded" if phase == 2 else self._phase1_unbounded()
                 self.x[self.basis] -= t_flip * direction * w
                 self.x_factored = False
@@ -498,8 +497,6 @@ class _State:
                     self.x[q] = lo_q
                     self.vstat[q] = AT_LOWER
             else:
-                if not np.isfinite(t_min):
-                    return "unbounded" if phase == 2 else self._phase1_unbounded()
                 # every candidate has |w[r]| > PIVOT_TOL, so each one pivots
                 cand = moving[t_cand <= t_min + 1e-9 * (1.0 + t_min)]
                 if bland:

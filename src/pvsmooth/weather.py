@@ -1,5 +1,5 @@
 """Weather input series: CSV ingestion, a seeded synthetic generator and
-low-irradiance masking.
+low-irradiance masking. The CSV table reader also reads dispatch files.
 
 A :class:`WeatherSeries` keeps every sample it was built from; masking a
 sample (night, heavy overcast) clears its ``active`` flag instead of deleting
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import operator
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from itertools import compress, repeat
@@ -72,15 +73,6 @@ class WeatherSeries:
     def __len__(self) -> int:
         return len(self.irradiance)
 
-    @property
-    def total_hours(self) -> float:
-        """Wall-clock span covered by the trace, nights included."""
-        return len(self) * self.step_hours
-
-    @property
-    def n_active(self) -> int:
-        return int(np.count_nonzero(self.active))
-
 
 def load_weather(path: str | Path) -> WeatherSeries:
     """Read a measured weather trace from a CSV file.
@@ -89,51 +81,12 @@ def load_weather(path: str | Path) -> WeatherSeries:
     timestamps at a uniform spacing, which becomes the series' step. A
     timestamp without an offset is read as UTC, so the step does not depend
     on the machine's time zone or its daylight saving changes. Blank rows are
-    skipped; the first faulty row is named with its first fault.
+    skipped; a fault names its row by its line in the file.
     """
     path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise WeatherFormatError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        if tuple(header) != WEATHER_CSV_COLUMNS:
-            raise WeatherFormatError(
-                f"{path}: expected header {','.join(WEATHER_CSV_COLUMNS)}, got {','.join(header)}"
-            )
-        records = list(reader)
-    # a row's line is its place among the records, the header being line 1
-    blank = np.fromiter(map(operator.not_, map(str.strip, map("".join, records))), dtype=bool,
-                        count=len(records))
-    lineno = np.flatnonzero(~blank) + 2
-    rows = list(compress(records, ~blank))
-
-    # each check runs on whole columns, up to the first row that is not
-    # three fields wide; a fault is (row, the check's place in the order a
-    # row is checked, message), so the least is the one to report
-    width = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
-    faults: list[tuple[int, int, str]] = []
-    if np.any(width != 3):
-        k = int(np.argmax(width != 3))
-        faults.append((k, 0, f"expected 3 fields, got {width[k]}"))
-    checked = rows[: faults[0][0]] if faults else rows
-    columns = [list(map(operator.itemgetter(j), checked)) for j in range(3)]
-    stripped = [list(map(str.strip, cells)) for cells in columns]
-    for stage, (col_name, values) in enumerate(zip(WEATHER_CSV_COLUMNS, stripped), start=1):
-        missing = np.fromiter(map(operator.not_, values), dtype=bool, count=len(values))
-        if missing.any():
-            message = f"missing value in column '{col_name}'"
-            faults.append((int(np.argmax(missing)), stage, message))
-    times, irr, temp = (
-        _converted(convert, stripped[j], columns[j], j, faults)
-        for j, convert in enumerate((datetime.fromisoformat, float, float))
+    (times, irr, temp), lines = read_table(
+        path, WEATHER_CSV_COLUMNS, (datetime.fromisoformat, float, float), WeatherFormatError
     )
-    if faults:
-        k, _, message = min(faults)
-        raise WeatherFormatError(f"{path}: row {lineno[k]}: {message}")
-
     if len(times) < 2:
         raise WeatherFormatError(f"{path}: need at least 2 data rows, got {len(times)}")
     steps = np.diff(_utc_seconds(times))
@@ -144,7 +97,7 @@ def load_weather(path: str | Path) -> WeatherSeries:
     if off.size:
         k = int(off[0])
         raise WeatherFormatError(
-            f"{path}: non-uniform timestep between rows {k + 2} and {k + 3}: "
+            f"{path}: non-uniform timestep between rows {lines[k]} and {lines[k + 1]}: "
             f"expected {step:.0f} s, got {steps[k]:.0f} s"
         )
     try:
@@ -157,21 +110,66 @@ def load_weather(path: str | Path) -> WeatherSeries:
         raise WeatherFormatError(f"{path}: {exc}") from None
 
 
-def _converted(convert, values: list[str], cells: list[str], j: int, faults: list) -> list:
-    """``convert`` of each of ``values``, the stripped ``cells`` of column
-    ``j``. If it rejects one, the first such fault, which a row meets after
-    its missing-value checks, is added to ``faults`` and the list is empty."""
+def read_table(
+    path: str | Path,
+    columns: tuple[str, ...],
+    converters: tuple[Callable[[str], object], ...],
+    error: type[Exception],
+) -> tuple[list[list], np.ndarray]:
+    """Read a CSV table with the header ``columns``.
+
+    Returns the values of each column, each stripped cell passed through the
+    column's converter, and the file line of each row, the header being line
+    1. Rows with no text are skipped. An empty file, another header or a
+    faulty row raises ``error``; a faulty row is the first one, named by its
+    line with its first fault as :func:`_row_fault` finds it.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise error(f"{path}: empty file")
+        header = [h.strip() for h in header]
+        if tuple(header) != columns:
+            raise error(f"{path}: expected header {','.join(columns)}, got {','.join(header)}")
+        records = list(reader)
+    text = np.fromiter(map(bool, map(str.strip, map("".join, records))), dtype=bool,
+                       count=len(records))
+    lines = np.flatnonzero(text) + 2
+    rows = list(compress(records, text))
     try:
-        return list(map(convert, values))
+        if set(map(len, rows)) - {len(columns)}:
+            raise ValueError("a row of another width")
+        values = [
+            list(map(convert, map(str.strip, map(operator.itemgetter(j), rows))))
+            for j, convert in enumerate(converters)
+        ]
     except ValueError:
-        for k, value in enumerate(values):
-            try:
-                convert(value)
-            except ValueError:
-                col_name = WEATHER_CSV_COLUMNS[j]
-                faults.append((k, 4 + j, f"bad value in column '{col_name}': {cells[k]!r}"))
-                return []
+        # the columns are converted whole; only a fault takes the rows one by one
+        for line, row in zip(lines, rows):
+            fault = _row_fault(row, columns, converters)
+            if fault:
+                raise error(f"{path}: row {line}: {fault}") from None
         raise
+    return values, lines
+
+
+def _row_fault(
+    row: list[str], columns: tuple[str, ...], converters: tuple[Callable[[str], object], ...]
+) -> str | None:
+    """The first fault of ``row``: its width, then a missing cell, then a
+    cell its column's converter rejects."""
+    if len(row) != len(columns):
+        return f"expected {len(columns)} fields, got {len(row)}"
+    for name, cell in zip(columns, row):
+        if not cell.strip():
+            return f"missing value in column '{name}'"
+    for name, convert, cell in zip(columns, converters, row):
+        try:
+            convert(cell.strip())
+        except ValueError:
+            return f"bad value in column '{name}': {cell!r}"
+    return None
 
 
 def _utc_seconds(times: list[datetime]) -> np.ndarray:
@@ -239,19 +237,15 @@ def synth_weather(days: int, seed: int, variability: float) -> WeatherSeries:
     )
 
 
-def filter_low_irradiance(
-    weather: WeatherSeries, threshold: float = LOW_IRRADIANCE_WM2
-) -> WeatherSeries:
-    """Mask samples below ``threshold`` W/m^2 out of the optimization horizon.
+def filter_low_irradiance(weather: WeatherSeries) -> WeatherSeries:
+    """Mask samples below ``LOW_IRRADIANCE_WM2`` out of the optimization horizon.
 
     Samples are marked inactive, not deleted, so block structure (contiguous
     runs of retained samples) survives for the ramp constraints. Idempotent.
     """
-    if threshold < 0:
-        raise ValueError(f"threshold must be >= 0, got {threshold}")
     return WeatherSeries(
         step_hours=weather.step_hours,
         irradiance=weather.irradiance,
         ambient_temp=weather.ambient_temp,
-        active=weather.active & (weather.irradiance >= threshold),
+        active=weather.active & (weather.irradiance >= LOW_IRRADIANCE_WM2),
     )

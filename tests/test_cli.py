@@ -8,10 +8,12 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pvsmooth import cli
-from pvsmooth.cli import main
+from pvsmooth.cli import DISPATCH_COLUMNS, main
+from pvsmooth.formulation import DispatchSolution
 from pvsmooth.lp import parse_mps, simplex, solve
 
 FLAT_HEADER = "timestamp,irradiance_wm2,temp_c\n"
@@ -250,6 +252,36 @@ class TestValidateSubcommand:
 
     def test_missing_csv_exits_2(self, flat_config, tmp_path):
         assert main(["validate", str(flat_config), str(tmp_path / "gone.csv")]) == 2
+
+    @pytest.mark.parametrize("row, message", [
+        ("1.5,1,1,0,0,0,0", "row 3: bad value in column 'step': '1.5'"),
+        ("1,1,1,0,0,0", "row 3: expected 7 fields, got 6"),
+    ])
+    def test_faulty_row_is_named(self, flat_config, tmp_path, capsys, row, message):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(",".join(DISPATCH_COLUMNS) + "\n0,1,1,0,0,0,0\n" + row + "\n")
+        assert main(["validate", str(flat_config), str(bad)]) == 2
+        assert capsys.readouterr().err == f"config error: {bad}: {message}\n"
+
+
+def test_dispatch_csv_round_trip(tmp_path):
+    rng = np.random.default_rng(5)
+    n = 40
+    series = {
+        name: rng.normal(size=n) * 10.0 ** rng.integers(-12, 13, size=n)
+        for name in DISPATCH_COLUMNS[1:]
+    }
+    series["p_curt"][:3] = [0.0, -0.0, 1.0 / 3.0]
+    sol = DispatchSolution(
+        steps=np.arange(7, 7 + n), **series, p_batt_max=1.0, e_batt_max=1.0,
+        p_diesel_max=0.0, net_benefit=0.0, diesel_energy=0.0,
+    )
+    path = tmp_path / "case_A_dispatch.csv"
+    cli.write_dispatch_csv(path, sol)
+    back = cli.read_dispatch_csv(path)
+    assert back["steps"].tolist() == sol.steps.tolist()
+    for name, values in series.items():
+        assert back[name].tolist() == [float(f"{v:.12g}") for v in values], name
 
 
 class TestExportMps:

@@ -1,16 +1,22 @@
+import tempfile
 import time
+from datetime import datetime
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pvsmooth.errors import WeatherFormatError
+from pvsmooth.cli import DISPATCH_COLUMNS, read_dispatch_csv
+from pvsmooth.errors import ConfigError, WeatherFormatError
 from pvsmooth.weather import (
     DEFAULT_STEP_HOURS,
+    WEATHER_CSV_COLUMNS,
     WeatherSeries,
     filter_low_irradiance,
     load_weather,
+    read_table,
     synth_weather,
 )
 
@@ -34,7 +40,7 @@ class TestLoadWeather:
         assert w.irradiance[1] == 820.0
         assert w.ambient_temp[2] == 25.1
         assert w.active.all()
-        assert w.total_hours == pytest.approx(0.5)
+        assert len(w) * w.step_hours == pytest.approx(0.5)
 
     def test_wrong_header_is_rejected(self, tmp_path):
         p = write_csv(tmp_path, ["2024-06-01T10:00:00,1,2"], header="time,ghi,temp")
@@ -65,6 +71,26 @@ class TestLoadWeather:
         ])
         with pytest.raises(WeatherFormatError, match=r"rows 3 and 4"):
             load_weather(p)
+
+    def test_gap_after_blank_rows_names_file_lines(self, tmp_path):
+        p = tmp_path / "weather.csv"
+        p.write_text(
+            "timestamp,irradiance_wm2,temp_c\n"
+            "2024-06-01T10:00:00,800,25\n"
+            "\n"
+            "\n"
+            "2024-06-01T10:10:00,810,25\n"
+            "2024-06-01T10:25:00,820,25\n"
+        )
+        with pytest.raises(WeatherFormatError, match=r"between rows 5 and 6: expected 600 s, got 900 s"):
+            load_weather(p)
+
+    def test_empty_file_is_named(self, tmp_path):
+        p = tmp_path / "weather.csv"
+        p.write_text("")
+        with pytest.raises(WeatherFormatError) as exc:
+            load_weather(p)
+        assert str(exc.value) == f"{p}: empty file"
 
     def test_negative_irradiance_rejected(self, tmp_path):
         p = write_csv(tmp_path, [
@@ -107,6 +133,88 @@ class TestLoadWeather:
         assert w.step_hours == pytest.approx(1.0 / 6.0)
 
 
+# per table: the public reader, its columns, the converters it reads them
+# with, its exception type, and a good and a bad cell for each column
+TABLES = {
+    "weather": (
+        load_weather, WEATHER_CSV_COLUMNS, (datetime.fromisoformat, float, float),
+        WeatherFormatError, ["2024-06-01T10:00:00", "800.5", "25"], ["10 am", "n/a", "1e"],
+    ),
+    "dispatch": (
+        read_dispatch_csv, DISPATCH_COLUMNS, (int,) + (float,) * 6,
+        ConfigError, ["3"] + ["1.25"] * 6, ["1.5"] + ["x"] * 6,
+    ),
+}
+
+
+@st.composite
+def tables(draw, width, good, bad):
+    """Rows of cells: mostly good, with blank rows, missing and bad cells and
+    rows of another width mixed in."""
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["good", "good", "blank", "cells", "cells", "width"]))
+        if kind == "blank":
+            rows.append(draw(st.lists(st.sampled_from(["", " "]), max_size=3)))
+            continue
+        if kind == "width":
+            n = draw(st.integers(1, width + 2).filter(lambda n: n != width))
+            rows.append([good[j % width] for j in range(n)])
+            continue
+        row = [" " + cell if draw(st.booleans()) else cell for cell in good]
+        if kind == "cells":
+            row = [draw(st.sampled_from([cell, cell, "", "  ", bad[j]])) for j, cell in enumerate(row)]
+        rows.append(row)
+    return rows
+
+
+class TestReadTable:
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), name=st.sampled_from(sorted(TABLES)))
+    def test_first_faulty_line_and_fault(self, data, name):
+        reader, columns, converters, error, good, bad = TABLES[name]
+        rows = data.draw(tables(len(columns), good, bad))
+        # the reference: a plain loop over the file's lines
+        expected = None
+        lines, values = [], [[] for _ in columns]
+        for line, row in enumerate(rows, start=2):
+            if not "".join(row).strip():
+                continue
+            if len(row) != len(columns):
+                expected = f"row {line}: expected {len(columns)} fields, got {len(row)}"
+            else:
+                missing = [c for c, cell in zip(columns, row) if not cell.strip()]
+                if missing:
+                    expected = f"row {line}: missing value in column '{missing[0]}'"
+            for j, (col, convert, cell) in enumerate(zip(columns, converters, row)):
+                if expected:
+                    break
+                try:
+                    values[j].append(convert(cell.strip()))
+                except ValueError:
+                    expected = f"row {line}: bad value in column '{col}': {cell!r}"
+            if expected:
+                break
+            lines.append(line)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / f"{name}.csv"
+            path.write_text("\n".join([",".join(columns)] + [",".join(r) for r in rows]) + "\n")
+            if expected:
+                with pytest.raises(error) as exc:
+                    reader(path)
+                assert str(exc.value) == f"{path}: {expected}"
+            else:
+                got, got_lines = read_table(path, columns, converters, error)
+                assert got == values
+                assert got_lines.tolist() == lines
+
+    def test_header_cells_are_stripped(self, tmp_path):
+        p = write_csv(tmp_path, ["1,2,3"], header=" timestamp , irradiance_wm2,temp_c")
+        values, lines = read_table(p, WEATHER_CSV_COLUMNS, (int, int, int), ValueError)
+        assert values == [[1], [2], [3]]
+        assert lines.tolist() == [2]
+
+
 class TestSynthWeather:
     def test_deterministic_per_seed(self):
         a = synth_weather(2, seed=11, variability=0.5)
@@ -120,7 +228,7 @@ class TestSynthWeather:
         w = synth_weather(3, seed=1, variability=0.3)
         assert len(w) == 3 * 144
         assert w.step_hours == DEFAULT_STEP_HOURS
-        assert w.total_hours == pytest.approx(72.0)
+        assert len(w) * w.step_hours == pytest.approx(72.0)
 
     def test_clear_sky_envelope(self):
         # variability 0 gives the pure half-sine day: zero at night, peak at noon
@@ -163,7 +271,7 @@ class TestFilterLowIrradiance:
     def test_masks_night_samples(self):
         w = synth_weather(1, seed=3, variability=0.2)
         f = filter_low_irradiance(w)
-        assert f.n_active < len(f)
+        assert np.count_nonzero(f.active) < len(f)
         assert np.all(f.irradiance[f.active] >= 2.0)
         assert np.all(~f.active[f.irradiance < 2.0])
         # the underlying samples are kept, only the mask narrows
@@ -175,16 +283,6 @@ class TestFilterLowIrradiance:
         once = filter_low_irradiance(w)
         twice = filter_low_irradiance(once)
         np.testing.assert_array_equal(once.active, twice.active)
-
-    def test_custom_threshold(self):
-        w = synth_weather(1, seed=3, variability=0.0)
-        f = filter_low_irradiance(w, threshold=500.0)
-        assert np.all(w.irradiance[f.active] >= 500.0)
-
-    def test_masks_compose(self):
-        w = synth_weather(1, seed=3, variability=0.0)
-        f = filter_low_irradiance(filter_low_irradiance(w, threshold=500.0))
-        assert f.n_active == filter_low_irradiance(w, threshold=500.0).n_active
 
 
 class TestWeatherSeries:
