@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, load_run_config
+from .config import RUN_CASES, RunConfig, load_run_config
 from .economics import BatterySpec, DieselSpec
 from .errors import ConfigError, PvSmoothError, SolveStatusError
 from .formulation import (
@@ -214,18 +214,17 @@ def write_injection_csv(path: Path, records: list[CaseRecord]) -> None:
 
 def cmd_run(config: RunConfig) -> int:
     pv = build_power_series(config)
-    selected = [c for c in config.cases if c in CASE_IDS or c == "baseline"]
     records: dict[str, CaseRecord] = {}
     # solved in A-D order, a case starts from the optimum of the last case it
     # extends (B and C from A, D from C), which is a feasible point of it
-    for label in sorted(selected, key=(*CASE_IDS, "baseline").index):
+    for label in sorted(config.cases, key=RUN_CASES.index):
         extended = [
             records[lo] for lo, hi in NESTED_PAIRS
             if hi == label and lo in records and records[lo].solution.basis is not None
         ]
         records[label] = solve_case(label, config, pv, start=extended[-1] if extended else None)
 
-    smoothing = [c for c in selected if c in CASE_IDS]
+    smoothing = [c for c in config.cases if c in CASE_IDS]
     baseline = records.get("baseline")
     if baseline is None and smoothing:
         # the comparison needs the unconstrained revenue even when the
@@ -246,7 +245,7 @@ def cmd_run(config: RunConfig) -> int:
 
     exit_code = 0 if all(rec.ok for rec in records.values()) else 1
 
-    if smoothing and baseline is not None and baseline.dispatch is not None:
+    if smoothing and baseline.dispatch is not None:
         solved = {
             c: records[c].dispatch for c in smoothing if records[c].dispatch is not None
         }
@@ -269,36 +268,21 @@ def cmd_run(config: RunConfig) -> int:
             (out / "comparison.txt").write_text(comparison.as_text() + "\n")
             summary["baseline_net_benefit"] = _rounded(comparison.baseline_net_benefit)
 
-    write_injection_csv(
-        out / "plot_injection.csv",
-        [records[c] for c in selected],
-    )
+    write_injection_csv(out / "plot_injection.csv", [records[c] for c in config.cases])
     _write_json(out / "summary.json", summary)
     _write_json(
         out / "solver.json",
         {"cases": {label: _case_solver(rec) for label, rec in records.items()}},
     )
-
-    if "battery-select" in config.cases:
-        code = cmd_battery_select(config, pv=pv, baseline=baseline, start=records.get("A"))
-        exit_code = exit_code or code
     return exit_code
 
 
-def cmd_battery_select(
-    config: RunConfig,
-    pv: PowerSeries | None = None,
-    baseline: CaseRecord | None = None,
-    start: CaseRecord | None = None,
-) -> int:
-    """Rank the battery candidates; ``run`` passes the baseline and the case A
-    it already solved, and the first candidate starts from that case A."""
+def cmd_battery_select(config: RunConfig) -> int:
+    """Rank the battery candidates by the net benefit of their case A."""
     if len(config.battery_candidates) < 2:
         raise ConfigError("battery_candidates: ranking needs at least two specs")
-    if pv is None:
-        pv = build_power_series(config)
-    if baseline is None:
-        baseline = solve_case("baseline", config, pv)
+    pv = build_power_series(config)
+    baseline = solve_case("baseline", config, pv)
     if baseline.dispatch is None:
         print(f"baseline solve failed: {baseline.solution.status}", file=sys.stderr)
         return 1
@@ -308,10 +292,10 @@ def cmd_battery_select(
 
     rows = []
     all_ok = baseline.ok
-    record = start
+    record = None
     for battery in config.battery_candidates:
         # the candidates share case A's structure, so each starts from the
-        # basis of the one before, and the first from ``start``
+        # basis of the one before
         record = solve_case("A", config, pv, battery=battery, start=record)
         all_ok = all_ok and record.ok
         entry = {"battery": battery.name, "status": record.solution.status}
@@ -417,8 +401,7 @@ def _parser() -> argparse.ArgumentParser:
                    help="rank battery candidates by net benefit")
     export = sub.add_parser("export-mps", parents=[common],
                             help="write one case as a fixed-format MPS file")
-    export.add_argument("--case", required=True,
-                        choices=list(CASE_IDS) + ["baseline"])
+    export.add_argument("--case", required=True, choices=RUN_CASES)
     validate = sub.add_parser("validate", parents=[common],
                               help="re-check a dispatch CSV against a config")
     validate.add_argument("dispatch", type=Path, help="dispatch CSV to check")

@@ -18,7 +18,7 @@ from .errors import ConfigError
 from .formulation import ConstraintConfig
 from .pvmodel import PvPlantSpec
 
-RUN_CASES = ("A", "B", "C", "D", "baseline", "battery-select")
+RUN_CASES = ("A", "B", "C", "D", "baseline")
 
 BATTERY_PRESETS = ("table1_la", "table1_nas", "table1_liion", "table1_nicd")
 DEFAULT_BATTERY_PRESET = "table1_nas"

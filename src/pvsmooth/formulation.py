@@ -50,7 +50,6 @@ class ConstraintConfig:
     fluctuation_limit: float = DEFAULT_FLUCTUATION_KW
     grid_cap: float = 10000.0
     initial_soc_fraction: float | None = None
-    cyclic_soc: bool = True
     annualization: float | None = None
 
     def __post_init__(self) -> None:
@@ -61,8 +60,6 @@ class ConstraintConfig:
         r = self.initial_soc_fraction
         if r is not None and not (isinstance(r, (int, float)) and 0.0 <= r <= 1.0):
             raise ValueError(f"initial_soc_fraction must be in [0, 1] or null, got {r!r}")
-        if not isinstance(self.cyclic_soc, bool):
-            raise ValueError(f"cyclic_soc must be true or false, got {self.cyclic_soc!r}")
         a = self.annualization
         if a is not None and not (isinstance(a, (int, float)) and math.isfinite(a) and a > 0):
             raise ValueError(f"annualization must be a finite number > 0, got {a!r}")
@@ -84,14 +81,6 @@ class CaseFormulation:
     steps: np.ndarray  # original trace indices of the retained horizon
     p_pv: np.ndarray  # kW at the retained steps
     step_hours: float
-
-    @property
-    def has_curtailment(self) -> bool:
-        return self.case_id in CURTAILMENT_CASES
-
-    @property
-    def has_diesel(self) -> bool:
-        return self.case_id in DIESEL_CASES
 
 
 @dataclass(frozen=True)
@@ -266,9 +255,8 @@ def build_case(
     if cfg.initial_soc_fraction is not None:
         add_rows(["INITSOC"], "=", 0.0, stack(e0, j_ebmax),
                  [1.0, -float(cfg.initial_soc_fraction)])
-    if cfg.cyclic_soc:
-        # end at least as full as the start: no free stored energy
-        add_rows(["CYCSOC"], "<=", 0.0, stack(e0, e0 + n - 1), [1.0, -1.0])
+    # end at least as full as the start: no free stored energy
+    add_rows(["CYCSOC"], "<=", 0.0, stack(e0, e0 + n - 1), [1.0, -1.0])
 
     indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
     rows = CsrRows(indptr, np.concatenate(cols), np.concatenate(vals), relations, np.concatenate(rhs))
@@ -305,28 +293,28 @@ def extract_solution(formulation: CaseFormulation, solution: LpSolution) -> Disp
         )
     cols = formulation.columns
     x = solution.x
+    n = len(formulation.steps)
 
+    # a family the case lacks reads as zero
     def series(name: str) -> np.ndarray:
         # + 0.0 normalizes the -0.0 a variable parked at bound can carry
-        return x[cols[name]] + 0.0
+        return x[cols[name]] + 0.0 if name in cols else np.zeros(n)
 
     def scalar(name: str) -> float:
-        return float(x[cols[name].start]) + 0.0
+        return float(x[cols[name].start]) + 0.0 if name in cols else 0.0
 
-    n = len(formulation.steps)
-    p_curt = series("p_curt") if formulation.has_curtailment else np.zeros(n)
-    p_diesel = series("p_diesel") if formulation.has_diesel else np.zeros(n)
+    p_diesel = series("p_diesel")
     return DispatchSolution(
         steps=formulation.steps.copy(),
         p_pv=formulation.p_pv.copy(),
         p_grid=series("p_grid"),
         p_batt=series("p_batt"),
         e_batt=series("e_batt"),
-        p_curt=p_curt,
+        p_curt=series("p_curt"),
         p_diesel=p_diesel,
         p_batt_max=scalar("p_batt_max"),
         e_batt_max=scalar("e_batt_max"),
-        p_diesel_max=scalar("p_diesel_max") if formulation.has_diesel else 0.0,
+        p_diesel_max=scalar("p_diesel_max"),
         net_benefit=solution.objective_value,
         diesel_energy=float(formulation.step_hours * p_diesel.sum()),
     )

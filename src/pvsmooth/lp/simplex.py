@@ -23,7 +23,7 @@ zero-step pivot Dantzig pricing would make, done before the first iteration.
 On the unsmoothed baseline every battery power P_b(k) is such a column, so it
 ends in 1-2 iterations instead of 201 at 3 days.
 Pricing is Dantzig by default and falls back to Bland's rule after a run of
-non-improving pivots, a guard against cycling on degenerate bases.
+steps of length zero, a guard against cycling on degenerate bases.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ FEASIBILITY_TOL = 1e-7
 OPTIMALITY_TOL = 1e-9
 #: smallest pivot element the ratio test accepts
 PIVOT_TOL = 1e-10
-#: non-improving pivots in a row before pricing switches to Bland's rule
+#: steps of length zero in a row before pricing switches to Bland's rule
 BLAND_TRIGGER = 200
 #: eta updates between LU refactorizations
 REFACTOR_INTERVAL = 50
@@ -452,16 +452,18 @@ class _State:
     def optimize(self, phase: int) -> str:
         c_work = self.c_phase1 if phase == 1 else self.c_phase2
         otol = _optimality_tol(c_work)
-        bland = False
+        # steps of length zero in a row; each leaves the objective unchanged
         stall = 0
-        z = float(np.dot(c_work, self.x))
+        # phase 1 minimizes the sum of the artificials, the tail columns
+        art = self.n_total - len(self.art_rows)
 
         while True:
             if self.iterations >= self.max_iterations:
                 return "iteration-limit"
-            if phase == 1 and z <= 1e-11 * self.b_scale:
+            if phase == 1 and self.x[art:].sum() <= 1e-11 * self.b_scale:
                 return "optimal"
 
+            bland = stall >= BLAND_TRIGGER
             d = self._reduced_costs(c_work)
             q = self._choose_entering(d, bland, otol)
             if q == -1:
@@ -505,16 +507,8 @@ class _State:
                     r = int(cand[np.argmax(np.abs(w[cand]))])
                 self._pivot(q, r, w, t_min, direction)
             self.iterations += 1
-
-            z_new = float(np.dot(c_work, self.x))
-            if z - z_new > 1e-12 * (1.0 + abs(z)):
-                stall = 0
-                bland = False
-            else:
-                stall += 1
-                if stall >= BLAND_TRIGGER:
-                    bland = True
-            z = z_new
+            # a step of positive length improves the objective by |d[q]| times it
+            stall = stall + 1 if min(t_flip, t_min) == 0.0 else 0
 
     def _phase1_unbounded(self) -> str:
         raise SolveStatusError("phase 1 subproblem reported unbounded; problem data is corrupt")

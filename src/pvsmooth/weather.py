@@ -124,7 +124,9 @@ def read_table(
     faulty row raises ``error``; a faulty row is the first one, named by its
     line with its first fault as :func:`_row_fault` finds it.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    # a byte that is not UTF-8 reads as a lone surrogate, which no converter
+    # accepts, so the row pass names it
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
@@ -158,13 +160,17 @@ def _row_fault(
     row: list[str], columns: tuple[str, ...], converters: tuple[Callable[[str], object], ...]
 ) -> str | None:
     """The first fault of ``row``: its width, then a missing cell, then a
-    cell its column's converter rejects."""
+    cell that holds a byte that is not UTF-8 or that its column's converter
+    rejects."""
     if len(row) != len(columns):
         return f"expected {len(columns)} fields, got {len(row)}"
     for name, cell in zip(columns, row):
         if not cell.strip():
             return f"missing value in column '{name}'"
     for name, convert, cell in zip(columns, converters, row):
+        escaped = [ord(ch) - 0xDC00 for ch in cell if "\udc80" <= ch <= "\udcff"]
+        if escaped:
+            return f"non-UTF-8 byte 0x{escaped[0]:02x} in column '{name}'"
         try:
             convert(cell.strip())
         except ValueError:

@@ -208,8 +208,8 @@ def brute_force_optimum(
             d_cum.append(d_cum[-1] + h * bat[i - 1])
         d_stack = np.stack([np.broadcast_to(d, np.broadcast_shapes(*[x.shape for x in d_cum]))
                             for d in d_cum])
-        if cfg.cyclic_soc:
-            feas = feas & (d_stack[-1] <= 1e-9)
+        # end at least as full as the start
+        feas = feas & (d_stack[-1] <= 1e-9)
         e_need = _minimal_energy_rating(
             d_stack, batt.soc_min_fraction, cfg.initial_soc_fraction
         )

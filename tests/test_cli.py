@@ -192,6 +192,18 @@ class TestRun:
         cfg = write_config(tmp_path, {"weather": {"file": "nope.csv"}})
         assert main(["run", str(cfg)]) == 2
 
+    def test_non_utf8_byte_in_weather_exits_2(self, tmp_path, capsys):
+        weather = tmp_path / "weather.csv"
+        weather.write_bytes(
+            FLAT_HEADER.encode() + b"2024-06-01T10:00:00,800,25\n"
+            b"2024-06-01T10:10:00,8\xe900,25\n2024-06-01T10:20:00,800,25\n"
+        )
+        cfg = write_config(tmp_path, {"weather": {"file": weather.name}})
+        assert main(["run", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {weather}: row 3: non-UTF-8 byte 0xe9 in column 'irradiance_wm2'\n"
+        )
+
     def test_hourly_trace_needs_no_step_setting(self, tmp_path):
         # the LP's step is the CSV's own spacing, with no constraints given
         rows = [FLAT_HEADER]
@@ -262,6 +274,14 @@ class TestValidateSubcommand:
         bad.write_text(",".join(DISPATCH_COLUMNS) + "\n0,1,1,0,0,0,0\n" + row + "\n")
         assert main(["validate", str(flat_config), str(bad)]) == 2
         assert capsys.readouterr().err == f"config error: {bad}: {message}\n"
+
+    def test_non_utf8_byte_is_named(self, flat_config, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(",".join(DISPATCH_COLUMNS).encode() + b"\n0,1,1,0,0,0,0\n1,1,1,0,0\xff,0,0\n")
+        assert main(["validate", str(flat_config), str(bad)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: {bad}: row 3: non-UTF-8 byte 0xff in column 'e_batt'\n"
+        )
 
 
 def test_dispatch_csv_round_trip(tmp_path):
@@ -344,25 +364,13 @@ class TestBatterySelect:
         assert [given for given, _, _ in solves] == [False, False, True, True, True]
         assert all(warm and phase1 == 0 for _, warm, phase1 in solves[2:])
 
-    def test_run_starts_the_first_candidate_from_its_case_a(self, tmp_path, monkeypatch):
-        cfg = write_config(tmp_path, {
-            "weather": {"synthetic": {"days": 2, "seed": 7, "variability": 1.0}},
-            "cases": ["A", "battery-select"],
-            "output_dir": "out",
-        })
-        solves = []
-
-        def recording_solve(problem, start=None):
-            sol = solve(problem, start=start)
-            solves.append((start is not None, sol.warm_start, sol.phase1_iterations))
-            return sol
-
-        monkeypatch.setattr(cli, "solve", recording_solve)
-        assert main(["run", str(cfg)]) == 0
-        # case A and the baseline crash; every candidate, the first one
-        # included, starts from the case A solved before it and skips phase 1
-        assert [given for given, _, _ in solves] == [False, False, True, True, True, True]
-        assert all(warm and phase1 == 0 for _, warm, phase1 in solves[2:])
+    def test_not_a_run_case(self, tmp_path, capsys):
+        # ranking is its own subcommand, not a case that run solves
+        cfg = write_config(tmp_path, {"cases": ["A", "battery-select"]})
+        assert main(["run", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: cases: unknown case 'battery-select'; valid: A, B, C, D, baseline\n"
+        )
 
     def test_single_candidate_rejected(self, tmp_path, capsys):
         weather = flat_weather_file(tmp_path)

@@ -204,13 +204,6 @@ class TestProblemShape:
         assert "INITSOC" not in free.problem.row_names
         assert "INITSOC" in fixed.problem.row_names
 
-    def test_cyclic_row_is_optional(self):
-        pv = series([300, 600])
-        on = build_case("A", pv, NAS, ECON, config())
-        off = build_case("A", pv, NAS, ECON, config(cyclic_soc=False))
-        assert "CYCSOC" in on.problem.row_names
-        assert "CYCSOC" not in off.problem.row_names
-
     def test_curtailment_bounded_by_available_pv(self):
         pv = series([300, 600, 250])
         form = build_case("B", pv, NAS, ECON, config())

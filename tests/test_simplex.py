@@ -149,6 +149,45 @@ class TestDegeneracy:
         assert sol.objective_value == pytest.approx(ref[0], rel=1e-9)
 
 
+    @pytest.mark.parametrize("trigger", [1, 2, 3, 4])
+    def test_zero_steps_switch_to_bland(self, monkeypatch, trigger):
+        # pricing takes Bland's rule after `trigger` steps of length zero in
+        # a row, and Dantzig's again after any step of positive length. Six
+        # rows through the origin, where the start point sits: Dantzig's rule
+        # takes six steps of length zero there before one leaves it
+        cone = [[-1, -2, 3, -2], [0, 3, -3, -2], [3, -3, 0, 0],
+                [0, 1, -2, 1], [-3, -3, 2, -1], [2, 0, -1, 1]]
+        p = build_problem(
+            "minimize",
+            [(0.0, 10.0)] * 4,
+            [([(j, float(a)) for j, a in enumerate(row) if a], "<=", 0.0) for row in cone]
+            + [([(j, 1.0) for j in range(4)], "<=", 1.0)],
+            [-5.0, 1.0, -3.0, -3.0],
+        )
+        monkeypatch.setattr(simplex, "BLAND_TRIGGER", trigger)
+        choose = simplex._State._choose_entering
+        calls = []  # the rule and the point at each pricing
+
+        def recording(self, d, bland, otol):
+            calls.append((bland, self.x.copy()))
+            return choose(self, d, bland, otol)
+
+        monkeypatch.setattr(simplex._State, "_choose_entering", recording)
+        sol = solve(p)
+        assert sol.status == "optimal"
+        assert sol.objective_value == pytest.approx(vertex_enumerate(p)[0], abs=1e-9)
+        # the start is feasible, so every pricing is phase 2's
+        stall, expected = 0, []
+        for (_, x), (_, x_next) in zip(calls, calls[1:]):
+            expected.append(stall >= trigger)
+            stall = stall + 1 if np.array_equal(x, x_next) else 0
+        expected.append(stall >= trigger)
+        rules = [bland for bland, _ in calls]
+        assert rules == expected
+        # both switches happen: to Bland's rule, and back after a positive step
+        assert [True, False] in [rules[k : k + 2] for k in range(len(rules) - 1)]
+
+
 class TestBoundedVariableFeatures:
     def test_negative_lower_bound(self):
         p = build_problem("minimize", [(-5.0, 3.0)], [], [1.0])

@@ -289,8 +289,8 @@ class TestOracleInternals:
 
     def test_fixed_fraction_start_changes_the_rating(self):
         pv = series([100.0, 400.0, 100.0])
-        cfg_free = config(cyclic_soc=False)
-        cfg_half = config(cyclic_soc=False, initial_soc_fraction=0.2)
+        cfg_free = config()
+        cfg_half = config(initial_soc_fraction=0.2)
         free = brute_force_optimum(pv, "A", NAS, ECON, cfg_free,
                                    power_step_kw=50.0, p_batt_window=(-150.0, 150.0))
         half = brute_force_optimum(pv, "A", NAS, ECON, cfg_half,

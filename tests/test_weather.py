@@ -85,6 +85,23 @@ class TestLoadWeather:
         with pytest.raises(WeatherFormatError, match=r"between rows 5 and 6: expected 600 s, got 900 s"):
             load_weather(p)
 
+    @pytest.mark.parametrize("rows, message", [
+        ([b"2024-06-01T10:10:00,8\xe900,25"], "row 3: non-UTF-8 byte 0xe9 in column 'irradiance_wm2'"),
+        ([b"2024-06-01T10:10:00,800,2\xff"], "row 3: non-UTF-8 byte 0xff in column 'temp_c'"),
+        # an earlier row's fault comes first
+        ([b"2024-06-01T10:10:00,oops,25", b"2024-06-01T10:20:00,8\xe900,25"],
+         "row 3: bad value in column 'irradiance_wm2': 'oops'"),
+    ], ids=["irradiance", "temperature", "earlier-fault"])
+    def test_non_utf8_byte_names_row_and_column(self, tmp_path, rows, message):
+        p = tmp_path / "weather.csv"
+        p.write_bytes(b"\n".join([
+            b"timestamp,irradiance_wm2,temp_c", b"2024-06-01T10:00:00,800,25",
+            *rows, b"2024-06-01T10:30:00,800,25", b"",
+        ]))
+        with pytest.raises(WeatherFormatError) as exc:
+            load_weather(p)
+        assert str(exc.value) == f"{p}: {message}"
+
     def test_empty_file_is_named(self, tmp_path):
         p = tmp_path / "weather.csv"
         p.write_text("")
