@@ -28,14 +28,13 @@ from .formulation import (
     extract_solution,
 )
 from .pvmodel import PowerSeries, PvPlantSpec, pv_power
-from .validation import CaseComparison, ValidationReport, check_dispatch, compare_cases
+from .validation import ValidationReport, check_dispatch, compare_cases
 from .weather import WeatherSeries, filter_low_irradiance, load_weather, synth_weather
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BatterySpec",
-    "CaseComparison",
     "CaseFormulation",
     "ConfigError",
     "ConstraintConfig",

@@ -243,12 +243,16 @@ def cmd_run(config: RunConfig) -> int:
         "cases": {label: _case_summary(rec) for label, rec in records.items()},
     }
 
+    for label, record in records.items():
+        if record.report is None:
+            print(f"case {label}: {record.solution.status}", file=sys.stderr)
+        elif not record.report.passed:
+            print(f"case {label}: validation failed", file=sys.stderr)
     exit_code = 0 if all(rec.ok for rec in records.values()) else 1
 
-    if smoothing and baseline.dispatch is not None:
-        solved = {
-            c: records[c].dispatch for c in smoothing if records[c].dispatch is not None
-        }
+    # a comparison needs at least one solved case
+    solved = {c: records[c].dispatch for c in smoothing if records[c].dispatch is not None}
+    if solved and baseline.dispatch is not None:
         try:
             comparison = compare_cases(
                 solved, baseline.dispatch, emission_charge=config.diesel.emission_charge_total
@@ -257,16 +261,15 @@ def cmd_run(config: RunConfig) -> int:
             print(f"comparison failed: {exc}", file=sys.stderr)
             exit_code = 1
         else:
-            doc = comparison.as_dict()
-            _write_json(out / "comparison.json", {
-                "baseline_net_benefit": _rounded(doc["baseline_net_benefit"]),
-                "cases": {
-                    c: {name: _rounded(v) for name, v in case.items()}
-                    for c, case in doc["cases"].items()
-                },
-            })
-            (out / "comparison.txt").write_text(comparison.as_text() + "\n")
-            summary["baseline_net_benefit"] = _rounded(comparison.baseline_net_benefit)
+            # the table is formatted from the raw values, and only then is
+            # the document rounded to the 12 digits of the CSVs
+            (out / "comparison.txt").write_text(comparison_text(comparison) + "\n")
+            comparison["baseline_net_benefit"] = _rounded(comparison["baseline_net_benefit"])
+            for case in comparison["cases"].values():
+                for name, value in case.items():
+                    case[name] = _rounded(value)
+            _write_json(out / "comparison.json", comparison)
+            summary["baseline_net_benefit"] = comparison["baseline_net_benefit"]
 
     write_injection_csv(out / "plot_injection.csv", [records[c] for c in config.cases])
     _write_json(out / "summary.json", summary)
@@ -275,6 +278,25 @@ def cmd_run(config: RunConfig) -> int:
         {"cases": {label: _case_solver(rec) for label, rec in records.items()}},
     )
     return exit_code
+
+
+def comparison_text(comparison: dict) -> str:
+    """The comparison document of :func:`compare_cases` as an aligned table,
+    one column per case."""
+    cases = comparison["cases"].values()
+    rows = [
+        ("Net benefit ($)", [f"{c['net_benefit']:.2f}" for c in cases]),
+        ("Decrement vs baseline (%)", [f"{100 * c['decrement_vs_baseline']:.2f}" for c in cases]),
+        ("Battery power rating (kW)", [f"{c['battery_power_kw']:.1f}" for c in cases]),
+        ("Battery energy rating (kWh)", [f"{c['battery_energy_kwh']:.1f}" for c in cases]),
+        ("Diesel rating (kW)", [f"{c['diesel_power_kw']:.1f}" for c in cases]),
+    ]
+    label_w = max(len(label) for label, _ in rows)
+    col_w = max(10, *(len(v) for _, vals in rows for v in vals))
+    lines = [" " * label_w + "".join(f"{c:>{col_w + 2}}" for c in comparison["cases"])]
+    for label, vals in rows:
+        lines.append(f"{label:<{label_w}}" + "".join(f"{v:>{col_w + 2}}" for v in vals))
+    return "\n".join(lines)
 
 
 def cmd_battery_select(config: RunConfig) -> int:

@@ -36,6 +36,11 @@ DIESEL_CASES = ("C", "D")
 #: step-to-step grid injection change allowed by the smoothing requirement
 DEFAULT_FLUCTUATION_KW = 150.0
 
+#: a rating or diesel energy no further than this from zero, in kW or kWh,
+#: decodes as exactly zero: the simplex leaves roundoff of up to about 2e-12
+#: on a rating that the optimum sets to zero, and validation allows 1e-6
+ZERO_RATING = 1e-9
+
 
 @dataclass(frozen=True)
 class ConstraintConfig:
@@ -300,8 +305,11 @@ def extract_solution(formulation: CaseFormulation, solution: LpSolution) -> Disp
         # + 0.0 normalizes the -0.0 a variable parked at bound can carry
         return x[cols[name]] + 0.0 if name in cols else np.zeros(n)
 
+    def rating(value: float) -> float:
+        return 0.0 if abs(value) <= ZERO_RATING else value
+
     def scalar(name: str) -> float:
-        return float(x[cols[name].start]) + 0.0 if name in cols else 0.0
+        return rating(float(x[cols[name].start])) if name in cols else 0.0
 
     p_diesel = series("p_diesel")
     return DispatchSolution(
@@ -316,5 +324,5 @@ def extract_solution(formulation: CaseFormulation, solution: LpSolution) -> Disp
         e_batt_max=scalar("e_batt_max"),
         p_diesel_max=scalar("p_diesel_max"),
         net_benefit=solution.objective_value,
-        diesel_energy=float(formulation.step_hours * p_diesel.sum()),
+        diesel_energy=rating(float(formulation.step_hours * p_diesel.sum())),
     )

@@ -25,6 +25,7 @@ from collections.abc import Iterator
 from itertools import chain, count, islice, repeat
 
 import numpy as np
+import scipy.sparse as sp
 
 from ..errors import MpsFormatError
 from .problem import CsrRows, LpProblem, build_problem
@@ -118,31 +119,20 @@ def _blocks(problem: LpProblem) -> Iterator[str]:
     yield f"ROWS\n N  {obj_name}\n"
     types = np.array([_ROW_TYPE[rel] for rel in problem.relations], dtype=object)
     yield from _lines(m, types.__getitem__, np.array(names, dtype=object).__getitem__)
-    row_pad = _padded(names + [obj_name])  # the objective row is number m
+    row_pad = _padded([obj_name] + names)  # the objective is row 0
     names = _short_names(problem.col_names, "C")
     col_pad = _padded(names)
 
     # column-major entries, one coefficient per line, each column's
-    # objective entry ahead of its constraint entries
-    by_col = problem.A.tocsc()
-    costed = problem.objective != 0.0
-    per_col = np.diff(by_col.indptr) + costed
-    col_of = np.repeat(np.arange(n), per_col)
-    lead = (np.cumsum(per_col) - per_col)[costed]
-    entry = np.ones(len(col_of), dtype=bool)
-    entry[lead] = False
-    row_of = np.full(len(col_of), m)
-    row_of[entry] = by_col.indices
-    value = np.empty(len(col_of))
-    value[lead] = problem.objective[costed]
-    value[entry] = by_col.data
-    del by_col, entry
+    # objective entry ahead of its constraint entries; A's explicit zeros
+    # are kept and the objective's zeros dropped
+    by_col = sp.vstack([sp.csr_matrix(problem.objective), problem.A], format="csc")
+    col_of = np.repeat(np.arange(n), np.diff(by_col.indptr))
+    row_of, value = by_col.indices, by_col.data
 
-    with_rhs = np.flatnonzero(problem.rhs != 0.0)
-    rhs_rows, rhs_values = with_rhs, problem.rhs[with_rhs]
-    if problem.objective_offset != 0.0:
-        rhs_rows = np.concatenate([[m], rhs_rows])
-        rhs_values = np.concatenate([[-problem.objective_offset], rhs_values])
+    rhs_values = np.concatenate([[-problem.objective_offset], problem.rhs])
+    rhs_rows = np.flatnonzero(rhs_values)
+    rhs_values = rhs_values[rhs_rows]
 
     # at most two lines per column: FX, FR, MI or LO, then UP
     lo, hi = problem.lower, problem.upper

@@ -8,7 +8,7 @@ the solver is how formulation or solver bugs surface.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -44,12 +44,7 @@ class ValidationReport:
     passed: bool
 
     def as_dict(self) -> dict:
-        return {
-            "passed": bool(self.passed),
-            "tolerance": self.tolerance,
-            "residuals": {k: float(v) for k, v in self.residuals.items()},
-            "worst_step": {k: (None if v is None else int(v)) for k, v in self.worst_step.items()},
-        }
+        return asdict(self)
 
 
 def _max_at(values: np.ndarray) -> tuple[float, int | None]:
@@ -133,55 +128,6 @@ def check_dispatch(
     )
 
 
-@dataclass(frozen=True)
-class CaseComparison:
-    """Cross-case summary shaped like a sizing-and-revenue results table.
-
-    It holds only what the optimum of each case defines; the largest
-    curtailment of the optimal point the solver reached depends on the pivot
-    path, so ``solver.json`` carries it.
-    """
-
-    net_benefits: dict
-    decrements: dict  # fraction of the unconstrained baseline revenue lost
-    baseline_net_benefit: float
-    battery_power_kw: dict
-    battery_energy_kwh: dict
-    diesel_power_kw: dict
-
-    def as_dict(self) -> dict:
-        return {
-            "baseline_net_benefit": self.baseline_net_benefit,
-            "cases": {
-                cid: {
-                    "net_benefit": self.net_benefits[cid],
-                    "decrement_vs_baseline": self.decrements[cid],
-                    "battery_power_kw": self.battery_power_kw[cid],
-                    "battery_energy_kwh": self.battery_energy_kwh[cid],
-                    "diesel_power_kw": self.diesel_power_kw[cid],
-                }
-                for cid in self.net_benefits
-            },
-        }
-
-    def as_text(self) -> str:
-        cases = list(self.net_benefits)
-        rows = [
-            ("Net benefit ($)", [f"{self.net_benefits[c]:.2f}" for c in cases]),
-            ("Decrement vs baseline (%)", [f"{100 * self.decrements[c]:.2f}" for c in cases]),
-            ("Battery power rating (kW)", [f"{self.battery_power_kw[c]:.1f}" for c in cases]),
-            ("Battery energy rating (kWh)", [f"{self.battery_energy_kwh[c]:.1f}" for c in cases]),
-            ("Diesel rating (kW)", [f"{self.diesel_power_kw[c]:.1f}" for c in cases]),
-        ]
-        label_w = max(len(r[0]) for r in rows)
-        col_w = max(10, *(len(v) for _, vals in rows for v in vals))
-        head = " " * label_w + "".join(f"{c:>{col_w + 2}}" for c in cases)
-        lines = [head]
-        for label, vals in rows:
-            lines.append(f"{label:<{label_w}}" + "".join(f"{v:>{col_w + 2}}" for v in vals))
-        return "\n".join(lines)
-
-
 NESTING_REL_TOL = 1e-6
 
 #: case pairs whose feasible sets nest: the first cannot out-earn the second
@@ -192,8 +138,16 @@ def compare_cases(
     results: dict[str, DispatchSolution],
     baseline: DispatchSolution,
     emission_charge: float = 0.0,
-) -> CaseComparison:
+) -> dict:
     """Summarize solved cases against the no-smoothing baseline.
+
+    Returns the document ``run`` writes as ``comparison.json``, unrounded:
+    ``baseline_net_benefit`` and, per case, its ``net_benefit``, the
+    ``decrement_vs_baseline`` (the fraction of the baseline revenue lost)
+    and its battery power, battery energy and diesel ratings. It holds only
+    what the optimum of each case defines; the largest curtailment of the
+    optimal point the solver reached depends on the pivot path, so
+    ``solver.json`` carries it.
 
     Raises on a nesting violation (a case with a strictly larger feasible
     set earning strictly less beyond tolerance): that is a solver or
@@ -214,11 +168,16 @@ def compare_cases(
                     f"nesting violation: case {lo} earns {lo_v:.6g} > case {hi} {hi_v:.6g}"
                 )
     scale = abs(base) if base != 0.0 else 1.0
-    return CaseComparison(
-        net_benefits={c: r.net_benefit for c, r in results.items()},
-        decrements={c: (base - r.net_benefit) / scale for c, r in results.items()},
-        baseline_net_benefit=base,
-        battery_power_kw={c: r.p_batt_max for c, r in results.items()},
-        battery_energy_kwh={c: r.e_batt_max for c, r in results.items()},
-        diesel_power_kw={c: r.p_diesel_max for c, r in results.items()},
-    )
+    return {
+        "baseline_net_benefit": base,
+        "cases": {
+            c: {
+                "net_benefit": r.net_benefit,
+                "decrement_vs_baseline": (base - r.net_benefit) / scale,
+                "battery_power_kw": r.p_batt_max,
+                "battery_energy_kwh": r.e_batt_max,
+                "diesel_power_kw": r.p_diesel_max,
+            }
+            for c, r in results.items()
+        },
+    }

@@ -28,13 +28,9 @@ def vertex_enumerate(problem):
     if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
         raise ValueError("oracle requires finite bounds on every variable")
 
-    dense_rows = np.zeros((problem.n_rows, n))
-    rhs = np.zeros(problem.n_rows)
-    relations = []
-    for i, row in enumerate(problem.rows):
-        dense_rows[i, row.cols] = row.vals
-        rhs[i] = row.rhs
-        relations.append(row.relation)
+    dense_rows = problem.A.toarray()
+    rhs = np.asarray(problem.rhs, dtype=float)
+    relations = problem.relations
 
     sign = -1.0 if problem.sense == "maximize" else 1.0
     c = sign * np.asarray(problem.objective, dtype=float)

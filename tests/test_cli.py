@@ -71,7 +71,8 @@ class TestRun:
         case_a = comparison["cases"]["A"]
         # nothing to smooth on a flat trace, so smoothing costs nothing
         assert case_a["decrement_vs_baseline"] == pytest.approx(0.0, abs=1e-9)
-        assert case_a["battery_power_kw"] == pytest.approx(0.0, abs=1e-9)
+        assert case_a["battery_power_kw"] == 0.0
+        assert capsys.readouterr().err == ""
 
     def test_summary_keeps_only_what_the_optimum_defines(self, flat_config, tmp_path):
         assert main(["run", str(flat_config)]) == 0
@@ -141,6 +142,35 @@ class TestRun:
             "start", "iterations", "phase1_iterations", "artificials",
         }
         assert solver["cases"]["A"]["iterations"] == 1
+
+    def test_failed_cases_are_named_on_stderr(self, tmp_path, capsys):
+        # an empty start under the 10% SOC floor forces the energy rating to
+        # zero, which leaves A and C no way to smooth the trace
+        cfg = write_config(tmp_path, {
+            "weather": {"synthetic": {"days": 1}},
+            "constraints": {"initial_soc_fraction": 0.0},
+            "output_dir": "out",
+        })
+        assert main(["run", str(cfg)]) == 1
+        assert capsys.readouterr().err == "case A: infeasible\ncase C: infeasible\n"
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert {c: case["status"] for c, case in summary["cases"].items()} == {
+            "A": "infeasible", "B": "optimal", "C": "infeasible", "D": "optimal",
+            "baseline": "optimal",
+        }
+
+    def test_no_solved_case_writes_no_comparison(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {
+            "weather": {"synthetic": {"days": 1}},
+            "cases": ["A"],
+            "constraints": {"initial_soc_fraction": 0.0},
+            "output_dir": "out",
+        })
+        assert main(["run", str(cfg)]) == 1
+        assert capsys.readouterr().err == "case A: infeasible\n"
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+            "solver.json", "summary.json",
+        ]
 
     def test_dispatch_csv_header(self, flat_config, tmp_path):
         main(["run", str(flat_config)])
@@ -224,6 +254,64 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert "at least 2 retained steps, got 0" in err
+
+
+RATINGS = ("p_batt_max", "e_batt_max", "p_diesel_max", "diesel_energy")
+
+
+class TestZeroRatings:
+    """The simplex leaves roundoff of about 1e-14 to 2e-12 on a rating that
+    the optimum sets to zero; the reports hold exactly 0.0."""
+
+    def _reports(self, tmp_path, doc):
+        cfg = write_config(tmp_path, {**doc, "output_dir": "out"})
+        assert main(["run", str(cfg)]) == 0
+        out = tmp_path / "out"
+        return (json.loads((out / "summary.json").read_text()),
+                json.loads((out / "comparison.json").read_text()))
+
+    def test_flat_trace_needs_no_storage_or_diesel(self, tmp_path):
+        flat_weather_file(tmp_path)
+        summary, comparison = self._reports(tmp_path, {"weather": {"file": "weather.csv"}})
+        assert set(summary["cases"]) == {"A", "B", "C", "D", "baseline"}
+        for case in summary["cases"].values():
+            assert [case[name] for name in RATINGS] == [0.0] * 4
+        for case in comparison["cases"].values():
+            assert case["battery_power_kw"] == case["battery_energy_kwh"] == 0.0
+            assert case["diesel_power_kw"] == 0.0
+        assert "-0.0" not in (tmp_path / "out" / "comparison.txt").read_text()
+
+    def test_no_fuel_means_no_diesel(self, tmp_path):
+        summary, comparison = self._reports(tmp_path, {
+            "weather": {"synthetic": {"days": 3}},
+            "diesel": {"annual_fuel_cap_liters": 0},
+        })
+        for label in ("C", "D"):
+            case = summary["cases"][label]
+            assert case["p_diesel_max"] == case["diesel_energy"] == 0.0
+        assert [case["diesel_power_kw"] for case in comparison["cases"].values()] == [0.0] * 4
+
+
+def test_comparison_text_is_the_table_of_the_document():
+    doc = {
+        "baseline_net_benefit": 1.0,
+        "cases": {
+            "A": {"net_benefit": 123456789.125, "decrement_vs_baseline": 0.0123456,
+                  "battery_power_kw": 2687.44, "battery_energy_kwh": 3380.75,
+                  "diesel_power_kw": 0.0},
+            "D": {"net_benefit": -0.5, "decrement_vs_baseline": 1.0000001,
+                  "battery_power_kw": 0.0, "battery_energy_kwh": 0.0,
+                  "diesel_power_kw": 12.25},
+        },
+    }
+    assert cli.comparison_text(doc) == (
+        "                                        A             D\n"
+        "Net benefit ($)              123456789.12         -0.50\n"
+        "Decrement vs baseline (%)            1.23        100.00\n"
+        "Battery power rating (kW)          2687.4           0.0\n"
+        "Battery energy rating (kWh)        3380.8           0.0\n"
+        "Diesel rating (kW)                    0.0          12.2"
+    )
 
 
 class TestSolverFailure:

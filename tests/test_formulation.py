@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from lp_rows import row_coeffs
 
 from pvsmooth.economics import BatterySpec, DieselSpec, EconomicParams, compute_factors
 from pvsmooth.errors import SolveStatusError
@@ -108,10 +109,10 @@ class TestProblemShape:
         text = render_mps(form.problem)
         parsed = parse_mps(text)
         for p in (form.problem, parsed):
-            ebl = [r for r in p.rows if r.name.startswith("EBL")]
+            ebl = [i for i, name in enumerate(p.row_names) if name.startswith("EBL")]
             assert len(ebl) == 3
-            for r in ebl:
-                assert dict(zip(r.cols.tolist(), r.vals.tolist()))[j] == 0.0
+            for i in ebl:
+                assert row_coeffs(p, i)[j] == 0.0
         assert render_mps(parsed) == text
 
     def test_case_d_csr_layout(self):
@@ -218,8 +219,8 @@ class TestProblemShape:
                           ConstraintConfig(), diesel=DIESEL)
         b0 = form.columns["p_batt"].start
         d0 = form.columns["p_diesel"].start
-        rows = {r.name: dict(zip(r.cols.tolist(), r.vals.tolist()))
-                for r in form.problem.rows}
+        rows = {name: row_coeffs(form.problem, i)
+                for i, name in enumerate(form.problem.row_names)}
         soc = [name for name in rows if name.startswith("SOC")]
         assert soc == ["SOC00002", "SOC00003"]
         for k, name in enumerate(soc):

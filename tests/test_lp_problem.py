@@ -19,7 +19,7 @@ def test_builds_valid_problem():
     assert p.n_vars == 2
     assert p.n_rows == 1
     assert p.sense == "maximize"
-    assert p.rows[0].relation == "<="
+    assert p.relations == ("<=",)
     assert p.upper[1] == INF
 
 
@@ -64,7 +64,7 @@ def test_rejects_unknown_relation_and_sense():
 def test_default_names_are_generated():
     p = build_problem("minimize", [(0, 1)], [([(0, 1.0)], "=", 1.0)], [2.0])
     assert p.col_names == ("x0",)
-    assert p.rows[0].name == "r0"
+    assert p.row_names == ("r0",)
 
 
 def test_evaluate_residuals_measures_violation():

@@ -22,6 +22,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from lp_rows import row_coeffs
 
 import pvsmooth.lp.mps as mps
 from pvsmooth.cli import build_power_series
@@ -95,14 +96,12 @@ class TestReferenceExample:
         np.testing.assert_allclose(p.objective, [1.0, 2.0, -1.0])
         assert p.objective_offset == 0.0
 
-        assert [r.name for r in p.rows] == ["LIM1", "LIM2", "MYEQN"]
-        lim1, lim2, myeqn = p.rows
-        assert (lim1.relation, lim1.rhs) == ("<=", 4.0)
-        assert dict(zip(lim1.cols.tolist(), lim1.vals.tolist())) == {0: 1.0, 1: 1.0}
-        assert (lim2.relation, lim2.rhs) == (">=", 1.0)
-        assert dict(zip(lim2.cols.tolist(), lim2.vals.tolist())) == {0: 1.0}
-        assert (myeqn.relation, myeqn.rhs) == ("=", 7.0)
-        assert dict(zip(myeqn.cols.tolist(), myeqn.vals.tolist())) == {1: -1.0, 2: 1.0}
+        assert p.row_names == ("LIM1", "LIM2", "MYEQN")
+        assert p.relations == ("<=", ">=", "=")
+        assert p.rhs.tolist() == [4.0, 1.0, 7.0]
+        assert [row_coeffs(p, i) for i in range(3)] == [
+            {0: 1.0, 1: 1.0}, {0: 1.0}, {1: -1.0, 2: 1.0},
+        ]
 
         np.testing.assert_allclose(p.lower, [0.0, -1.0, 0.0])
         np.testing.assert_allclose(p.upper, [4.0, INF, INF])
@@ -196,13 +195,11 @@ class TestRoundTrip:
         np.testing.assert_array_equal(q.objective, p.objective)
         np.testing.assert_array_equal(q.lower, p.lower)
         np.testing.assert_array_equal(q.upper, p.upper)
-        assert len(q.rows) == len(p.rows)
-        for rp, rq in zip(p.rows, q.rows):
-            assert rq.relation == rp.relation
-            assert rq.rhs == rp.rhs
-            assert dict(zip(rq.cols.tolist(), rq.vals.tolist())) == dict(
-                zip(rp.cols.tolist(), rp.vals.tolist())
-            )
+        assert q.relations == p.relations
+        assert q.rhs.tolist() == p.rhs.tolist()
+        assert [row_coeffs(q, i) for i in range(q.n_rows)] == [
+            row_coeffs(p, i) for i in range(p.n_rows)
+        ]
 
     # patched in the body, as hypothesis runs every example in one call
     @pytest.mark.parametrize("size", BLOCK_SIZES)
@@ -259,8 +256,7 @@ class TestRoundTrip:
         text = TESTPROB.replace("RHS\n", "    X1        MYEQN           2.0\nRHS\n", 1)
         p = parse_mps(text)
         assert p.col_names == ("X1", "X2", "X3")
-        myeqn = p.rows[2]
-        assert dict(zip(myeqn.cols.tolist(), myeqn.vals.tolist())) == {0: 2.0, 1: -1.0, 2: 1.0}
+        assert row_coeffs(p, 2) == {0: 2.0, 1: -1.0, 2: 1.0}
 
     def test_fallback_names_skip_names_in_use(self):
         # "!" sanitises to nothing; its fallback C0000002 is the first

@@ -109,7 +109,7 @@ class TestAgainstEnumerationOracle:
             assert ref is not None, "generator promised feasibility"
             assert sol.status == "optimal"
             assert abs(sol.objective_value - ref[0]) <= 1e-8 * (1.0 + abs(ref[0]))
-            rhs_inf = max((abs(r.rhs) for r in p.rows), default=0.0)
+            rhs_inf = float(np.max(np.abs(p.rhs), initial=0.0))
             assert sol.max_primal_residual <= 1e-7 * (1.0 + rhs_inf)
             assert sol.max_bound_violation <= 1e-9
             solved += 1
@@ -120,10 +120,10 @@ class TestAgainstEnumerationOracle:
         for _ in range(10):
             p = random_instance(rng)
             n = p.n_vars
-            a = [(j, float(v)) for j, v in enumerate(rng.integers(1, 5, size=n))]
-            rows = [(list(zip(r.cols.tolist(), r.vals.tolist())), r.relation, r.rhs) for r in p.rows]
-            rows.append((a, "<=", -1.0))
-            rows.append((a, ">=", 1.0))
+            a = rng.integers(1, 5, size=n).astype(float)
+            A = sp.vstack([p.A, sp.csr_matrix([a, a])], format="csr")
+            rows = CsrRows(A.indptr, A.indices, A.data, p.relations + ("<=", ">="),
+                           [*p.rhs, -1.0, 1.0])
             bad = build_problem(p.sense, list(zip(p.lower, p.upper)), rows, list(p.objective))
             assert solve(bad).status == "infeasible"
             assert vertex_enumerate(bad) is None

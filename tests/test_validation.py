@@ -348,30 +348,33 @@ class TestCompareCases:
 
     def test_decrements_ordered_like_the_nets(self):
         results, baseline = self._solved_set()
-        cmp = compare_cases(results, baseline)
-        assert cmp.baseline_net_benefit >= results["D"].net_benefit - 1e-9
-        assert cmp.decrements["A"] >= cmp.decrements["B"] - 1e-12
-        assert cmp.decrements["B"] >= cmp.decrements["D"] - 1e-12
-        assert cmp.decrements["C"] >= cmp.decrements["D"] - 1e-12
+        doc = compare_cases(results, baseline)
+        dec = {cid: case["decrement_vs_baseline"] for cid, case in doc["cases"].items()}
+        assert doc["baseline_net_benefit"] >= results["D"].net_benefit - 1e-9
+        assert dec["A"] >= dec["B"] - 1e-12
+        assert dec["B"] >= dec["D"] - 1e-12
+        assert dec["C"] >= dec["D"] - 1e-12
         for cid in results:
             expect = (baseline.net_benefit - results[cid].net_benefit) / abs(
                 baseline.net_benefit
             )
-            assert cmp.decrements[cid] == pytest.approx(expect, rel=1e-12)
+            assert dec[cid] == pytest.approx(expect, rel=1e-12)
 
     def test_table_carries_sizing_columns(self):
         results, baseline = self._solved_set()
-        cmp = compare_cases(results, baseline)
-        assert cmp.battery_power_kw["A"] == pytest.approx(results["A"].p_batt_max)
-        assert cmp.diesel_power_kw["D"] == pytest.approx(results["D"].p_diesel_max)
-        text = cmp.as_text()
-        assert "Net benefit" in text and "Battery power rating" in text
-        doc = json.loads(json.dumps(cmp.as_dict()))
-        assert doc["cases"]["D"]["net_benefit"] == pytest.approx(results["D"].net_benefit)
+        doc = compare_cases(results, baseline)
+        assert doc["cases"]["A"]["battery_power_kw"] == results["A"].p_batt_max
+        assert doc["cases"]["A"]["battery_energy_kwh"] == results["A"].e_batt_max
+        assert doc["cases"]["D"]["diesel_power_kw"] == results["D"].p_diesel_max
+        assert doc["cases"]["D"]["net_benefit"] == results["D"].net_benefit
         # the largest curtailment of one optimal point is not a property of
         # the optimum, so the comparison leaves it out
-        assert "Max curtailed" not in text
-        assert all("max_curtailed_kw" not in case for case in doc["cases"].values())
+        for case in doc["cases"].values():
+            assert set(case) == {
+                "net_benefit", "decrement_vs_baseline", "battery_power_kw",
+                "battery_energy_kwh", "diesel_power_kw",
+            }
+        assert json.loads(json.dumps(doc)) == doc
 
     def test_nesting_violation_raises(self):
         results, baseline = self._solved_set()
@@ -385,8 +388,8 @@ class TestCompareCases:
         lump = 6000.0
         b = results["B"]
         idle = {"B": b, "D": replace(results["D"], net_benefit=b.net_benefit - lump)}
-        cmp = compare_cases(idle, baseline, emission_charge=lump)
-        assert cmp.net_benefits["D"] == b.net_benefit - lump
+        doc = compare_cases(idle, baseline, emission_charge=lump)
+        assert doc["cases"]["D"]["net_benefit"] == b.net_benefit - lump
         with pytest.raises(ValueError, match="nesting violation"):
             compare_cases(idle, baseline)
         short = {"B": b, "D": replace(results["D"], net_benefit=b.net_benefit - lump - 1.0)}
