@@ -34,7 +34,13 @@ from .formulation import (
 )
 from .lp import LpSolution, solve, write_mps
 from .pvmodel import PowerSeries, pv_power
-from .validation import NESTED_PAIRS, ValidationReport, check_dispatch, compare_cases
+from .validation import (
+    NESTED_PAIRS,
+    ValidationReport,
+    baseline_ratio,
+    check_dispatch,
+    compare_cases,
+)
 from .weather import filter_low_irradiance, load_weather, read_table, synth_weather
 
 log = logging.getLogger("pvsmooth")
@@ -267,7 +273,7 @@ def cmd_run(config: RunConfig) -> int:
             comparison["baseline_net_benefit"] = _rounded(comparison["baseline_net_benefit"])
             for case in comparison["cases"].values():
                 for name, value in case.items():
-                    case[name] = _rounded(value)
+                    case[name] = None if value is None else _rounded(value)
             _write_json(out / "comparison.json", comparison)
             summary["baseline_net_benefit"] = comparison["baseline_net_benefit"]
 
@@ -280,13 +286,20 @@ def cmd_run(config: RunConfig) -> int:
     return exit_code
 
 
+def _percent_cell(value: float | None, scale: float = 1.0) -> str:
+    """``scale * value`` to two decimals, or n/a where a zero baseline
+    leaves the ratio undefined."""
+    return "n/a" if value is None else f"{scale * value:.2f}"
+
+
 def comparison_text(comparison: dict) -> str:
     """The comparison document of :func:`compare_cases` as an aligned table,
     one column per case."""
     cases = comparison["cases"].values()
     rows = [
         ("Net benefit ($)", [f"{c['net_benefit']:.2f}" for c in cases]),
-        ("Decrement vs baseline (%)", [f"{100 * c['decrement_vs_baseline']:.2f}" for c in cases]),
+        ("Decrement vs baseline (%)",
+         [_percent_cell(c["decrement_vs_baseline"], 100) for c in cases]),
         ("Battery power rating (kW)", [f"{c['battery_power_kw']:.1f}" for c in cases]),
         ("Battery energy rating (kWh)", [f"{c['battery_energy_kwh']:.1f}" for c in cases]),
         ("Diesel rating (kW)", [f"{c['diesel_power_kw']:.1f}" for c in cases]),
@@ -324,9 +337,10 @@ def cmd_battery_select(config: RunConfig) -> int:
         if record.dispatch is not None:
             sol = record.dispatch
             net = _rounded(sol.net_benefit)
+            pct = baseline_ratio(100.0 * (net - base_net), base_net)
             entry.update(
                 net_benefit=net,
-                imposed_cost_pct=_rounded(100.0 * (net - base_net) / abs(base_net)),
+                imposed_cost_pct=None if pct is None else _rounded(pct),
                 p_batt_max=_rounded(sol.p_batt_max),
                 e_batt_max=_rounded(sol.e_batt_max),
             )
@@ -352,7 +366,7 @@ def cmd_battery_select(config: RunConfig) -> int:
         if "net_benefit" in e:
             lines.append(
                 f"{e['battery']:<12}{e['net_benefit']:>18.2f}"
-                f"{e['imposed_cost_pct']:>18.2f}{e['p_batt_max']:>14.1f}"
+                f"{_percent_cell(e['imposed_cost_pct']):>18}{e['p_batt_max']:>14.1f}"
                 f"{e['e_batt_max']:>14.1f}"
             )
         else:

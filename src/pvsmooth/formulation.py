@@ -22,7 +22,7 @@ import numpy as np
 
 from .economics import BatterySpec, DieselSpec, EconomicParams, compute_factors
 from .errors import ConfigError, SolveStatusError
-from .lp import CsrRows, LpProblem, LpSolution, build_problem
+from .lp import CsrRows, LpProblem, LpSolution, build_problem, objective_value
 from .pvmodel import PowerSeries
 
 HOURS_PER_YEAR = 8760.0
@@ -311,6 +311,16 @@ def extract_solution(formulation: CaseFormulation, solution: LpSolution) -> Disp
     def scalar(name: str) -> float:
         return rating(float(x[cols[name].start])) if name in cols else 0.0
 
+    # the net benefit is the objective at the decoded point, so a rating
+    # zeroed from roundoff takes its term with it
+    zeroed = [
+        cols[name].start
+        for name in ("p_batt_max", "e_batt_max", "p_diesel_max")
+        if name in cols and scalar(name) == 0.0
+    ]
+    decoded = x.copy()
+    decoded[zeroed] = 0.0
+
     p_diesel = series("p_diesel")
     return DispatchSolution(
         steps=formulation.steps.copy(),
@@ -323,6 +333,6 @@ def extract_solution(formulation: CaseFormulation, solution: LpSolution) -> Disp
         p_batt_max=scalar("p_batt_max"),
         e_batt_max=scalar("e_batt_max"),
         p_diesel_max=scalar("p_diesel_max"),
-        net_benefit=solution.objective_value,
+        net_benefit=objective_value(formulation.problem, decoded),
         diesel_energy=rating(float(formulation.step_hours * p_diesel.sum())),
     )

@@ -41,10 +41,12 @@ _NAME_RE = re.compile(r"[^A-Za-z0-9_\n]")
 _SECTIONS = ("ROWS", "COLUMNS", "RHS", "RANGES", "BOUNDS")
 #: the newline before a header or comment line, which starts with no blank
 _MARK_RE = re.compile(r"\n(?=\S)")
-#: line breaks of str.splitlines other than "\n"
-_OTHER_BREAKS = "\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
-#: what a byte past ASCII decodes to with errors="surrogateescape"
-_ESCAPED_RE = re.compile("[\udc80-\udcff]")
+#: the ASCII line breaks of str.splitlines other than "\n"
+_OTHER_BREAKS = "\r\v\f\x1c\x1d\x1e"
+_BREAK_RE = re.compile(r"\r\n?|[\v\f\x1c\x1d\x1e]")
+#: a character past ASCII; a byte past ASCII decodes to one of U+DC80 to
+#: U+DCFF with errors="surrogateescape"
+_NON_ASCII_RE = re.compile(r"[^\x00-\x7f]")
 #: at most this many lines are rendered, or read and parsed, at a time
 _BLOCK_LINES = 1 << 15
 
@@ -518,13 +520,14 @@ def _parse(blocks) -> LpProblem:
     line_no = 1
     for block in blocks:
         if any(brk in block for brk in _OTHER_BREAKS):
-            # lines are numbered as str.splitlines counts them
-            block = "\n".join(block.splitlines()) + "\n"
-        escaped = None if block.isascii() else _ESCAPED_RE.search(block)
-        if escaped:
-            # the lines before the one with the byte are read first
-            bad_line = line_no + block.count("\n", 0, escaped.start())
-            block = block[: block.rfind("\n", 0, escaped.start()) + 1]
+            # lines are numbered as str.splitlines counts the ASCII breaks;
+            # a break past ASCII is a fault, as its bytes are in a file
+            block = _BREAK_RE.sub("\n", block)
+        bad = None if block.isascii() else _NON_ASCII_RE.search(block)
+        if bad:
+            # the lines before the one with the character are read first
+            bad_line = line_no + block.count("\n", 0, bad.start())
+            block = block[: block.rfind("\n", 0, bad.start()) + 1]
         marks = [m.end() for m in _MARK_RE.finditer(block)]
         if block[:1].strip():
             marks.insert(0, 0)
@@ -541,9 +544,13 @@ def _parse(blocks) -> LpProblem:
             pos, line_no = end + 1, line_no + 1
         reader.data(block[pos:], line_no)
         line_no += block.count("\n", pos)
-        if escaped:
-            byte = ord(escaped.group()) - 0xDC00
-            raise MpsFormatError(f"line {bad_line}: non-ASCII byte 0x{byte:02x}")
+        if bad:
+            char = bad.group()
+            what = (
+                f"byte 0x{ord(char) - 0xDC00:02x}" if "\udc80" <= char <= "\udcff"
+                else f"character {char!r} (U+{ord(char):04X})"
+            )
+            raise MpsFormatError(f"line {bad_line}: non-ASCII {what}")
     return reader.problem()
 
 

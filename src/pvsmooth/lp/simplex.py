@@ -28,6 +28,8 @@ steps of length zero, a guard against cycling on degenerate bases.
 
 from __future__ import annotations
 
+from collections import deque
+
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
@@ -75,6 +77,7 @@ class _BasisFactor:
         self.A = A
         self.m = A.shape[0]
         self.lu = None
+        self.factored = None  # the basis ``lu`` factors
         self.n_etas = 0
         self.rows = np.empty(REFACTOR_INTERVAL, dtype=np.int64)
         self.U = np.empty((REFACTOR_INTERVAL, self.m))
@@ -82,7 +85,11 @@ class _BasisFactor:
         self.T_inv = np.zeros((REFACTOR_INTERVAL, REFACTOR_INTERVAL))
 
     def refactor(self, basis: np.ndarray) -> None:
+        # SuperLU would factor the same basis into the same LU
+        if self.n_etas == 0 and np.array_equal(basis, self.factored):
+            return
         self.n_etas = 0
+        self.factored = None
         try:
             self.lu = splu(self.A[:, basis], relax=1, panel_size=1)
         except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
@@ -90,6 +97,7 @@ class _BasisFactor:
         diag = np.abs(self.lu.U.diagonal())
         if diag.min() < 1e-13 * max(1.0, diag.max()):
             raise SolveStatusError("basis matrix is numerically singular")
+        self.factored = basis.copy()
 
     def push_eta(self, r: int, w: np.ndarray) -> None:
         k = self.n_etas
@@ -148,14 +156,18 @@ def _optimality_tol(c: np.ndarray) -> float:
 def _crash(problem: LpProblem, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Triangular crash over the equality rows (Bixby 1992).
 
-    Walking the columns in order, a non-fixed column covers an open equality
-    row when that row holds its only nonzero among the open equality rows and
-    that coefficient is the largest in magnitude of the column; the row then
-    closes. Going back over the pairs in reverse, each row is solved for its
-    column with every other column at its current value in ``x``. A column
-    that lands inside its bounds takes that value and is basic in its row;
-    any other leaves the row to an artificial. Returns the covered rows and
-    their columns. Once the crash basis is factored,
+    A non-fixed column covers an open equality row when that row holds its
+    only nonzero among the open equality rows and that coefficient is the
+    largest in magnitude of the column; the row then closes, and the column
+    covers no other row. The walk visits every column in order, then each
+    column of every row it closes, until no row closes, so a chain of
+    equality rows is covered from either end: the SOC rows from the last E_b
+    back when E_b(0) is pinned. Going back over the pairs in reverse, each
+    row is solved for its column with every other column at its current
+    value in ``x``; the columns of row r covered after r closed come first.
+    A column that lands inside its bounds takes that value and is basic in
+    its row; any other leaves the row to an artificial. Returns the covered
+    rows and their columns. Once the crash basis is factored,
     :meth:`_State._seat_free_columns` seats the free columns that a zero
     slack blocks.
     """
@@ -163,20 +175,31 @@ def _crash(problem: LpProblem, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     A.sum_duplicates()
     A.eliminate_zeros()
     col_max = abs(A).max(axis=0).toarray().ravel()
-    is_open = np.array(problem.relations, dtype="U2") == "="
+    is_open = [rel == "=" for rel in problem.relations]
+    # a fixed column takes no row, and nor does one that already took one
+    taken = (problem.lower == problem.upper).tolist()
+    # the walk reads the index arrays as lists; a value only at a hit
+    indptr, indices = A.indptr.tolist(), A.indices.tolist()
+    R = A.tocsr()
+    row_ptr, row_members = R.indptr.tolist(), R.indices.tolist()
 
     pairs = []
-    for j in np.flatnonzero(problem.lower != problem.upper):
-        entries = np.arange(A.indptr[j], A.indptr[j + 1])
-        hit = entries[is_open[A.indices[entries]]]
+    walk = deque(range(problem.n_vars))
+    while walk:
+        j = walk.popleft()
+        if taken[j]:
+            continue
+        hit = [e for e in range(indptr[j], indptr[j + 1]) if is_open[indices[e]]]
         if len(hit) != 1:
             continue
         a = A.data[hit[0]]
         if abs(a) < col_max[j] or abs(a) < PIVOT_TOL:
             continue
-        r = A.indices[hit[0]]
+        r = indices[hit[0]]
         is_open[r] = False
+        taken[j] = True
         pairs.append((r, j, a))
+        walk.extend(row_members[row_ptr[r] : row_ptr[r + 1]])
 
     rows, cols = [], []
     for r, j, a in reversed(pairs):
@@ -313,6 +336,7 @@ class _State:
         self.basis = basis
         self.slack_rows = slack_rows
         self.art_rows = art_rows
+        self.art0 = n + n_slack  # the artificials are the tail columns
 
         self.lo = np.concatenate([problem.lower, slack_lo, np.zeros(na)])
         self.hi = np.concatenate([problem.upper, slack_hi, np.full(na, np.inf)])
@@ -321,15 +345,10 @@ class _State:
             [vstat_struct, vstat_slack, np.full(na, BASIC, dtype=np.int64)]
         ).astype(np.int64)
 
-        self.is_artificial = np.zeros(n_total, dtype=bool)
-        self.is_artificial[n + n_slack :] = True
-
         self.c_phase2 = np.concatenate([c, np.zeros(n_slack + na)])
         self.c_phase1 = np.concatenate([np.zeros(n + n_slack), np.ones(na)])
 
         self.factor = _BasisFactor(self.A)
-        # True while x_B is the current factor's B^-1 (b - N x_N)
-        self.x_factored = False
         self.iterations = 0
         self.max_iterations = ITERATION_LIMIT_FACTOR * (m + n)
         self.b_scale = 1.0 + np.max(np.abs(b))
@@ -364,7 +383,7 @@ class _State:
         and the point does not move.
         """
         n, m = self.n, self.m
-        c_work = self.c_phase1 if self.is_artificial.any() else self.c_phase2
+        c_work = self.c_phase1 if self.art0 < self.n_total else self.c_phase2
         d = self._reduced_costs(c_work)[:n]
         free = np.isneginf(problem.lower) & np.isposinf(problem.upper)
         cand = free & (self.vstat[:n] == FREE) & (np.abs(d) > _optimality_tol(c_work))
@@ -384,7 +403,7 @@ class _State:
         # zero slack stops the row's activity rising, -1 where falling
         rel = np.array(problem.relations, dtype="U2")
         side = np.where(rel == "<=", 1.0, np.where(rel == ">=", -1.0, 0.0))
-        at_zero = (self.basis >= n) & ~self.is_artificial[self.basis] & (self.x[self.basis] == 0.0)
+        at_zero = (self.basis >= n) & (self.basis < self.art0) & (self.x[self.basis] == 0.0)
         seat = (
             cand[j]
             & at_zero[r]
@@ -420,16 +439,12 @@ class _State:
 
     # -- basis maintenance -------------------------------------------------
 
-    def _recompute_basics(self) -> None:
+    def _refactor(self) -> None:
+        """Factor the basis and set x_B = B^-1 (b - N x_N)."""
+        self.factor.refactor(self.basis)
         xc = self.x.copy()
         xc[self.basis] = 0.0
-        v = self.b - self.A @ xc
-        self.x[self.basis] = self.factor.ftran(v)
-
-    def _refactor(self) -> None:
-        self.factor.refactor(self.basis)
-        self._recompute_basics()
-        self.x_factored = True
+        self.x[self.basis] = self.factor.ftran(self.b - self.A @ xc)
 
     # -- pricing -----------------------------------------------------------
 
@@ -454,13 +469,12 @@ class _State:
         otol = _optimality_tol(c_work)
         # steps of length zero in a row; each leaves the objective unchanged
         stall = 0
-        # phase 1 minimizes the sum of the artificials, the tail columns
-        art = self.n_total - len(self.art_rows)
 
         while True:
             if self.iterations >= self.max_iterations:
                 return "iteration-limit"
-            if phase == 1 and self.x[art:].sum() <= 1e-11 * self.b_scale:
+            # phase 1 minimizes the sum of the artificials
+            if phase == 1 and self.x[self.art0 :].sum() <= 1e-11 * self.b_scale:
                 return "optimal"
 
             bland = stall >= BLAND_TRIGGER
@@ -491,7 +505,6 @@ class _State:
                 if t_flip == np.inf:
                     return "unbounded" if phase == 2 else self._phase1_unbounded()
                 self.x[self.basis] -= t_flip * direction * w
-                self.x_factored = False
                 if self.vstat[q] == AT_LOWER:
                     self.x[q] = hi_q
                     self.vstat[q] = AT_UPPER
@@ -514,7 +527,6 @@ class _State:
         raise SolveStatusError("phase 1 subproblem reported unbounded; problem data is corrupt")
 
     def _pivot(self, q: int, r: int, w: np.ndarray, t: float, direction: float) -> None:
-        self.x_factored = False
         x_q0 = self.x[q]
         leave = self.basis[r]
         delta = -direction * w
@@ -537,32 +549,17 @@ class _State:
 
     # -- phase transition --------------------------------------------------
 
-    def phase1_infeasibility(self) -> float:
-        return float(np.sum(np.abs(self.x[self.is_artificial])))
-
-    def drive_out_artificials(self) -> None:
-        # artificials can never re-enter, and each basic one leaves at zero
-        art = self.is_artificial
-        self.lo[art] = 0.0
-        self.hi[art] = 0.0
-        nonbasic_art = art & (self.vstat != BASIC)
-        self.vstat[nonbasic_art] = FIXED
-        self.x[nonbasic_art] = 0.0
-        for r in np.flatnonzero(art[self.basis]):
-            e_r = np.zeros(self.m)
-            e_r[r] = 1.0
-            row_vals = self.At @ self.factor.btran(e_r)
-            # the candidates are the nonbasic columns free to move; every
-            # artificial is BASIC or FIXED by now
-            row_vals[(self.vstat == BASIC) | (self.vstat == FIXED)] = 0.0
-            j = int(np.argmax(np.abs(row_vals)))
-            if abs(row_vals[j]) <= 1e-7:
-                continue  # redundant row; artificial stays basic at zero
-            w = self.factor.ftran(self.factor.column(j))
-            if abs(w[r]) >= PIVOT_TOL:
-                self._pivot(j, int(r), w, 0.0, 1.0)
-        if not self.x_factored:
-            self._refactor()
+    def fix_artificials(self) -> None:
+        """Fix every artificial at zero for phase 2. A basic one stays basic
+        until phase 2's ratio test moves it out at a step of length zero, or
+        to the end where its row is redundant; none can re-enter."""
+        art = self.art0
+        self.lo[art:] = 0.0
+        self.hi[art:] = 0.0
+        nonbasic = art + np.flatnonzero(self.vstat[art:] != BASIC)
+        self.vstat[nonbasic] = FIXED
+        self.x[nonbasic] = 0.0
+        self._refactor()
 
 
 def _solve_box(problem: LpProblem) -> tuple[str, np.ndarray]:
@@ -595,19 +592,18 @@ def solve(problem: LpProblem, start: LpBasis | None = None) -> LpSolution:
     else:
         st = _State(problem, start)
         warm_start = st.warm
-        artificials = int(np.count_nonzero(st.is_artificial))
+        artificials = st.n_total - st.art0
         status = st.optimize(phase=1)
         phase1_iterations = st.iterations
         if status == "optimal":
-            if st.phase1_infeasibility() > FEASIBILITY_TOL * st.b_scale:
+            if np.abs(st.x[st.art0 :]).sum() > FEASIBILITY_TOL * st.b_scale:
                 status = "infeasible"
             else:
-                st.drive_out_artificials()
+                st.fix_artificials()
         if status == "optimal":
             status = st.optimize(phase=2)
         if status == "optimal":
-            if not st.x_factored:
-                st._refactor()
+            st._refactor()
             basis = st.final_basis(problem)
         xs = st.x[: st.n].copy()
         iterations = st.iterations

@@ -134,6 +134,12 @@ NESTING_REL_TOL = 1e-6
 NESTED_PAIRS = (("A", "B"), ("A", "C"), ("B", "D"), ("C", "D"))
 
 
+def baseline_ratio(amount: float, base: float) -> float | None:
+    """``amount`` per unit of the baseline's magnitude, or None when the
+    baseline is exactly 0, where no ratio is defined."""
+    return amount / abs(base) if base != 0.0 else None
+
+
 def compare_cases(
     results: dict[str, DispatchSolution],
     baseline: DispatchSolution,
@@ -143,7 +149,8 @@ def compare_cases(
 
     Returns the document ``run`` writes as ``comparison.json``, unrounded:
     ``baseline_net_benefit`` and, per case, its ``net_benefit``, the
-    ``decrement_vs_baseline`` (the fraction of the baseline revenue lost)
+    ``decrement_vs_baseline`` (the fraction of the baseline revenue lost,
+    or None when the baseline earns exactly 0, where no fraction is defined)
     and its battery power, battery energy and diesel ratings. It holds only
     what the optimum of each case defines; the largest curtailment of the
     optimal point the solver reached depends on the pivot path, so
@@ -167,13 +174,12 @@ def compare_cases(
                 raise ValueError(
                     f"nesting violation: case {lo} earns {lo_v:.6g} > case {hi} {hi_v:.6g}"
                 )
-    scale = abs(base) if base != 0.0 else 1.0
     return {
         "baseline_net_benefit": base,
         "cases": {
             c: {
                 "net_benefit": r.net_benefit,
-                "decrement_vs_baseline": (base - r.net_benefit) / scale,
+                "decrement_vs_baseline": baseline_ratio(base - r.net_benefit, base),
                 "battery_power_kw": r.p_batt_max,
                 "battery_energy_kwh": r.e_batt_max,
                 "diesel_power_kw": r.p_diesel_max,

@@ -18,6 +18,10 @@ from pvsmooth.lp import parse_mps, simplex, solve
 
 FLAT_HEADER = "timestamp,irradiance_wm2,temp_c\n"
 
+#: no energy price: the baseline earns exactly 0, and so does B, which then
+#: builds no storage
+ZERO_BASELINE = {"weather": {"synthetic": {"days": 1}}, "econ": {"energy_price": 0}}
+
 
 def flat_weather_file(tmp_path, steps=36, irradiance=800.0):
     # 36 ten-minute steps: short enough to solve fast, long enough that the
@@ -234,6 +238,20 @@ class TestRun:
             f"error: {weather}: row 3: non-UTF-8 byte 0xe9 in column 'irradiance_wm2'\n"
         )
 
+    def test_zero_baseline_leaves_the_decrement_undefined(self, tmp_path):
+        # a fraction of a zero baseline is undefined: null in the JSON and
+        # n/a in the table, never a dollar amount divided by 1
+        cfg = write_config(tmp_path, {**ZERO_BASELINE, "output_dir": "out"})
+        assert main(["run", str(cfg)]) == 0
+        out = tmp_path / "out"
+        comparison = json.loads((out / "comparison.json").read_text())
+        assert comparison["baseline_net_benefit"] == 0.0
+        assert list(comparison["cases"]) == ["A", "B", "C", "D"]
+        assert all(c["decrement_vs_baseline"] is None for c in comparison["cases"].values())
+        rows = (out / "comparison.txt").read_text().splitlines()
+        assert rows[2].split()[-4:] == ["n/a"] * 4
+        assert rows[2].startswith("Decrement vs baseline (%)")
+
     def test_hourly_trace_needs_no_step_setting(self, tmp_path):
         # the LP's step is the CSV's own spacing, with no constraints given
         rows = [FLAT_HEADER]
@@ -290,6 +308,14 @@ class TestZeroRatings:
             case = summary["cases"][label]
             assert case["p_diesel_max"] == case["diesel_energy"] == 0.0
         assert [case["diesel_power_kw"] for case in comparison["cases"].values()] == [0.0] * 4
+
+    def test_zero_ratings_leave_no_roundoff_in_the_net_benefit(self, tmp_path):
+        # B's optimum builds nothing and earns nothing; the ratings' roundoff
+        # once left it 2.7e-11 above the baseline's 0.0
+        summary, comparison = self._reports(tmp_path, ZERO_BASELINE)
+        assert summary["cases"]["B"]["net_benefit"] == 0.0
+        assert comparison["cases"]["B"]["net_benefit"] == 0.0
+        assert "-0.00" not in (tmp_path / "out" / "comparison.txt").read_text()
 
 
 def test_comparison_text_is_the_table_of_the_document():
@@ -459,6 +485,18 @@ class TestBatterySelect:
         assert capsys.readouterr().err == (
             "config error: cases: unknown case 'battery-select'; valid: A, B, C, D, baseline\n"
         )
+
+    def test_zero_baseline_leaves_the_imposed_cost_undefined(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {**ZERO_BASELINE, "output_dir": "out"})
+        assert main(["battery-select", str(cfg)]) == 0
+        doc = json.loads((tmp_path / "out" / "battery_select.json").read_text())
+        assert doc["baseline_net_benefit"] == 0.0
+        assert [e["imposed_cost_pct"] for e in doc["ranking"]] == [None] * 4
+        nets = [e["net_benefit"] for e in doc["ranking"]]
+        assert nets == sorted(nets, reverse=True)
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == (tmp_path / "out" / "battery_select.txt").read_text().splitlines()
+        assert [line.split()[2] for line in lines[1:]] == ["n/a"] * 4
 
     def test_single_candidate_rejected(self, tmp_path, capsys):
         weather = flat_weather_file(tmp_path)

@@ -425,6 +425,19 @@ class TestParseErrors:
             read_mps(path)
         assert str(err.value) == "line 5: non-ASCII byte 0xc3"
 
+    def test_non_ascii_character_in_text_names_its_line(self, tmp_path):
+        # parse_mps faults the same line that read_mps does on the file's
+        # bytes, and names the character; it once kept a row 'LIMé'
+        text = TESTPROB.replace("LIM1", "LIMé")
+        with pytest.raises(MpsFormatError) as err:
+            parse_mps(text)
+        assert str(err.value) == "line 4: non-ASCII character 'é' (U+00E9)"
+        path = tmp_path / "accent.mps"
+        path.write_bytes(text.encode("utf-8"))
+        with pytest.raises(MpsFormatError) as err:
+            read_mps(path)
+        assert str(err.value) == "line 4: non-ASCII byte 0xc3"
+
     def test_fault_before_a_non_ascii_byte_comes_first(self, tmp_path):
         path = tmp_path / "accent.mps"
         text = TESTPROB.replace("X1        LIM2            1.0", "X1        LIM2            1.x")

@@ -300,17 +300,16 @@ class TestSolverInvariants:
             sol = solve(p)
             assert sol.iterations <= simplex.ITERATION_LIMIT_FACTOR * (p.n_rows + p.n_vars)
 
-    def test_drive_out_keeps_the_eta_file_bounded(self, monkeypatch):
+    def test_artificials_leaving_in_phase_2_keep_the_eta_file_bounded(self, monkeypatch):
         # the cyclic rows x_i - x_(i+1 mod m) = 0 hold at the start point and
         # give every column two equality entries, so no crash column covers
         # a row: each artificial sits basic at zero, phase 1 ends at once and
-        # drive-out pivots once per row but the one redundant row
+        # phase 2's ratio test pivots out all but the one on a redundant row
         m = 3 * simplex.REFACTOR_INTERVAL
         rows = [([(i, 1.0), ((i + 1) % m, -1.0)], "=", 0.0) for i in range(m)]
         p = build_problem("maximize", [(0.0, 1.0)] * m, rows, [1.0] * m)
-        longest = pushes = drive_out_pushes = 0
+        longest = pushes = 0
         push_eta = simplex._BasisFactor.push_eta
-        drive_out = simplex._State.drive_out_artificials
 
         def recording_push(factor, r, w):
             nonlocal longest, pushes
@@ -318,41 +317,29 @@ class TestSolverInvariants:
             pushes += 1
             longest = max(longest, factor.n_etas)
 
-        def recording_drive_out(state):
-            nonlocal drive_out_pushes
-            before = pushes
-            drive_out(state)
-            drive_out_pushes = pushes - before
-
         monkeypatch.setattr(simplex._BasisFactor, "push_eta", recording_push)
-        monkeypatch.setattr(simplex._State, "drive_out_artificials", recording_drive_out)
         sol = solve(p)
         assert sol.status == "optimal"
         assert sol.objective_value == pytest.approx(m)
-        assert drive_out_pushes > simplex.REFACTOR_INTERVAL
+        assert sol.artificials == m
+        assert sol.phase1_iterations == 0
+        assert pushes > simplex.REFACTOR_INTERVAL
         assert longest == simplex.REFACTOR_INTERVAL
 
-    def test_drive_out_pivots_every_artificial_of_the_fixed_fraction_baseline(
-        self, tmp_path, monkeypatch
-    ):
-        # E_b(0) has two equality entries once its fraction is fixed, INITSOC
-        # and SOC(1), so no SOC row is crashed: each starts on an artificial at
-        # zero, phase 1 ends at once and drive-out pivots every one of them out
-        p = case_lp(tmp_path, "baseline", initial_soc_fraction=0.5).problem
-        basic_artificials = []
-        drive_out = simplex._State.drive_out_artificials
-
-        def recording_drive_out(state):
-            drive_out(state)
-            basic_artificials.append(int(np.count_nonzero(state.is_artificial[state.basis])))
-
-        monkeypatch.setattr(simplex._State, "drive_out_artificials", recording_drive_out)
-        sol = solve(p)
-        assert sol.status == "optimal"
-        assert sol.artificials == 212
-        assert sol.phase1_iterations == 0
-        assert basic_artificials == [0]
-        assert sol.objective_value == pytest.approx(highs_objective(p), rel=1e-9)
+    def test_pinned_charge_starts_like_the_free_one(self, tmp_path):
+        # a pinned E_b(0) has two equality entries, INITSOC and SOC(1); the
+        # crash covers the SOC chain from its last E_b back to E_b(0), so
+        # case A starts on the artificials of the unpinned case alone and
+        # the baseline on none
+        sols = {}
+        for label in ("A", "baseline"):
+            p = case_lp(tmp_path, label, initial_soc_fraction=0.5).problem
+            sols[label] = solve(p)
+            assert sols[label].status == "optimal"
+            assert sols[label].objective_value == pytest.approx(highs_objective(p), rel=1e-9)
+        assert sols["A"].artificials == 106
+        assert sols["baseline"].artificials == 0
+        assert sols["baseline"].phase1_iterations == 0
 
 
 class TestCrashBasis:
@@ -432,8 +419,8 @@ class TestCrashBasis:
         assert over.any() and not over.all()
         st = simplex._State(p)
         bal = rows_named(p, "BAL")
-        assert st.is_artificial[st.basis[bal[over]]].all()
-        assert not st.is_artificial[st.basis[bal[~over]]].any()
+        assert (st.basis[bal[over]] >= st.art0).all()
+        assert not (st.basis[bal[~over]] >= st.art0).any()
         p_grid = np.arange(p.n_vars)[form.columns["p_grid"]]
         assert (st.vstat[p_grid[over]] == simplex.AT_LOWER).all()
         assert (st.vstat[p_grid[~over]] == simplex.BASIC).all()
@@ -454,7 +441,7 @@ class TestCrashBasis:
         st = simplex._State(p)
         crashed = other < 0.5
         assert (st.vstat[0] == simplex.BASIC) == crashed
-        assert st.is_artificial[st.basis[0]] == (not crashed)
+        assert (st.basis[0] >= st.art0) == (not crashed)
         if crashed:
             assert st.x[0] == 2.0
         sol = solve(p)
@@ -466,7 +453,25 @@ class TestCrashBasis:
         p = build_problem("minimize", [(0.0, 1.0)], [([(0, tiny)], "=", 0.0)], [1.0])
         st = simplex._State(p)
         assert st.vstat[0] == simplex.AT_LOWER
-        assert st.is_artificial[st.basis[0]]
+        assert st.basis[0] >= st.art0
+
+    def test_chain_is_covered_from_its_far_end(self):
+        # x_0 is pinned by r0 and each other row is x_(i-1) - x_i = 0, so
+        # every column but the last has two equality entries; the crash
+        # covers the last row with x_(k-1), then walks the chain back to r0
+        k = 8
+        rows = [([(0, 1.0)], "=", 1.0)]
+        rows += [([(i - 1, 1.0), (i, -1.0)], "=", 0.0) for i in range(1, k)]
+        p = build_problem("minimize", [(0.0, 2.0)] * k, rows, [1.0] * k)
+        st = simplex._State(p)
+        assert st.art0 == st.n_total
+        assert sorted(st.basis.tolist()) == list(range(k))
+        assert st.x.tolist() == [1.0] * k
+        sol = solve(p)
+        assert sol.status == "optimal"
+        assert sol.artificials == 0
+        assert sol.iterations == 0
+        assert sol.objective_value == k
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_explicit_zeros_are_not_entries(self):
