@@ -43,6 +43,8 @@ class SyntheticWeatherSpec:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.days < 1:
             raise ValueError(f"days must be >= 1, got {self.days}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         v = self.variability
         if not (isinstance(v, (int, float)) and not isinstance(v, bool) and 0.0 <= v <= 1.0):
             raise ValueError(f"variability must be in [0, 1], got {v!r}")

@@ -11,10 +11,15 @@ held at a time. The writer formats each distinct value once per file and
 pads each name once, then joins each block's lines from those tables:
 :func:`write_mps` writes the blocks to the file as they come, and
 :func:`render_mps` joins them into one string. The reader splits each
-block's runs of data lines once and checks them with array operations.
-What the sections have read so far is kept across blocks, so a block's work
-is in proportion to the block, and a fault is reported at its line whatever
-the block size. A file's byte past ASCII is a fault of its line too.
+run of data lines with one ``str.split``, a marker past ASCII in place of
+each line break: each marker is a token of its own, so the markers bound
+each line's tokens and give its number. It checks the tokens with array
+operations. :func:`read_mps` reads the file in byte
+chunks sized to the block and cuts them at every ``_BLOCK_LINES``-th line
+break, found with numpy, so no line becomes an object of its own. What the
+sections have read so far is kept across blocks, so a block's work is in
+proportion to the block, and a fault is reported at its line whatever the
+block size. A file's byte past ASCII is a fault of its line too.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from collections.abc import Iterator
-from itertools import chain, count, islice, repeat
+from itertools import chain, count, repeat
 
 import numpy as np
 import scipy.sparse as sp
@@ -36,6 +41,17 @@ _BOUND_KEYS = np.array(
     [f" {key} BND       " for key in ("FX", "FR", "MI", "LO", "UP")], dtype=object
 )
 _TYPE_TO_REL = {"L": "<=", "G": ">=", "E": "="}
+#: what a bound key does, as bits: LO, UP and FX set ends of the box to
+#: their value, FR frees both ends and MI the lower one, and PL sets none
+_VALUED, _SETS_LOWER, _SETS_UPPER, _FREES = 1, 2, 4, 8
+_BOUND_ACTS = {
+    "UP": _VALUED | _SETS_UPPER,
+    "LO": _VALUED | _SETS_LOWER,
+    "FX": _VALUED | _SETS_LOWER | _SETS_UPPER,
+    "FR": _SETS_LOWER | _SETS_UPPER | _FREES,
+    "MI": _SETS_LOWER | _FREES,
+    "PL": 0,
+}
 #: characters a name keeps; the newline separates names sanitised together
 _NAME_RE = re.compile(r"[^A-Za-z0-9_\n]")
 _SECTIONS = ("ROWS", "COLUMNS", "RHS", "RANGES", "BOUNDS")
@@ -47,8 +63,13 @@ _BREAK_RE = re.compile(r"\r\n?|[\v\f\x1c\x1d\x1e]")
 #: a character past ASCII; a byte past ASCII decodes to one of U+DC80 to
 #: U+DCFF with errors="surrogateescape"
 _NON_ASCII_RE = re.compile(r"[^\x00-\x7f]")
+#: stands in for each line break of a data run: past ASCII, so in no token
+#: of the run, and not whitespace to str.split
+_LINE_MARK = "\x80"
 #: at most this many lines are rendered, or read and parsed, at a time
 _BLOCK_LINES = 1 << 15
+#: a file is read this many bytes at a time per line of a block
+_READ_BYTES_PER_LINE = 16
 
 
 def _short_names(originals, fallback_prefix: str) -> list[str]:
@@ -59,7 +80,9 @@ def _short_names(originals, fallback_prefix: str) -> list[str]:
     if joined.count("\n") >= len(originals):
         # a name holds a newline, which sanitising drops anyway
         joined = "\n".join(name.replace("\n", "") for name in originals)
-    out = [name[:8] for name in _NAME_RE.sub("", joined).upper().split("\n")]
+    out = _NAME_RE.sub("", joined).upper().split("\n")
+    if max(map(len, out)) > 8:
+        out = [name[:8] for name in out]
     distinct = set(out)
     if len(distinct) == len(out) and "" not in distinct:
         return out
@@ -75,25 +98,21 @@ def _short_names(originals, fallback_prefix: str) -> list[str]:
     return out
 
 
-def _num(v: float) -> str:
-    return f"{v:.15g}"
-
-
 def _padded(names) -> np.ndarray:
-    return np.array([f"{name:<8}  " for name in names], dtype=object)
+    """The names, each at most 8 characters, padded to a 10-character field."""
+    return np.fromiter(map(str.ljust, names, repeat(10)), dtype=object, count=len(names))
 
 
 def _lines(count: int, *fields) -> Iterator[str]:
-    """``count`` lines made of ``fields``, in blocks of at most
-    ``_BLOCK_LINES``. A field is a string, the same on every line, or a
-    function from a slice of the lines to their strings; no line is built
-    on its own."""
+    """``count`` lines made of ``fields``, the last of which ends each line
+    with its line break, in blocks of at most ``_BLOCK_LINES``. A field is
+    a string, the same on every line, or a function from a slice of the
+    lines to their strings; no line is built on its own."""
     for start in range(0, count, _BLOCK_LINES):
         lines = slice(start, min(start + _BLOCK_LINES, count))
-        table = np.empty((lines.stop - start, len(fields) + 1), dtype=object)
+        table = np.empty((lines.stop - start, len(fields)), dtype=object)
         for k, field in enumerate(fields):
             table[:, k] = field if isinstance(field, str) else field(lines)
-        table[:, -1] = "\n"
         yield "".join(table.ravel().tolist())
 
 
@@ -119,8 +138,8 @@ def _blocks(problem: LpProblem) -> Iterator[str]:
     yield "* SENSE: MAX\n" if problem.sense == "maximize" else ""
     yield f"NAME          {_NAME_RE.sub('', problem.name)[:8].upper() or 'LP'}\n"
     yield f"ROWS\n N  {obj_name}\n"
-    types = np.array([_ROW_TYPE[rel] for rel in problem.relations], dtype=object)
-    yield from _lines(m, types.__getitem__, np.array(names, dtype=object).__getitem__)
+    types = np.fromiter(map(_ROW_TYPE.__getitem__, problem.relations), dtype=object, count=m)
+    yield from _lines(m, types.__getitem__, np.array(names, dtype=object).__getitem__, "\n")
     row_pad = _padded([obj_name] + names)  # the objective is row 0
     names = _short_names(problem.col_names, "C")
     col_pad = _padded(names)
@@ -156,24 +175,25 @@ def _blocks(problem: LpProblem) -> Iterator[str]:
     bound_col[bare] = n + np.arange(np.count_nonzero(bare))
     del names
 
-    # each distinct value in the file is formatted once, by bit pattern so
-    # that -0.0 stays apart from 0.0; a block looks its values up
+    # each distinct value in the file is formatted once, with the line break
+    # that follows it, by bit pattern so that -0.0 stays apart from 0.0; a
+    # block looks its values up
     bits = np.unique(np.concatenate([value, rhs_values, bound_values]).view(np.int64))
-    text = np.array([_num(v) for v in bits.view(float).tolist()], dtype=object)
+    text = np.array([f"{v:.15g}\n" for v in bits.view(float).tolist()], dtype=object)
 
     def written(values):
         return lambda lines: text[np.searchsorted(bits, values[lines].view(np.int64))]
 
     bound_text = written(bound_values)
     yield "COLUMNS\n"
-    yield from _lines(len(col_of), "    ", _pick(col_pad, col_of), _pick(row_pad, row_of),
+    yield from _lines(len(col_of), _pick("    " + col_pad, col_of), _pick(row_pad, row_of),
                       written(value))
     yield "RHS\n"
     yield from _lines(len(rhs_rows), "    RHS       ", _pick(row_pad, rhs_rows),
                       written(rhs_values))
     yield "RANGES\nBOUNDS\n"
     yield from _lines(len(key), _pick(_BOUND_KEYS, key), _pick(bound_names, bound_col),
-                      lambda lines: np.where(bare[lines], "", bound_text(lines)))
+                      lambda lines: np.where(bare[lines], "\n", bound_text(lines)))
     yield "ENDATA\n"
 
 
@@ -187,11 +207,11 @@ def write_mps(problem: LpProblem, path) -> None:
         fh.writelines(_blocks(problem))
 
 
-def _floats(tokens) -> tuple[np.ndarray, int]:
-    """The tokens as floats, and the position of the first that is not a
-    number, or -1."""
+def _floats(tokens: np.ndarray) -> tuple[np.ndarray, int]:
+    """The tokens as floats, each read as ``float`` reads it, and the
+    position of the first that is not a number, or -1."""
     try:
-        return np.fromiter(map(float, tokens), dtype=float, count=len(tokens)), -1
+        return tokens.astype(float), -1
     except ValueError:
         for k, token in enumerate(tokens):
             try:
@@ -293,9 +313,14 @@ class _Reader:
 
     def data(self, chunk: str, first_line: int) -> None:
         """Data lines ``chunk``, the first of them numbered ``first_line``."""
-        lines = chunk.split("\n")
-        counts = np.fromiter(map(len, map(str.split, lines)), dtype=np.int64, count=len(lines))
-        del lines  # free the line strings before the tokens are made
+        # _parse cut the run before any character past ASCII, so each marker
+        # is a token of its own, and line k's tokens lie between marker k - 1
+        # and marker k
+        tokens = chunk.replace("\n", f" {_LINE_MARK} ").split()
+        tokens = np.fromiter(tokens, dtype=object, count=len(tokens))
+        ends = np.append(np.flatnonzero(tokens == _LINE_MARK), len(tokens))
+        start = np.concatenate([[0], ends[:-1] + 1])
+        counts = ends - start
         nonblank = np.flatnonzero(counts)
         if not len(nonblank):
             return
@@ -304,9 +329,7 @@ class _Reader:
             raise MpsFormatError(f"line {line_no[0]}: data before any section header")
         if self.section == "RANGES":
             raise MpsFormatError(f"line {line_no[0]}: RANGES entries are not supported")
-        counts = counts[nonblank]
-        tokens = np.array(chunk.split(), dtype=object)
-        start = np.cumsum(counts) - counts
+        start, counts = start[nonblank], counts[nonblank]
         faults = _Faults(line_no)
         if self.section == "ROWS":
             self._rows(tokens, start, counts, faults)
@@ -345,7 +368,7 @@ class _Reader:
 
         if self.obj_row is None and objective.any():
             self.obj_row = names[np.argmax(objective)]
-        self.relations += [_TYPE_TO_REL[t] for t in types[constraint]]
+        self.relations += map(_TYPE_TO_REL.__getitem__, types[constraint])
 
     def _pairs(self, tokens, start, counts, faults: _Faults) -> None:
         """COLUMNS or RHS lines: a column or set name, then name/value pairs."""
@@ -428,8 +451,10 @@ class _Reader:
         lines = np.arange(len(counts))
         raw_keys = tokens[start]
         keys = _upper(raw_keys)
-        valued = np.array([key in ("UP", "LO", "FX") for key in keys], dtype=bool)
-        bare = np.array([key in ("FR", "MI", "PL") for key in keys], dtype=bool)
+        acts = np.fromiter(map(_BOUND_ACTS.get, keys, repeat(-1)), dtype=np.int64,
+                           count=len(keys))
+        valued = (acts >= 0) & (acts & _VALUED != 0)
+        bare = (acts >= 0) & (acts & _VALUED == 0)
         faults.check(~valued & ~bare, lines, 0, lambda k: f"unknown bound key {raw_keys[k]!r}")
         faults.check(valued & (counts != 4), lines, 0,
                      lambda k: f"bound {keys[k]} needs set, column and value")
@@ -447,15 +472,12 @@ class _Reader:
                      lambda k: f"bad numeric field {value_tokens[k]!r}")
         faults.raise_first()
 
-        # LO, UP and FX set ends of the box to the value, FR frees both ends
-        # and MI the lower one
-        keys = keys[ok].tolist()
+        acts = acts[ok]
         value = np.zeros(len(ok))
         value[valued[ok]] = values
-        frees = np.array([key in ("FR", "MI") for key in keys], dtype=bool)
-        for end, setters, free in ((0, ("LO", "FX", "FR", "MI"), -np.inf),
-                                   (1, ("UP", "FX", "FR"), np.inf)):
-            sets = np.array([key in setters for key in keys], dtype=bool)
+        frees = acts & _FREES != 0
+        for end, sets_end, free in ((0, _SETS_LOWER, -np.inf), (1, _SETS_UPPER, np.inf)):
+            sets = acts & sets_end != 0
             self.bound_cols[end].append(col[sets])
             self.bound_vals[end].append(np.where(frees, free, value)[sets])
 
@@ -559,9 +581,29 @@ def parse_mps(text: str) -> LpProblem:
     return _parse(run.group() for run in runs)
 
 
+def _file_blocks(fh) -> Iterator[str]:
+    """The text of the binary file ``fh`` in blocks of ``_BLOCK_LINES``
+    lines, the last maybe shorter. The file is read in chunks sized to the
+    block, each cut at every ``_BLOCK_LINES``-th line break of the text."""
+    held: list[bytes] = []  # the bytes read of the next block
+    lines = 0  # the line breaks in them
+    while chunk := fh.read(_BLOCK_LINES * _READ_BYTES_PER_LINE):
+        ends = np.flatnonzero(np.frombuffer(chunk, dtype=np.uint8) == ord("\n")) + 1
+        cuts = ends[_BLOCK_LINES - lines - 1 :: _BLOCK_LINES].tolist()
+        lines = (lines + len(ends)) % _BLOCK_LINES
+        del ends  # not held while the blocks are parsed
+        pos = 0
+        for end in cuts:
+            held.append(chunk[pos:end])
+            # a byte past ASCII decodes to an escape, which the parse reports
+            block = b"".join(held).decode("ascii", "surrogateescape")
+            held, pos = [], end
+            yield block
+        held.append(chunk[pos:])
+    if any(held):
+        yield b"".join(held).decode("ascii", "surrogateescape")
+
+
 def read_mps(path) -> LpProblem:
     with open(path, "rb") as fh:
-        # a byte past ASCII decodes to an escape, which the parse reports
-        return _parse(iter(
-            lambda: b"".join(islice(fh, _BLOCK_LINES)).decode("ascii", "surrogateescape"), ""
-        ))
+        return _parse(_file_blocks(fh))

@@ -221,7 +221,9 @@ def build_problem(
     # naming its first fault
     row_of = np.repeat(np.arange(m), counts)
     in_range = (cols >= 0) & (cols < n)
-    bad_row = ~np.isfinite(rhs) | np.array([rel not in RELATIONS for rel in relations], dtype=bool)
+    bad_row = ~np.isfinite(rhs)
+    if not set(relations) <= set(RELATIONS):
+        bad_row |= np.array([rel not in RELATIONS for rel in relations], dtype=bool)
     bad_row[row_of[~in_range | ~np.isfinite(vals)]] = True
     keys = np.sort(row_of[in_range] * n + cols[in_range])
     bad_row[keys[1:][keys[1:] == keys[:-1]] // n] = True

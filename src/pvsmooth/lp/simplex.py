@@ -171,16 +171,18 @@ def _crash(problem: LpProblem, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     :meth:`_State._seat_free_columns` seats the free columns that a zero
     slack blocks.
     """
-    A = problem.A.tocsc(copy=True)
-    A.sum_duplicates()
-    A.eliminate_zeros()
-    col_max = abs(A).max(axis=0).toarray().ravel()
-    is_open = [rel == "=" for rel in problem.relations]
+    col_max = abs(problem.A).max(axis=0).toarray().ravel()
+    eq_rows = [i for i, rel in enumerate(problem.relations) if rel == "="]
+    # the walk opens and closes only equality rows, so it reads only theirs:
+    # row i of E is row eq_rows[i] of A
+    E = problem.A[eq_rows].tocsc()
+    E.eliminate_zeros()
+    is_open = [True] * len(eq_rows)
     # a fixed column takes no row, and nor does one that already took one
     taken = (problem.lower == problem.upper).tolist()
     # the walk reads the index arrays as lists; a value only at a hit
-    indptr, indices = A.indptr.tolist(), A.indices.tolist()
-    R = A.tocsr()
+    indptr, indices = E.indptr.tolist(), E.indices.tolist()
+    R = E.tocsr()
     row_ptr, row_members = R.indptr.tolist(), R.indices.tolist()
 
     pairs = []
@@ -192,14 +194,14 @@ def _crash(problem: LpProblem, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         hit = [e for e in range(indptr[j], indptr[j + 1]) if is_open[indices[e]]]
         if len(hit) != 1:
             continue
-        a = A.data[hit[0]]
+        a = E.data[hit[0]]
         if abs(a) < col_max[j] or abs(a) < PIVOT_TOL:
             continue
-        r = indices[hit[0]]
-        is_open[r] = False
+        i = indices[hit[0]]
+        is_open[i] = False
         taken[j] = True
-        pairs.append((r, j, a))
-        walk.extend(row_members[row_ptr[r] : row_ptr[r + 1]])
+        pairs.append((eq_rows[i], j, a))
+        walk.extend(row_members[row_ptr[i] : row_ptr[i + 1]])
 
     rows, cols = [], []
     for r, j, a in reversed(pairs):

@@ -112,7 +112,14 @@ class TestFieldPathErrors:
 
     @pytest.mark.parametrize(
         "key,value",
-        [("days", 0), ("days", 2.5), ("days", True), ("variability", 2), ("seed", "x")],
+        [
+            ("days", 0),
+            ("days", 2.5),
+            ("days", True),
+            ("variability", 2),
+            ("seed", "x"),
+            ("seed", -1),
+        ],
     )
     def test_bad_synthetic_weather_exits_2(self, tmp_path, key, value, capsys):
         path = write_config(tmp_path, {"weather": {"synthetic": {key: value}}})

@@ -15,6 +15,7 @@ Transcribed field by field; the parse assertions below restate that LP.
 
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -446,6 +447,69 @@ class TestParseErrors:
         with pytest.raises(MpsFormatError) as err:
             read_mps(path)
         assert str(err.value) == "line 9: bad numeric field '1.x'"
+
+
+def parsed_both_ways(text, tmp_path):
+    """``text`` parsed by parse_mps, and its bytes read by read_mps: each
+    the rendered problem, or the fault message."""
+    path = tmp_path / "edge.mps"
+    path.write_bytes(text.encode("ascii"))
+    out = []
+    for parse in (lambda: parse_mps(text), lambda: read_mps(path)):
+        try:
+            out.append(render_mps(parse()))
+        except MpsFormatError as err:
+            out.append(str(err))
+    return out
+
+
+#: TESTPROB's text changed where a reader splits lines and fields, and the
+#: line that TESTPROB's line 14 becomes
+EDGES = {
+    "tabs": (lambda text: re.sub(" +", "\t", text), 14),
+    # whitespace to str.split, but no line break
+    "unit separator": (lambda text: re.sub(" +", "\x1f", text), 14),
+    "blank lines": (lambda text: text.replace("COLUMNS\n", "COLUMNS\n\n \t\x1f \n\n"), 17),
+    "crlf": (lambda text: text.replace("\n", "\r\n"), 14),
+    "no final newline": (lambda text: text[:-1], 14),
+}
+
+
+@pytest.mark.usefixtures("block_lines")
+class TestTokenizerEdges:
+    """parse_mps on text and read_mps on its bytes agree, on the problem or
+    on the fault and its line, at the edges of splitting lines and fields."""
+
+    @pytest.mark.parametrize("edge", EDGES)
+    def test_same_problem(self, edge, tmp_path):
+        change, _ = EDGES[edge]
+        expected = render_mps(parse_mps(TESTPROB))
+        assert parsed_both_ways(change(TESTPROB), tmp_path) == [expected] * 2
+
+    @pytest.mark.parametrize("edge", EDGES)
+    def test_same_fault_line(self, edge, tmp_path):
+        change, line = EDGES[edge]
+        text = change(TESTPROB.replace("LIM1            4.0", "LIM1            4.O"))
+        assert parsed_both_ways(text, tmp_path) == [f"line {line}: bad numeric field '4.O'"] * 2
+
+    def test_fault_on_a_last_line_with_no_newline(self, tmp_path):
+        text = TESTPROB.replace("-1.0\nENDATA\n", "-1.x")
+        assert parsed_both_ways(text, tmp_path) == ["line 18: bad numeric field '-1.x'"] * 2
+
+    @pytest.mark.parametrize("section", ["ROWS", "COLUMNS"])
+    def test_fault_on_the_first_line_of_a_block(self, block_lines, section, tmp_path):
+        # the first line after line 4 that starts a block
+        at = block_lines * -(-4 // block_lines) + 1
+        if section == "ROWS":
+            lines = ["NAME          EDGE", "ROWS", " N  OBJ"]
+            lines += [f" L  R{k}" for k in range(at)] + ["COLUMNS", "    X  OBJ  1.0"]
+            lines[at - 1], message = " L  R0", "duplicate row 'R0'"
+        else:
+            lines = ["NAME          EDGE", "ROWS", " N  OBJ", "COLUMNS"]
+            lines += [f"    X{k}  OBJ  1.0" for k in range(at)]
+            lines[at - 1], message = f"    X{at}  OBJ  1.z", "bad numeric field '1.z'"
+        text = "\n".join(lines + ["ENDATA", ""])
+        assert parsed_both_ways(text, tmp_path) == [f"line {at}: {message}"] * 2
 
 
 #: the most a traced write or read may allocate at once, per byte of file
