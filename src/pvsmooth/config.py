@@ -103,10 +103,12 @@ def _section(cls, data, path: str):
         raise ConfigError(f"{path}: {exc}") from None
 
 
-def _battery(data, path: str) -> BatterySpec:
+def _spec(cls, data, path: str):
+    """A section given inline as an object at ``path``, or as the name of a
+    bundled preset."""
     if isinstance(data, str):
-        return _section(BatterySpec, load_preset(data), f"preset {data}")
-    return _section(BatterySpec, data, path)
+        return _section(cls, load_preset(data), f"preset {data}")
+    return _section(cls, data, path)
 
 
 def load_run_config(path: str | Path) -> RunConfig:
@@ -144,20 +146,17 @@ def load_run_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"weather.{next(iter(weather))}: unknown weather source")
 
     plant = _section(PvPlantSpec, raw.get("plant", {}), "plant")
-    battery = _battery(raw.get("battery", DEFAULT_BATTERY_PRESET), "battery")
+    battery = _spec(BatterySpec, raw.get("battery", DEFAULT_BATTERY_PRESET), "battery")
 
     candidates_raw = raw.get("battery_candidates", list(BATTERY_PRESETS))
     if not isinstance(candidates_raw, list) or not candidates_raw:
         raise ConfigError("battery_candidates: expected a non-empty list")
     candidates = tuple(
-        _battery(item, f"battery_candidates[{k}]") for k, item in enumerate(candidates_raw)
+        _spec(BatterySpec, item, f"battery_candidates[{k}]")
+        for k, item in enumerate(candidates_raw)
     )
 
-    diesel_raw = raw.get("diesel", DEFAULT_DIESEL_PRESET)
-    if isinstance(diesel_raw, str):
-        diesel = _section(DieselSpec, load_preset(diesel_raw), f"preset {diesel_raw}")
-    else:
-        diesel = _section(DieselSpec, diesel_raw, "diesel")
+    diesel = _spec(DieselSpec, raw.get("diesel", DEFAULT_DIESEL_PRESET), "diesel")
 
     econ = _section(EconomicParams, raw.get("econ", {}), "econ")
     constraints = _section(

@@ -133,28 +133,6 @@ def _present_worth(
     return float(capital_term + om_term - salvage_term)
 
 
-def battery_power_pw(spec: BatterySpec, econ: EconomicParams) -> float:
-    """Lifetime cost per kW of battery power rating ($/kW)."""
-    return _present_worth(
-        spec.capital_power, spec.om_power, spec.salvage_power, spec.lifetime_years, econ
-    )
-
-
-def battery_energy_pw(spec: BatterySpec, econ: EconomicParams) -> float:
-    """Lifetime cost per kWh of battery energy rating ($/kWh)."""
-    return _present_worth(
-        spec.capital_energy, spec.om_energy, spec.salvage_energy, spec.lifetime_years, econ
-    )
-
-
-def diesel_power_pw(spec: DieselSpec, econ: EconomicParams) -> float:
-    """Lifetime cost per kW of diesel rating ($/kW), using the effective
-    lifetime in years."""
-    return _present_worth(
-        spec.capital, spec.om, spec.salvage, spec.lifetime_years_effective, econ
-    )
-
-
 def revenue_multiplier(econ: EconomicParams) -> float:
     """Sum of the per-year discount factors over the horizon."""
     s = econ.discount_rate
@@ -168,9 +146,15 @@ def compute_factors(
     battery: BatterySpec, econ: EconomicParams, diesel: DieselSpec | None = None
 ) -> PresentWorthFactors:
     """Evaluate every present-worth factor for one parameter set."""
+    b = battery
     return PresentWorthFactors(
-        beta=battery_power_pw(battery, econ),
-        gamma=battery_energy_pw(battery, econ),
-        sigma=0.0 if diesel is None else diesel_power_pw(diesel, econ),
+        beta=_present_worth(b.capital_power, b.om_power, b.salvage_power, b.lifetime_years, econ),
+        gamma=_present_worth(
+            b.capital_energy, b.om_energy, b.salvage_energy, b.lifetime_years, econ
+        ),
+        # per kW of diesel rating over its effective lifetime in years
+        sigma=0.0 if diesel is None else _present_worth(
+            diesel.capital, diesel.om, diesel.salvage, diesel.lifetime_years_effective, econ
+        ),
         revenue_multiplier=revenue_multiplier(econ),
     )

@@ -20,6 +20,14 @@ break, found with numpy, so no line becomes an object of its own. What the
 sections have read so far is kept across blocks, so a block's work is in
 proportion to the block, and a fault is reported at its line whatever the
 block size. A file's byte past ASCII is a fault of its line too.
+
+A column's lines may come back after another column's. Columns are numbered
+by first appearance, so a run's entries are checked for duplicates against
+the runs from the one that added its earliest returning column on, filtered
+to its returning columns. In the files this module writes, a run's only
+returning column is the one a block boundary split, so that is the run
+before; in a file whose column comes back many runs later, the search
+covers every entry since that column's run.
 """
 
 from __future__ import annotations
@@ -272,7 +280,6 @@ class _Reader:
         self.name = "LP"
         self.section: str | None = None
         self.saw: set[str] = set()
-        self.ended = False
         self.obj_row: str | None = None
         self.relations: list[str] = []
         self.row_index: dict[str, int] = {}  # constraint rows, in file order
@@ -282,8 +289,6 @@ class _Reader:
         self.entry_keys: list[np.ndarray] = []
         self.entry_vals: list[np.ndarray] = []
         self.first_col: list[int] = []
-        # per column that a later run came back to: every run that holds it
-        self.back_in: dict[int, list[int]] = {}
         self.rhs_rows: list[np.ndarray] = []
         self.rhs_vals: list[np.ndarray] = []
         self.offset = 0.0
@@ -302,7 +307,6 @@ class _Reader:
         if keyword == "NAME":
             self.name = tokens[1] if len(tokens) > 1 else "LP"
         elif keyword == "ENDATA":
-            self.ended = True
             return False
         elif keyword in _SECTIONS:
             self.section = keyword
@@ -429,20 +433,15 @@ class _Reader:
 
     def _seen(self, keys: np.ndarray, col: np.ndarray, n_before: int) -> np.ndarray:
         """True where an entry key of this run occurred before, in this run
-        or an earlier one; notes this run among those of each column that
-        earlier runs had, those below ``n_before``, as only they can repeat
-        an earlier run's key."""
+        or an earlier one. Only a column below ``n_before``, one an earlier
+        run added, can repeat an earlier run's key, and as columns are
+        numbered by first appearance, its entries lie in the runs from the
+        one that added it on."""
         again = _repeats(keys)
         back = col < n_before
         if back.any():
             cols = np.unique(col[back])
-            runs: set[int] = set()
-            for c in cols.tolist():
-                # the run that added the column, then each it came back in
-                held = self.back_in.setdefault(c, [bisect_right(self.first_col, c) - 1])
-                runs.update(held)
-                held.append(len(self.entry_keys))
-            earlier = [self.entry_keys[k] for k in runs]
+            earlier = self.entry_keys[bisect_right(self.first_col, cols[0]) - 1 :]
             earlier = [ks[np.isin(ks & 0xFFFFFFFF, cols)] for ks in earlier]
             again[back] |= np.isin(keys[back], np.concatenate(earlier))
         return again
@@ -482,8 +481,6 @@ class _Reader:
             self.bound_vals[end].append(np.where(frees, free, value)[sets])
 
     def problem(self) -> LpProblem:
-        if not self.ended:
-            raise MpsFormatError("missing ENDATA")
         if "ROWS" not in self.saw:
             raise MpsFormatError("missing ROWS section")
         if "COLUMNS" not in self.saw:
@@ -573,7 +570,7 @@ def _parse(blocks) -> LpProblem:
                 else f"character {char!r} (U+{ord(char):04X})"
             )
             raise MpsFormatError(f"line {bad_line}: non-ASCII {what}")
-    return reader.problem()
+    raise MpsFormatError("missing ENDATA")
 
 
 def parse_mps(text: str) -> LpProblem:

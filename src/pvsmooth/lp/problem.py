@@ -248,6 +248,13 @@ def build_problem(
     )
 
 
+def row_sides(relations: Sequence[str]) -> np.ndarray:
+    """Per row, +1.0 for ``<=``, -1.0 for ``>=`` and 0.0 for ``=``: the sign
+    that a row's slack, rhs - A x, may take."""
+    rel = np.array(relations, dtype="U2")
+    return np.where(rel == "<=", 1.0, np.where(rel == ">=", -1.0, 0.0))
+
+
 def evaluate_residuals(problem: LpProblem, x: np.ndarray) -> tuple[float, float]:
     """Worst constraint violation and worst bound violation at ``x``.
 
@@ -255,8 +262,8 @@ def evaluate_residuals(problem: LpProblem, x: np.ndarray) -> tuple[float, float]
     and the candidate point.
     """
     r = problem.A @ x - problem.rhs
-    rel = np.array(problem.relations, dtype="U2")
-    viol = np.where(rel == "=", np.abs(r), np.where(rel == ">=", -r, r))
+    side = row_sides(problem.relations)
+    viol = np.where(side == 0.0, np.abs(r), side * r)
     lo_viol = np.max(problem.lower - x, initial=0.0)
     hi_viol = np.max(x - problem.upper, initial=0.0)
     return float(np.max(viol, initial=0.0)), float(max(lo_viol, hi_viol))

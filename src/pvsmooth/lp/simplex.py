@@ -35,7 +35,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from ..errors import SolveStatusError
-from .problem import LpBasis, LpProblem, LpSolution, evaluate_residuals, objective_value
+from .problem import LpBasis, LpProblem, LpSolution, evaluate_residuals, objective_value, row_sides
 
 # variable statuses, numbered 0-4 because _PRICE_SIGN is indexed by them
 AT_LOWER = 0
@@ -130,22 +130,13 @@ class _BasisFactor:
         return self.lu.solve(y, trans="T")
 
 
-def _start_point(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    """Each variable at its finite lower bound, else its finite upper, else 0."""
-    return np.where(np.isfinite(lower), lower, np.where(np.isfinite(upper), upper, 0.0))
-
-
-def _resting_status(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    """The nonbasic status of each variable at its :func:`_start_point`."""
-    return np.where(
-        lower == upper,
-        FIXED,
-        np.where(
-            np.isfinite(lower),
-            AT_LOWER,
-            np.where(np.isfinite(upper), AT_UPPER, FREE),
-        ),
-    )
+def _resting(lower: np.ndarray, upper: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each variable at its finite lower bound, else its finite upper, else
+    0, and its nonbasic status there."""
+    has_lower, has_upper = np.isfinite(lower), np.isfinite(upper)
+    x = np.where(has_lower, lower, np.where(has_upper, upper, 0.0))
+    vstat = np.select([lower == upper, has_lower, has_upper], [FIXED, AT_LOWER, AT_UPPER], FREE)
+    return x, vstat
 
 
 def _optimality_tol(c: np.ndarray) -> float:
@@ -216,17 +207,14 @@ def _crash(problem: LpProblem, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64)
 
 
-def _crash_start(problem: LpProblem) -> tuple:
+def _crash_start(problem: LpProblem, side: np.ndarray) -> tuple:
     """The crash's basic set: the crashed columns, and a slack on each
-    inequality row it absorbs at the crashed point."""
-    x = _start_point(problem.lower, problem.upper)
-    vstat = _resting_status(problem.lower, problem.upper)
+    inequality row it absorbs at the crashed point; ``side`` is
+    :func:`row_sides` of the rows."""
+    x, vstat = _resting(problem.lower, problem.upper)
     rows, cols = _crash(problem, x)
     vstat[cols] = BASIC
-    rel = np.array(problem.relations, dtype="U2")
-    resid = problem.rhs - problem.A @ x
-    slack_basic = ((rel == "<=") & (resid >= 0.0)) | ((rel == ">=") & (resid <= 0.0))
-    return x, vstat, rows, cols, slack_basic
+    return x, vstat, rows, cols, side * (problem.rhs - problem.A @ x) >= 0.0
 
 
 def _named_start(problem: LpProblem, start: LpBasis) -> tuple | None:
@@ -247,15 +235,14 @@ def _named_start(problem: LpProblem, start: LpBasis) -> tuple | None:
     if not len(np.unique(cols)) == len(cols) == len(np.unique(rows)) == len(rows):
         return None
     lo, hi = problem.lower, problem.upper
-    x = _start_point(lo, hi)
-    vstat = _resting_status(lo, hi)
+    x, vstat = _resting(lo, hi)
     up = up[np.isfinite(hi[up]) & (lo[up] < hi[up])]
     x[up] = hi[up]
     vstat[up] = AT_UPPER
     vstat[cols] = BASIC
     tight = np.zeros(problem.n_rows, dtype=bool)
     tight[rows] = True
-    return x, vstat, rows, cols, ~tight & (np.array(problem.relations, dtype="U2") != "=")
+    return x, vstat, rows, cols, ~tight
 
 
 class _State:
@@ -267,12 +254,13 @@ class _State:
 
     def __init__(self, problem: LpProblem, start: LpBasis | None = None):
         self.warm = False
+        self.side = row_sides(problem.relations)
         named = _named_start(problem, start) if start is not None else None
         if named is not None:
             self._build(problem, *named)
             self.warm = self._factor_start()
         if not self.warm:
-            self._build(problem, *_crash_start(problem))
+            self._build(problem, *_crash_start(problem, self.side))
             self.factor.refactor(self.basis)
             self._seat_free_columns(problem)
 
@@ -286,8 +274,8 @@ class _State:
         slack_basic: np.ndarray,
     ) -> None:
         """The state with structural columns ``cols`` basic in rows ``rows``,
-        the slack of each row where ``slack_basic`` holds basic in its row,
-        and an artificial basic in every other row."""
+        the slack of each inequality row where ``slack_basic`` holds basic
+        in its row, and an artificial basic in every other row."""
         n = problem.n_vars
         m = problem.n_rows
         self.n = n
@@ -300,10 +288,9 @@ class _State:
         # Column layout: structural, then one slack per inequality row, then
         # artificials for the rows that neither a structural column nor a
         # slack covers.
-        rel = np.array(problem.relations, dtype="U2")
-        slack_rows = np.flatnonzero(rel != "=")
+        slack_rows = np.flatnonzero(self.side)
         n_slack = len(slack_rows)
-        slack_le = rel[slack_rows] == "<="
+        slack_le = self.side[slack_rows] > 0.0
         slack_lo = np.where(slack_le, 0.0, -np.inf)
         slack_hi = np.where(slack_le, np.inf, 0.0)
         slack_basic = slack_basic[slack_rows]
@@ -401,15 +388,13 @@ class _State:
         np.maximum.at(row_max, r, mag)
         # entries of free or basic structural columns per row; j counts itself
         holders = np.bincount(r[(free | (self.vstat[:n] == BASIC))[j]], minlength=m)
-        # the crash keeps a basic slack in its own row's place; +1 where a
-        # zero slack stops the row's activity rising, -1 where falling
-        rel = np.array(problem.relations, dtype="U2")
-        side = np.where(rel == "<=", 1.0, np.where(rel == ">=", -1.0, 0.0))
+        # the crash keeps a basic slack in its own row's place; side[r] is
+        # +1 where a zero slack stops the row's activity rising, -1 where falling
         at_zero = (self.basis >= n) & (self.basis < self.art0) & (self.x[self.basis] == 0.0)
         seat = (
             cand[j]
             & at_zero[r]
-            & (-np.sign(d[j]) * a * side[r] > 0.0)
+            & (-np.sign(d[j]) * a * self.side[r] > 0.0)
             & (holders[r] == 1)
             & (mag >= col_max[j])
             & (mag >= row_max[r])
@@ -419,7 +404,7 @@ class _State:
             return
         cols, first = np.unique(j[seat], return_index=True)
         rows = r[seat][first]
-        self.vstat[self.basis[rows]] = np.where(side[rows] > 0.0, AT_LOWER, AT_UPPER)
+        self.vstat[self.basis[rows]] = np.where(self.side[rows] > 0.0, AT_LOWER, AT_UPPER)
         self.vstat[cols] = BASIC
         self.basis[rows] = cols
         self.factor.refactor(self.basis)
@@ -568,7 +553,7 @@ def _solve_box(problem: LpProblem) -> tuple[str, np.ndarray]:
     """Exact optimum of a problem without rows: each variable with a cost
     moves to the bound its cost points to; a zero cost keeps the start value."""
     c = -problem.objective if problem.sense == "maximize" else problem.objective
-    x = _start_point(problem.lower, problem.upper)
+    x, _ = _resting(problem.lower, problem.upper)
     target = np.where(c > 0, problem.lower, problem.upper)
     moves = c != 0
     if np.any(moves & ~np.isfinite(target)):

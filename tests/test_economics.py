@@ -18,10 +18,7 @@ from pvsmooth.economics import (
     DieselSpec,
     EconomicParams,
     annuity_factor,
-    battery_energy_pw,
-    battery_power_pw,
     compute_factors,
-    diesel_power_pw,
     replacement_count,
     revenue_multiplier,
 )
@@ -82,11 +79,11 @@ class TestAnnuityFactor:
 
 class TestGoldenFactors:
     def test_nas_zero_discount(self):
-        assert battery_power_pw(NAS, S0) == pytest.approx(2988.0, abs=1e-9)
-        assert battery_energy_pw(NAS, S0) == pytest.approx(513.9, abs=1e-9)
+        assert compute_factors(NAS, S0).beta == pytest.approx(2988.0, abs=1e-9)
+        assert compute_factors(NAS, S0).gamma == pytest.approx(513.9, abs=1e-9)
 
     def test_diesel_zero_discount(self):
-        assert diesel_power_pw(DieselSpec(), S0) == pytest.approx(1368.0, abs=1e-9)
+        assert compute_factors(NAS, S0, DieselSpec()).sigma == pytest.approx(1368.0, abs=1e-9)
 
     # Frozen from the standalone discounting script at S=0.05, T=18.
     @pytest.mark.parametrize(
@@ -100,11 +97,12 @@ class TestGoldenFactors:
         ids=["lead_acid", "nas", "li_ion", "ni_cd"],
     )
     def test_battery_factors_at_five_percent(self, spec, beta, gamma):
-        assert battery_power_pw(spec, S5) == pytest.approx(beta, rel=1e-10)
-        assert battery_energy_pw(spec, S5) == pytest.approx(gamma, rel=1e-10)
+        assert compute_factors(spec, S5).beta == pytest.approx(beta, rel=1e-10)
+        assert compute_factors(spec, S5).gamma == pytest.approx(gamma, rel=1e-10)
 
     def test_diesel_at_five_percent(self):
-        assert diesel_power_pw(DieselSpec(), S5) == pytest.approx(1078.9510648739, rel=1e-10)
+        sigma = compute_factors(NAS, S5, DieselSpec()).sigma
+        assert sigma == pytest.approx(1078.9510648739, rel=1e-10)
 
     def test_revenue_multiplier(self):
         assert revenue_multiplier(S5) == pytest.approx(11.689586902650, rel=1e-10)
@@ -116,10 +114,10 @@ class TestAgainstLoopOracle:
     @pytest.mark.parametrize("rate", [0.0, 0.03, 0.05, 0.12])
     def test_battery_factors(self, spec, rate):
         econ = EconomicParams(discount_rate=rate)
-        assert battery_power_pw(spec, econ) == pytest.approx(
+        assert compute_factors(spec, econ).beta == pytest.approx(
             pw_oracle(spec.capital_power, spec.om_power, spec.salvage_power,
                       spec.lifetime_years, 18, rate), rel=1e-12)
-        assert battery_energy_pw(spec, econ) == pytest.approx(
+        assert compute_factors(spec, econ).gamma == pytest.approx(
             pw_oracle(spec.capital_energy, spec.om_energy, spec.salvage_energy,
                       spec.lifetime_years, 18, rate), rel=1e-12)
 
@@ -136,7 +134,7 @@ class TestAgainstLoopOracle:
         spec = BatterySpec("x", capital, 1.0, capital * om_frac, 0.0,
                            capital * salvage_frac, 0.0, lifetime)
         econ = EconomicParams(discount_rate=rate, horizon_years=horizon)
-        got = battery_power_pw(spec, econ)
+        got = compute_factors(spec, econ).beta
         want = pw_oracle(capital, capital * om_frac, capital * salvage_frac,
                          lifetime, horizon, rate)
         assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
@@ -146,17 +144,20 @@ class TestStructuralProperties:
     def test_discounting_never_raises_cost(self):
         # every later cash flow shrinks, so S>0 can only cut the factor
         for spec in (LEAD_ACID, NAS, LI_ION, NI_CD):
-            assert battery_power_pw(spec, S5) < battery_power_pw(spec, S0)
+            assert compute_factors(spec, S5).beta < compute_factors(spec, S0).beta
 
     def test_salvage_reduces_cost(self):
         no_salvage = BatterySpec("nas0", 1000, 170, 3, 1.5, 0, 0, 6)
-        assert battery_power_pw(no_salvage, S5) > battery_power_pw(NAS, S5)
+        assert compute_factors(no_salvage, S5).beta > compute_factors(NAS, S5).beta
 
     def test_compute_factors_bundles_everything(self):
         f = compute_factors(NAS, S5, DieselSpec())
-        assert f.beta == pytest.approx(battery_power_pw(NAS, S5))
-        assert f.gamma == pytest.approx(battery_energy_pw(NAS, S5))
-        assert f.sigma == pytest.approx(diesel_power_pw(DieselSpec(), S5))
+        d = DieselSpec()
+        assert f.beta == pytest.approx(pw_oracle(1000, 3, 10, 6, 18, 0.05), rel=1e-12)
+        assert f.gamma == pytest.approx(pw_oracle(170, 1.5, 1.7, 6, 18, 0.05), rel=1e-12)
+        assert f.sigma == pytest.approx(
+            pw_oracle(d.capital, d.om, d.salvage, d.lifetime_years_effective, 18, 0.05), rel=1e-12
+        )
         assert f.revenue_multiplier == pytest.approx(11.689586902650, rel=1e-10)
 
     def test_no_diesel_means_zero_sigma(self):
