@@ -97,6 +97,11 @@ def _section(cls, data, path: str):
         # JSON true/false would otherwise pass as the numbers 1 and 0
         if isinstance(value, bool) and types[key] not in ("bool", bool):
             raise ConfigError(f"{path}: {key} must be {types[key]}, not a boolean")
+        # JSON reads NaN, Infinity and 1e999; only a limit may be infinite
+        if isinstance(value, float) and not (
+            math.isfinite(value) or (key in _INF_KEYS and value == math.inf)
+        ):
+            raise ConfigError(f"{path}: {key} must be a finite number, got {value}")
     try:
         return cls(**data)
     except (TypeError, ValueError) as exc:

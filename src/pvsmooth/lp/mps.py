@@ -19,7 +19,8 @@ chunks sized to the block and cuts them at every ``_BLOCK_LINES``-th line
 break, found with numpy, so no line becomes an object of its own. What the
 sections have read so far is kept across blocks, so a block's work is in
 proportion to the block, and a fault is reported at its line whatever the
-block size. A file's byte past ASCII is a fault of its line too.
+block size. A file's byte past ASCII is a fault of its line too, and so is
+a COLUMNS or RHS value that is not finite, or a bound that is NaN.
 
 A column's lines may come back after another column's. Columns are numbered
 by first appearance, so a run's entries are checked for duplicates against
@@ -215,18 +216,19 @@ def write_mps(problem: LpProblem, path) -> None:
         fh.writelines(_blocks(problem))
 
 
-def _floats(tokens: np.ndarray) -> tuple[np.ndarray, int]:
-    """The tokens as floats, each read as ``float`` reads it, and the
-    position of the first that is not a number, or -1."""
+def _floats(tokens: np.ndarray) -> np.ndarray:
+    """The tokens as floats, each read as ``float`` reads it; a token that
+    is not a number reads as NaN, which every caller rejects."""
     try:
-        return tokens.astype(float), -1
+        return tokens.astype(float)
     except ValueError:
+        out = np.full(len(tokens), np.nan)
         for k, token in enumerate(tokens):
             try:
-                float(token)
+                out[k] = float(token)
             except ValueError:
-                return np.zeros(len(tokens)), k
-        raise
+                pass
+        return out
 
 
 def _upper(tokens) -> np.ndarray:
@@ -385,8 +387,8 @@ class _Reader:
         first_pair = np.cumsum(n_pairs) - n_pairs
         at = start[pair_line] + 1 + 2 * (np.arange(len(pair_line)) - first_pair[pair_line])
         row_tokens, value_tokens = tokens[at], tokens[at + 1]
-        values, bad = _floats(value_tokens)
-        faults.check(np.arange(len(values)) == bad, pair_line, 1,
+        values = _floats(value_tokens)
+        faults.check(~np.isfinite(values), pair_line, 1,
                      lambda k: f"bad numeric field {value_tokens[k]!r}")
         row = np.fromiter(map(self.row_index.get, row_tokens, repeat(-2)), dtype=np.int64,
                           count=len(row_tokens))
@@ -466,8 +468,8 @@ class _Reader:
         faults.check(col < 0, ok, 1, lambda k: f"bound on undeclared column {names[k]!r}")
         with_value = ok[valued[ok]]
         value_tokens = tokens[start[with_value] + 3]
-        values, bad = _floats(value_tokens)
-        faults.check(np.arange(len(values)) == bad, with_value, 2,
+        values = _floats(value_tokens)  # an infinite bound is no bound
+        faults.check(np.isnan(values), with_value, 2,
                      lambda k: f"bad numeric field {value_tokens[k]!r}")
         faults.raise_first()
 

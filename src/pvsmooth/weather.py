@@ -10,6 +10,7 @@ consecutive in real time.
 from __future__ import annotations
 
 import csv
+import math
 import operator
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -146,6 +147,9 @@ def read_table(
             list(map(convert, map(str.strip, map(operator.itemgetter(j), rows))))
             for j, convert in enumerate(converters)
         ]
+        # float reads "nan" and "inf"; a value that is not finite is a fault
+        if not all(np.isfinite(v).all() for v, c in zip(values, converters) if c is float):
+            raise ValueError("a value that is not finite")
     except ValueError:
         # the columns are converted whole; only a fault takes the rows one by one
         for line, row in zip(lines, rows):
@@ -160,8 +164,8 @@ def _row_fault(
     row: list[str], columns: tuple[str, ...], converters: tuple[Callable[[str], object], ...]
 ) -> str | None:
     """The first fault of ``row``: its width, then a missing cell, then a
-    cell that holds a byte that is not UTF-8 or that its column's converter
-    rejects."""
+    cell that holds a byte that is not UTF-8, that its column's converter
+    rejects or that reads as a float that is not finite."""
     if len(row) != len(columns):
         return f"expected {len(columns)} fields, got {len(row)}"
     for name, cell in zip(columns, row):
@@ -172,8 +176,10 @@ def _row_fault(
         if escaped:
             return f"non-UTF-8 byte 0x{escaped[0]:02x} in column '{name}'"
         try:
-            convert(cell.strip())
+            value = convert(cell.strip())
         except ValueError:
+            value = math.nan
+        if isinstance(value, float) and not math.isfinite(value):
             return f"bad value in column '{name}': {cell!r}"
     return None
 

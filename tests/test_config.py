@@ -156,6 +156,41 @@ class TestFieldPathErrors:
         with pytest.raises(ConfigError, match="constraints: annualization must be"):
             load_run_config(path)
 
+    # JSON reads NaN, Infinity and 1e999; past the config load such a number
+    # stops the run as an LP coefficient or bound that names no field
+    @pytest.mark.parametrize(
+        "section,raw,message",
+        [
+            ("econ", '{"discount_rate": 1e999}', "discount_rate must be a finite number, got inf"),
+            ("diesel", '{"fuel_price": NaN}', "fuel_price must be a finite number, got nan"),
+            ("diesel", '{"emission_charge_total": Infinity}',
+             "emission_charge_total must be a finite number, got inf"),
+            ("plant", '{"noct": NaN}', "noct must be a finite number, got nan"),
+            ("constraints", '{"grid_cap": -Infinity}', "grid_cap must be a finite number, got -inf"),
+            ("constraints", '{"fluctuation_limit": NaN}',
+             "fluctuation_limit must be a finite number, got nan"),
+            ("battery", json.dumps(dict(load_preset("table1_nas"), lifetime_years=math.inf)),
+             "lifetime_years must be a finite number, got inf"),
+        ],
+        ids=["discount_rate", "fuel_price", "emission_charge_total", "noct", "grid_cap",
+             "fluctuation_limit", "lifetime_years"],
+    )
+    def test_non_finite_number_exits_2(self, tmp_path, section, raw, message, capsys):
+        path = tmp_path / "config.json"
+        path.write_text('{"weather": {"synthetic": {"days": 1}}, "%s": %s}' % (section, raw))
+        assert main(["run", str(path)]) == 2
+        assert capsys.readouterr().err == f"config error: {section}: {message}\n"
+
+    def test_non_finite_candidate_names_its_place(self, tmp_path, capsys):
+        spec = dict(load_preset("table1_liion"), capital_energy=math.nan)
+        doc = {"weather": {"synthetic": {"days": 1}}, "battery_candidates": ["table1_nas", spec]}
+        path = write_config(tmp_path, doc)
+        assert main(["battery-select", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: battery_candidates[1]: capital_energy must be a finite number, "
+            "got nan\n"
+        )
+
     def test_unknown_top_level_key(self, tmp_path):
         with pytest.raises(ConfigError, match="wether"):
             load_run_config(write_config(tmp_path, {"wether": {}}))
@@ -210,6 +245,13 @@ class TestCoercions:
         )
         cfg = load_run_config(path)
         assert cfg.constraints.fluctuation_limit == math.inf
+
+    # JSON reads 1e999 as infinity, which means no limit as "inf" does
+    @pytest.mark.parametrize("key", ["fluctuation_limit", "grid_cap"])
+    def test_overflowing_number_is_no_limit(self, tmp_path, key):
+        path = tmp_path / "config.json"
+        path.write_text('{"constraints": {"%s": 1e999}}' % key)
+        assert getattr(load_run_config(path).constraints, key) == math.inf
 
     def test_other_strings_rejected(self, tmp_path):
         path = write_config(

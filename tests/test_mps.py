@@ -394,6 +394,15 @@ class TestParseErrors:
              "X3        COST           -1.0   MYEQN           1.0\n    X1        COST  5.0",
              "line 13: duplicate objective entry for 'X1'"),
             ("E  MYEQN", "E  MYEQN\n L  LIM1", "line 7: duplicate row 'LIM1'"),
+            # float reads these, but a coefficient or right-hand side must be
+            # finite, and a bound may be infinite but not NaN
+            ("X1        LIM2            1.0", "X1        LIM2            nan",
+             "line 9: bad numeric field 'nan'"),
+            ("X3        COST           -1.0", "X3        COST           -inf",
+             "line 12: bad numeric field '-inf'"),
+            ("RHS1      MYEQN           7.0", "RHS1      MYEQN           inf",
+             "line 15: bad numeric field 'inf'"),
+            ("X1              4.0", "X1              nan", "line 17: bad numeric field 'nan'"),
         ],
     )
     def test_fault_names_its_line(self, old, new, message):
@@ -401,6 +410,53 @@ class TestParseErrors:
         with pytest.raises(MpsFormatError) as err:
             parse_mps(TESTPROB.replace(old, new))
         assert str(err.value) == message
+
+    def test_infinite_bounds_are_no_bounds(self):
+        p = parse_mps(TESTPROB.replace("X1              4.0", "X1              inf")
+                      .replace("X2             -1.0", "X2             -Infinity"))
+        assert p.upper.tolist() == [INF] * 3
+        assert p.lower.tolist() == [0.0, -INF, 0.0]
+
+    # X1's lines come back after X3's twice, in the runs of one- and
+    # two-line blocks: the second return repeats an entry of its first run
+    def test_duplicate_in_a_second_return(self):
+        back = "    X1        MYEQN           2.0\n    X3        LIM1            3.0\n"
+        text = TESTPROB.replace("RHS\n", back + "    X1        MYEQN           9.0\nRHS\n")
+        with pytest.raises(MpsFormatError) as err:
+            parse_mps(text)
+        assert str(err.value) == "line 15: duplicate entry 'X1' in row 'MYEQN'"
+        text = TESTPROB.replace("RHS\n", back + "    X1        LIM1            9.0\nRHS\n")
+        with pytest.raises(MpsFormatError) as err:
+            parse_mps(text)
+        assert str(err.value) == "line 15: duplicate entry 'X1' in row 'LIM1'"
+
+    # X2 and X1 come back in one run of a two-line block, the later-added X2
+    # first, so the search starts at X1's run, which holds its LIM1 entry
+    @pytest.mark.parametrize("row, message", [
+        ("LIM1", "line 14: duplicate entry 'X1' in row 'LIM1'"),
+        ("MYEQN", None),
+    ])
+    def test_two_columns_return_in_one_run(self, row, message):
+        back = f"    X2        LIM2            3.0\n    X1        {row:<5}           5.0\n"
+        text = TESTPROB.replace("RHS\n", back + "RHS\n")
+        if message:
+            with pytest.raises(MpsFormatError) as err:
+                parse_mps(text)
+            assert str(err.value) == message
+            return
+        p = parse_mps(text)
+        assert p.col_names == ("X1", "X2", "X3")
+        assert [row_coeffs(p, i) for i in range(3)] == [
+            {0: 1.0, 1: 1.0}, {0: 1.0, 1: 3.0}, {0: 5.0, 1: -1.0, 2: 1.0},
+        ]
+
+    def test_missing_endata_after_a_block_boundary(self, block_lines, tmp_path):
+        # the file's last line ends a block, so no block follows to hold ENDATA
+        lines = ["NAME          EDGE", "ROWS", " N  OBJ", "COLUMNS"]
+        lines += [f"    X{k}  OBJ  1.0" for k in range(block_lines * -(-5 // block_lines) - 4)]
+        text = "\n".join(lines) + "\n"
+        assert text.count("\n") % block_lines == 0
+        assert parsed_both_ways(text, tmp_path) == ["missing ENDATA"] * 2
 
     def test_earlier_of_two_faults_is_reported(self):
         # the bad number on line 11 is found by a different check than the

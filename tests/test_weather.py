@@ -55,6 +55,23 @@ class TestLoadWeather:
         with pytest.raises(WeatherFormatError, match=r"row 3.*irradiance_wm2.*oops"):
             load_weather(p)
 
+    # float reads these; a trace value that is not finite is a bad value of
+    # its row, not a fault of a 0-based sample
+    @pytest.mark.parametrize("row, column", [
+        ("2024-06-01T10:20:00,nan,25", "irradiance_wm2"),
+        ("2024-06-01T10:20:00,800,-Infinity", "temp_c"),
+    ])
+    def test_non_finite_value_names_row_and_column(self, tmp_path, row, column):
+        p = write_csv(tmp_path, [
+            "2024-06-01T10:00:00,800,25",
+            "2024-06-01T10:10:00,810,25",
+            row,
+        ])
+        cell = row.split(",")[WEATHER_CSV_COLUMNS.index(column)]
+        with pytest.raises(WeatherFormatError) as err:
+            load_weather(p)
+        assert str(err.value) == f"{p}: row 4: bad value in column '{column}': '{cell}'"
+
     def test_bad_timestamp_names_row(self, tmp_path):
         p = write_csv(tmp_path, [
             "2024-06-01T10:00:00,800,25",
