@@ -382,27 +382,14 @@ class TestValidateSubcommand:
     @pytest.mark.parametrize("row, message", [
         ("1.5,1,1,0,0,0,0", "row 3: bad value in column 'step': '1.5'"),
         ("1,1,1,0,0,0", "row 3: expected 7 fields, got 6"),
+        # float reads "nan"; the report would hold it as bare NaN, not JSON
+        ("1,1,1,nan,0,0,0", "row 3: bad value in column 'p_batt': 'nan'"),
     ])
     def test_faulty_row_is_named(self, flat_config, tmp_path, capsys, row, message):
         bad = tmp_path / "bad.csv"
         bad.write_text(",".join(DISPATCH_COLUMNS) + "\n0,1,1,0,0,0,0\n" + row + "\n")
         assert main(["validate", str(flat_config), str(bad)]) == 2
         assert capsys.readouterr().err == f"config error: {bad}: {message}\n"
-
-    def test_non_finite_cell_exits_2(self, flat_config, tmp_path, capsys):
-        # float reads "nan"; the report would hold it as bare NaN, not JSON
-        main(["run", str(flat_config)])
-        lines = (tmp_path / "out" / "case_A_dispatch.csv").read_text().splitlines()
-        cells = lines[2].split(",")
-        cells[DISPATCH_COLUMNS.index("p_batt")] = "nan"
-        lines[2] = ",".join(cells)
-        bad = tmp_path / "nan.csv"
-        bad.write_text("\n".join(lines) + "\n")
-        capsys.readouterr()
-        assert main(["validate", str(flat_config), str(bad)]) == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err == f"config error: {bad}: row 3: bad value in column 'p_batt': 'nan'\n"
 
     def test_non_utf8_byte_is_named(self, flat_config, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
