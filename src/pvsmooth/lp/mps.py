@@ -10,17 +10,27 @@ beyond the problem itself only one block's text, tokens and line tables are
 held at a time. The writer formats each distinct value once per file and
 pads each name once, then joins each block's lines from those tables:
 :func:`write_mps` writes the blocks to the file as they come, and
-:func:`render_mps` joins them into one string. The reader splits each
-run of data lines with one ``str.split``, a marker past ASCII in place of
-each line break: each marker is a token of its own, so the markers bound
-each line's tokens and give its number. It checks the tokens with array
-operations. :func:`read_mps` reads the file in byte
-chunks sized to the block and cuts them at every ``_BLOCK_LINES``-th line
-break, found with numpy, so no line becomes an object of its own. What the
+:func:`render_mps` joins them into one string.
+
+The reader works on bytes: :func:`read_mps` reads the file in chunks sized
+to the block and cuts them at every ``_BLOCK_LINES``-th line break, and
+:func:`parse_mps` encodes its text once. In each block numpy finds the line
+breaks, and in each run of data lines the tokens, spans of bytes between
+the bytes that ``str.split`` takes for whitespace. A field, such as the
+second token of each line, is gathered into one ``S`` array as wide as its
+widest token, and a run whose few long tokens would make its fields far
+wider than the run is read in halves. Numbers are read from a field with
+``astype(float)``, which reads what ``float`` reads, and names are looked up
+with ``np.searchsorted`` in sorted tables of the row and column names read
+so far, one per width: up to 8 bytes, as big-endian integers, and longer, as
+``S`` of the next power of two. No line or token becomes a Python object of
+its own; a token is decoded only to quote it in a message. What the
 sections have read so far is kept across blocks, so a block's work is in
 proportion to the block, and a fault is reported at its line whatever the
-block size. A file's byte past ASCII is a fault of its line too, and so is
-a COLUMNS or RHS value that is not finite, or a bound that is NaN.
+block size. A NUL byte or a byte past ASCII, which no name or number holds,
+is a fault of its line too, and so is a COLUMNS or RHS value that is not
+finite, a bound that is NaN, and a bound that leaves its column an empty
+box: +inf below or -inf above.
 
 A column's lines may come back after another column's. Columns are numbered
 by first appearance, so a run's entries are checked for duplicates against
@@ -49,36 +59,45 @@ _ROW_TYPE = {rel: f" {key}  " for rel, key in _REL_TO_TYPE.items()}
 _BOUND_KEYS = np.array(
     [f" {key} BND       " for key in ("FX", "FR", "MI", "LO", "UP")], dtype=object
 )
-_TYPE_TO_REL = {"L": "<=", "G": ">=", "E": "="}
+#: row types, sorted, and the relation of each; N marks the objective
+_ROW_TYPES = np.array([b"E", b"G", b"L", b"N"])
+_RELATIONS = np.array(["=", ">=", "<=", ""], dtype=object)
+_OBJECTIVE_TYPE = 3
 #: what a bound key does, as bits: LO, UP and FX set ends of the box to
 #: their value, FR frees both ends and MI the lower one, and PL sets none
 _VALUED, _SETS_LOWER, _SETS_UPPER, _FREES = 1, 2, 4, 8
-_BOUND_ACTS = {
-    "UP": _VALUED | _SETS_UPPER,
-    "LO": _VALUED | _SETS_LOWER,
-    "FX": _VALUED | _SETS_LOWER | _SETS_UPPER,
-    "FR": _SETS_LOWER | _SETS_UPPER | _FREES,
-    "MI": _SETS_LOWER | _FREES,
-    "PL": 0,
-}
+#: bound keys, sorted, and the bits of each
+_BOUND_TYPES = np.array([b"FR", b"FX", b"LO", b"MI", b"PL", b"UP"])
+_BOUND_ACTS = np.array([
+    _SETS_LOWER | _SETS_UPPER | _FREES,
+    _VALUED | _SETS_LOWER | _SETS_UPPER,
+    _VALUED | _SETS_LOWER,
+    _SETS_LOWER | _FREES,
+    0,
+    _VALUED | _SETS_UPPER,
+])
 #: characters a name keeps; the newline separates names sanitised together
 _NAME_RE = re.compile(r"[^A-Za-z0-9_\n]")
 _SECTIONS = ("ROWS", "COLUMNS", "RHS", "RANGES", "BOUNDS")
-#: the newline before a header or comment line, which starts with no blank
-_MARK_RE = re.compile(r"\n(?=\S)")
+#: the bytes str.split splits at: the ASCII characters of str.isspace
+_SPACE = b" \t\n\r\v\f\x1c\x1d\x1e\x1f"
+_IN_TOKEN = np.frombuffer(bytes(code not in _SPACE for code in range(256)), dtype=bool)
+_UPPER = np.frombuffer(bytes(range(256)).upper(), dtype=np.uint8)
 #: the ASCII line breaks of str.splitlines other than "\n"
-_OTHER_BREAKS = "\r\v\f\x1c\x1d\x1e"
-_BREAK_RE = re.compile(r"\r\n?|[\v\f\x1c\x1d\x1e]")
-#: a character past ASCII; a byte past ASCII decodes to one of U+DC80 to
-#: U+DCFF with errors="surrogateescape"
-_NON_ASCII_RE = re.compile(r"[^\x00-\x7f]")
-#: stands in for each line break of a data run: past ASCII, so in no token
-#: of the run, and not whitespace to str.split
-_LINE_MARK = "\x80"
+_OTHER_BREAKS = b"\r\v\f\x1c\x1d\x1e"
+_BREAK_RE = re.compile(rb"\r\n?|[\v\f\x1c\x1d\x1e]")
+#: a character or byte that no name or number holds: NUL, or one past
+#: ASCII; a byte past ASCII decodes to one of U+DC80 to U+DCFF with
+#: errors="surrogateescape"
+_UNREADABLE_RE = re.compile(r"[^\x01-\x7f]")
+_UNREADABLE_BYTE_RE = re.compile(rb"[^\x01-\x7f]")
 #: at most this many lines are rendered, or read and parsed, at a time
 _BLOCK_LINES = 1 << 15
 #: a file is read this many bytes at a time per line of a block
 _READ_BYTES_PER_LINE = 16
+#: a run of data lines is read in halves while its fields could take more
+#: than this many bytes per byte of the run
+_FIELD_BYTES_PER_BYTE = 4
 
 
 def _short_names(originals, fallback_prefix: str) -> list[str]:
@@ -217,8 +236,8 @@ def write_mps(problem: LpProblem, path) -> None:
 
 
 def _floats(tokens: np.ndarray) -> np.ndarray:
-    """The tokens as floats, each read as ``float`` reads it; a token that
-    is not a number reads as NaN, which every caller rejects."""
+    """The ``S`` tokens as floats, each read as ``float`` reads it; a token
+    that is not a number reads as NaN, which every caller rejects."""
     try:
         return tokens.astype(float)
     except ValueError:
@@ -231,9 +250,23 @@ def _floats(tokens: np.ndarray) -> np.ndarray:
         return out
 
 
-def _upper(tokens) -> np.ndarray:
-    """The tokens in upper case, converted in one call."""
-    return np.array("\n".join(tokens).upper().splitlines(), dtype=object)
+def _keys(names: np.ndarray) -> np.ndarray:
+    """``S`` names of at most 8 bytes as big-endian integers, which sort and
+    compare as the names do."""
+    return names.astype("S8").view(">u8")
+
+
+def _lookup(table: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """The place of each key in the sorted, non-empty ``table``, or -1
+    where it has none."""
+    at = np.searchsorted(table, keys)
+    at[at == len(table)] = 0
+    return np.where(table[at] == keys, at, -1)
+
+
+def _upper(tokens: np.ndarray) -> np.ndarray:
+    """The ``S`` tokens in upper case."""
+    return _UPPER[tokens.view(np.uint8)].view(tokens.dtype)
 
 
 def _repeats(keys: np.ndarray) -> np.ndarray:
@@ -248,6 +281,108 @@ def _last(keys: np.ndarray) -> np.ndarray:
     """Positions of the last occurrence of each distinct key."""
     _, first_from_end = np.unique(keys[::-1], return_index=True)
     return len(keys) - 1 - first_from_end
+
+
+class _Names:
+    """Names numbered in order of first appearance, each held in a sorted
+    table of the names of its width: up to 8 bytes, as big-endian integers,
+    and longer, as ``S`` of the next power of two. A long name so widens only
+    the names of about its length."""
+
+    def __init__(self) -> None:
+        self.count = 0
+        self.tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # keys, numbers
+
+    def __len__(self) -> int:
+        return self.count
+
+    @staticmethod
+    def _widths(names: np.ndarray) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+        """Per width: the positions of the names of that width, and their keys."""
+        if not len(names):
+            return
+        if names.itemsize <= 8:
+            yield 8, np.arange(len(names)), _keys(names)
+            return
+        length = np.char.str_len(names)
+        width = np.left_shift(1, np.frexp(np.maximum(length - 1, 7))[1])
+        for w in np.unique(width).tolist():
+            at = np.flatnonzero(width == w)
+            yield w, at, _keys(names[at]) if w == 8 else names[at].astype(f"S{w}")
+
+    def find(self, names: np.ndarray, missing: int = -1) -> np.ndarray:
+        """The number of each name, or ``missing`` where it has none."""
+        out = np.full(len(names), missing)
+        for width, at, keys in self._widths(names):
+            if width in self.tables:
+                table, number = self.tables[width]
+                place = _lookup(table, keys)
+                out[at] = np.where(place >= 0, number[place], missing)
+        return out
+
+    def add(self, names: np.ndarray) -> None:
+        """Number ``names``, distinct and all new, from ``len(self)`` on."""
+        for width, at, keys in self._widths(names):
+            table, number = self.tables.get(width, (keys[:0], at[:0]))
+            order = np.argsort(keys)
+            place = np.searchsorted(table, keys[order])
+            self.tables[width] = (np.insert(table, place, keys[order]),
+                                  np.insert(number, place, self.count + at[order]))
+        self.count += len(names)
+
+    def numbered(self, names: np.ndarray) -> np.ndarray:
+        """The number of each name, numbering the new ones first."""
+        number = self.find(names)
+        new = names[number < 0]
+        if len(new):
+            _, first = np.unique(new, return_index=True)
+            self.add(new[np.sort(first)])
+            number = self.find(names)
+        return number
+
+    def names(self) -> list[str]:
+        """The names in the order of their numbers."""
+        out = np.empty(self.count, dtype=object)
+        for width, (table, number) in self.tables.items():
+            lines = np.full((len(table), width + 1), ord("\n"), dtype=np.uint8)
+            lines[:, :width] = table.view(np.uint8).reshape(-1, width)
+            # a name holds no NUL byte and no line break, so one decode and
+            # one split give them all
+            text = lines[lines != 0].tobytes().decode("ascii")
+            out[number] = np.array(text.splitlines(), dtype=object)
+        return out.tolist()
+
+
+class _Tokens:
+    """The tokens of a run of data lines ``codes``, as ``str.split`` finds
+    them: spans of its bytes between whitespace bytes, never a Python object
+    each."""
+
+    def __init__(self, codes: np.ndarray) -> None:
+        self.codes = codes
+        # a byte above the space is in a token; the table tells the others
+        in_token = codes > 32
+        low = np.flatnonzero(codes < 32)
+        in_token[low] = _IN_TOKEN[codes[low]]
+        edges = np.flatnonzero(np.diff(in_token, prepend=False, append=False))
+        self.starts, self.ends = edges[::2], edges[1::2]
+        # each token's bytes start a window as wide as the widest token; the
+        # zeros past the chunk complete the last windows
+        self.width = max(int(np.max(self.ends - self.starts, initial=0)), 1)
+        padded = np.concatenate([codes, np.zeros(self.width, dtype=np.uint8)])
+        self.windows = np.lib.stride_tricks.sliding_window_view(padded, self.width)
+
+    def field(self, at: np.ndarray) -> np.ndarray:
+        """Tokens ``at``, gathered into an ``S`` array as wide as the widest."""
+        length = self.ends[at] - self.starts[at]
+        width = max(int(np.max(length, initial=0)), 1)
+        out = self.windows[self.starts[at], :width]
+        out *= np.arange(width) < length[:, None]
+        return out.view(f"S{width}").ravel()
+
+    def text(self, at: int) -> str:
+        """Token ``at``, to quote in a message."""
+        return self.codes[self.starts[at] : self.ends[at]].tobytes().decode("ascii")
 
 
 class _Faults:
@@ -282,10 +417,10 @@ class _Reader:
         self.name = "LP"
         self.section: str | None = None
         self.saw: set[str] = set()
-        self.obj_row: str | None = None
+        self.obj_row: bytes | None = None
         self.relations: list[str] = []
-        self.row_index: dict[str, int] = {}  # constraint rows, in file order
-        self.col_index: dict[str, int] = {}
+        self.rows = _Names()  # constraint rows, in file order
+        self.cols = _Names()
         # per run of COLUMNS lines: its entries' keys, row << 32 | column with
         # row -1 for the objective, their values, and the first column it added
         self.entry_keys: list[np.ndarray] = []
@@ -317,16 +452,22 @@ class _Reader:
             raise MpsFormatError(f"line {line_no}: malformed section header {tokens[0]!r}")
         return True
 
-    def data(self, chunk: str, first_line: int) -> None:
-        """Data lines ``chunk``, the first of them numbered ``first_line``."""
-        # _parse cut the run before any character past ASCII, so each marker
-        # is a token of its own, and line k's tokens lie between marker k - 1
-        # and marker k
-        tokens = chunk.replace("\n", f" {_LINE_MARK} ").split()
-        tokens = np.fromiter(tokens, dtype=object, count=len(tokens))
-        ends = np.append(np.flatnonzero(tokens == _LINE_MARK), len(tokens))
-        start = np.concatenate([[0], ends[:-1] + 1])
-        counts = ends - start
+    def data(self, codes: np.ndarray, breaks: np.ndarray, first_line: int) -> None:
+        """Data lines of bytes ``codes`` with line breaks at ``breaks``, the
+        first of them numbered ``first_line``."""
+        tokens = _Tokens(codes)
+        wide = tokens.width * len(tokens.starts) > _FIELD_BYTES_PER_BYTE * len(codes)
+        if wide and len(breaks) > 1:
+            # a field is as wide as its widest token, so a few long tokens
+            # would make every field long: the run is read in halves
+            half = len(breaks) // 2
+            cut = breaks[half - 1] + 1
+            self.data(codes[:cut], breaks[:half], first_line)
+            self.data(codes[cut:], breaks[half:] - cut, first_line + half)
+            return
+        # line k's tokens are those past line break k - 1 and before break k
+        start = np.concatenate([[0], np.searchsorted(tokens.starts, breaks)])
+        counts = np.diff(start, append=len(tokens.starts))
         nonblank = np.flatnonzero(counts)
         if not len(nonblank):
             return
@@ -344,39 +485,36 @@ class _Reader:
         else:
             self._pairs(tokens, start, counts, faults)
 
-    def _rows(self, tokens, start, counts, faults: _Faults) -> None:
+    def _rows(self, tokens: _Tokens, start, counts, faults: _Faults) -> None:
         lines = np.arange(len(counts))
         faults.check(counts != 2, lines, 0, lambda k: "ROWS entry needs type and name")
         lines = lines[counts == 2]
-        raw_types = tokens[start[lines]]
-        types = _upper(raw_types)
-        names = tokens[start[lines] + 1]
-        objective = types == "N"
-        constraint = np.fromiter(map(_TYPE_TO_REL.__contains__, types), dtype=bool,
-                                 count=len(types))
-        faults.check(~objective & ~constraint, lines, 1,
-                     lambda k: f"unknown row type {raw_types[k]!r}")
+        kind = _lookup(_ROW_TYPES, _upper(tokens.field(start[lines])))
+        names = tokens.field(start[lines] + 1)
+        objective = kind == _OBJECTIVE_TYPE
+        constraint = (kind >= 0) & ~objective
+        faults.check(kind < 0, lines, 1,
+                     lambda k: f"unknown row type {tokens.text(start[lines[k]])!r}")
         # the first N row names the objective, unless an earlier run did
         extra_n = objective.copy()
         if self.obj_row is None and objective.any():
             extra_n[np.argmax(objective)] = False
         faults.check(extra_n, lines, 1, lambda k: "multiple objective (N) rows")
-        # a name that already has a place, from an earlier run or earlier in
-        # this one, keeps it and repeats
-        new = names[constraint].tolist()
-        base = len(self.row_index)
+        # a name from an earlier run, or from earlier in this one, repeats
+        new = names[constraint]
         again = np.zeros(len(names), dtype=bool)
-        again[constraint] = np.fromiter(
-            map(self.row_index.setdefault, new, count(base)), dtype=np.int64, count=len(new)
-        ) != np.arange(base, base + len(new))
-        faults.check(again, lines, 1, lambda k: f"duplicate row {names[k]!r}")
+        again[constraint] = self.rows.find(new) >= 0
+        again[constraint] |= _repeats(_keys(new) if new.itemsize <= 8 else new)
+        faults.check(again, lines, 1,
+                     lambda k: f"duplicate row {tokens.text(start[lines[k]] + 1)!r}")
         faults.raise_first()
 
         if self.obj_row is None and objective.any():
             self.obj_row = names[np.argmax(objective)]
-        self.relations += map(_TYPE_TO_REL.__getitem__, types[constraint])
+        self.rows.add(new)
+        self.relations += _RELATIONS[kind[constraint]].tolist()
 
-    def _pairs(self, tokens, start, counts, faults: _Faults) -> None:
+    def _pairs(self, tokens: _Tokens, start, counts, faults: _Faults) -> None:
         """COLUMNS or RHS lines: a column or set name, then name/value pairs."""
         lines = np.arange(len(counts))
         paired = (counts % 2 == 1) & (counts > 1)
@@ -386,12 +524,11 @@ class _Reader:
         pair_line = np.repeat(lines, n_pairs)
         first_pair = np.cumsum(n_pairs) - n_pairs
         at = start[pair_line] + 1 + 2 * (np.arange(len(pair_line)) - first_pair[pair_line])
-        row_tokens, value_tokens = tokens[at], tokens[at + 1]
-        values = _floats(value_tokens)
+        row_tokens = tokens.field(at)
+        values = _floats(tokens.field(at + 1))
         faults.check(~np.isfinite(values), pair_line, 1,
-                     lambda k: f"bad numeric field {value_tokens[k]!r}")
-        row = np.fromiter(map(self.row_index.get, row_tokens, repeat(-2)), dtype=np.int64,
-                          count=len(row_tokens))
+                     lambda k: f"bad numeric field {tokens.text(at[k] + 1)!r}")
+        row = self.rows.find(row_tokens, missing=-2)
         if self.obj_row is not None:
             row[row_tokens == self.obj_row] = -1  # the objective row is looked for first
         cost = row == -1
@@ -399,7 +536,7 @@ class _Reader:
 
         if self.section == "RHS":
             faults.check(row == -2, pair_line, 2,
-                         lambda k: f"RHS for undeclared row {row_tokens[k]!r}")
+                         lambda k: f"RHS for undeclared row {tokens.text(at[k])!r}")
             faults.raise_first()
             if cost.any():
                 self.offset = -values[cost][-1]
@@ -408,28 +545,25 @@ class _Reader:
             return
 
         faults.check(row == -2, pair_line, 2,
-                     lambda k: f"entry for undeclared row {row_tokens[k]!r}")
+                     lambda k: f"entry for undeclared row {tokens.text(at[k])!r}")
         # a column's lines follow each other, so names are looked up per run
-        col_tokens = tokens[start]
+        col_tokens = tokens.field(start)
         run = np.flatnonzero(np.concatenate([[True], col_tokens[1:] != col_tokens[:-1]]))
-        heads = col_tokens[run].tolist()
-        new = [name for name in dict.fromkeys(heads) if name not in self.col_index]
-        self.col_index.update(zip(new, range(len(self.col_index), len(self.col_index) + len(new))))
-        col = np.repeat(
-            np.fromiter(map(self.col_index.__getitem__, heads), dtype=np.int64, count=len(heads)),
-            np.diff(np.append(run, len(col_tokens))),
-        )[pair_line]
+        n_before = len(self.cols)
+        col = np.repeat(self.cols.numbered(col_tokens[run]),
+                        np.diff(np.append(run, len(col_tokens))))[pair_line]
 
         valid = row >= -1
         keys = row[valid] << 32 | col[valid]
         again = np.zeros(len(row), dtype=bool)
-        again[valid] = self._seen(keys, col[valid], len(self.col_index) - len(new))
+        again[valid] = self._seen(keys, col[valid], n_before)
         faults.check(again, pair_line, 2, lambda k: (
-            f"duplicate objective entry for {col_tokens[pair_line[k]]!r}" if row[k] == -1
-            else f"duplicate entry {col_tokens[pair_line[k]]!r} in row {row_tokens[k]!r}"))
+            f"duplicate objective entry for {tokens.text(start[pair_line[k]])!r}" if row[k] == -1
+            else f"duplicate entry {tokens.text(start[pair_line[k]])!r} "
+                 f"in row {tokens.text(at[k])!r}"))
         faults.raise_first()
 
-        self.first_col.append(len(self.col_index) - len(new))
+        self.first_col.append(n_before)
         self.entry_keys.append(keys)
         self.entry_vals.append(values[valid])
 
@@ -448,29 +582,34 @@ class _Reader:
             again[back] |= np.isin(keys[back], np.concatenate(earlier))
         return again
 
-    def _bounds(self, tokens, start, counts, faults: _Faults) -> None:
+    def _bounds(self, tokens: _Tokens, start, counts, faults: _Faults) -> None:
         lines = np.arange(len(counts))
-        raw_keys = tokens[start]
-        keys = _upper(raw_keys)
-        acts = np.fromiter(map(_BOUND_ACTS.get, keys, repeat(-1)), dtype=np.int64,
-                           count=len(keys))
+        keys = _upper(tokens.field(start))
+        kind = _lookup(_BOUND_TYPES, keys)
+        acts = np.where(kind >= 0, _BOUND_ACTS[kind], -1)
         valued = (acts >= 0) & (acts & _VALUED != 0)
         bare = (acts >= 0) & (acts & _VALUED == 0)
-        faults.check(~valued & ~bare, lines, 0, lambda k: f"unknown bound key {raw_keys[k]!r}")
+        faults.check(~valued & ~bare, lines, 0,
+                     lambda k: f"unknown bound key {tokens.text(start[k])!r}")
         faults.check(valued & (counts != 4), lines, 0,
-                     lambda k: f"bound {keys[k]} needs set, column and value")
+                     lambda k: f"bound {keys[k].decode()} needs set, column and value")
         faults.check(bare & (counts != 3), lines, 0,
-                     lambda k: f"bound {keys[k]} needs set and column")
+                     lambda k: f"bound {keys[k].decode()} needs set and column")
         ok = np.flatnonzero((valued & (counts == 4)) | (bare & (counts == 3)))
-        names = tokens[start[ok] + 2]
-        col = np.fromiter(map(self.col_index.get, names, repeat(-1)), dtype=np.int64,
-                          count=len(names))
-        faults.check(col < 0, ok, 1, lambda k: f"bound on undeclared column {names[k]!r}")
+        col = self.cols.find(tokens.field(start[ok] + 2))
+        faults.check(col < 0, ok, 1,
+                     lambda k: f"bound on undeclared column {tokens.text(start[ok[k]] + 2)!r}")
         with_value = ok[valued[ok]]
-        value_tokens = tokens[start[with_value] + 3]
-        values = _floats(value_tokens)  # an infinite bound is no bound
+        values = _floats(tokens.field(start[with_value] + 3))
         faults.check(np.isnan(values), with_value, 2,
-                     lambda k: f"bad numeric field {value_tokens[k]!r}")
+                     lambda k: f"bad numeric field {tokens.text(start[with_value[k]] + 3)!r}")
+        # an infinite bound is no bound, unless it leaves the box empty
+        sets = acts[with_value]
+        empty = ((values == np.inf) & (sets & _SETS_LOWER != 0)
+                 | (values == -np.inf) & (sets & _SETS_UPPER != 0))
+        faults.check(empty, with_value, 2, lambda k: (
+            f"bound {keys[with_value[k]].decode()} {tokens.text(start[with_value[k]] + 3)} "
+            f"leaves {tokens.text(start[with_value[k]] + 2)!r} an empty box"))
         faults.raise_first()
 
         acts = acts[ok]
@@ -491,9 +630,8 @@ class _Reader:
             raise MpsFormatError("no objective (N) row declared")
         # the reader is spent: each part is let go once the problem's copy of
         # it is made, so that no part is held twice
-        col_names, row_names = list(self.col_index), list(self.row_index)
-        self.col_index.clear()
-        self.row_index.clear()
+        col_names, row_names = self.cols.names(), self.rows.names()
+        self.cols = self.rows = _Names()
         n, m = len(col_names), len(row_names)
 
         def joined(parts, dtype=float):
@@ -535,53 +673,68 @@ class _Reader:
         )
 
 
-def _parse(blocks) -> LpProblem:
-    """The problem in ``blocks``, runs of whole lines in file order."""
+def _unreadable(char: str) -> str:
+    """The fault of a character that no name or number holds."""
+    if char == "\x00":
+        return "NUL byte"
+    if "\udc80" <= char <= "\udcff":
+        return f"non-ASCII byte 0x{ord(char) - 0xDC00:02x}"
+    return f"non-ASCII character {char!r} (U+{ord(char):04X})"
+
+
+def _parse(blocks, stand_in: str | None = None) -> LpProblem:
+    """The problem in ``blocks``, runs of whole lines in file order, as bytes.
+
+    The first NUL byte or byte past ASCII is a fault of its line, reported
+    once the lines before it are read; ``stand_in``, if given, is the
+    character of the text that it stands in for.
+    """
     reader = _Reader()
-    line_no = 1
+    line_no = 1  # of the block's first line
     for block in blocks:
         if any(brk in block for brk in _OTHER_BREAKS):
-            # lines are numbered as str.splitlines counts the ASCII breaks;
-            # a break past ASCII is a fault, as its bytes are in a file
-            block = _BREAK_RE.sub("\n", block)
-        bad = None if block.isascii() else _NON_ASCII_RE.search(block)
-        if bad:
-            # the lines before the one with the character are read first
-            bad_line = line_no + block.count("\n", 0, bad.start())
-            block = block[: block.rfind("\n", 0, bad.start()) + 1]
-        marks = [m.end() for m in _MARK_RE.finditer(block)]
-        if block[:1].strip():
-            marks.insert(0, 0)
-        pos = 0
-        for start in marks:
-            if start > pos:
-                reader.data(block[pos:start], line_no)
-                line_no += block.count("\n", pos, start)
-            end = block.find("\n", start)
-            if end < 0:
-                end = len(block)
-            if not reader.mark(block[start:end], line_no):
+            # lines are numbered as str.splitlines counts the ASCII breaks
+            block = _BREAK_RE.sub(b"\n", block)
+        bad = None
+        if not block.isascii() or b"\x00" in block:
+            # the lines before the one with the byte are read first
+            bad = _UNREADABLE_BYTE_RE.search(block)
+            block = block[: block.rfind(b"\n", 0, bad.start()) + 1]
+        codes = np.frombuffer(block, dtype=np.uint8)
+        breaks = np.flatnonzero(codes == ord("\n"))
+        # line k starts past break k - 1; a header or comment line starts
+        # with no blank
+        starts = np.concatenate([[0], breaks + 1])
+        heads = np.flatnonzero(_IN_TOKEN[codes[starts[starts < len(block)]]]).tolist()
+        ends = np.append(breaks, len(block))
+        first = 0  # the block's first line not yet read
+        for k in heads:
+            if k > first:
+                reader.data(codes[starts[first] : starts[k]], breaks[first:k] - starts[first],
+                            line_no + first)
+            if not reader.mark(block[starts[k] : ends[k]].decode("ascii"), line_no + k):
                 return reader.problem()
-            pos, line_no = end + 1, line_no + 1
-        reader.data(block[pos:], line_no)
-        line_no += block.count("\n", pos)
+            first = k + 1
+        if first < len(starts):
+            reader.data(codes[starts[first] :], breaks[first:] - starts[first], line_no + first)
+        line_no += len(breaks)
         if bad:
-            char = bad.group()
-            what = (
-                f"byte 0x{ord(char) - 0xDC00:02x}" if "\udc80" <= char <= "\udcff"
-                else f"character {char!r} (U+{ord(char):04X})"
-            )
-            raise MpsFormatError(f"line {bad_line}: non-ASCII {what}")
+            char = stand_in or bad.group().decode("ascii", "surrogateescape")
+            raise MpsFormatError(f"line {line_no}: {_unreadable(char)}")
     raise MpsFormatError("missing ENDATA")
 
 
 def parse_mps(text: str) -> LpProblem:
-    runs = re.finditer(r"(?:[^\n]*\n){1,%d}|[^\n]+" % _BLOCK_LINES, text)
-    return _parse(run.group() for run in runs)
+    bad = None if text.isascii() and "\x00" not in text else _UNREADABLE_RE.search(text)
+    # the text is read as its bytes, a NUL byte in place of the first
+    # character that cannot be read, and nothing after it
+    data = text[: bad.start()].encode("ascii") + b"\x00" if bad else text.encode("ascii")
+    runs = re.finditer(rb"(?:[^\n]*\n){1,%d}|[^\n]+" % _BLOCK_LINES, data)
+    return _parse((run.group() for run in runs), bad and bad.group())
 
 
-def _file_blocks(fh) -> Iterator[str]:
-    """The text of the binary file ``fh`` in blocks of ``_BLOCK_LINES``
+def _file_blocks(fh) -> Iterator[bytes]:
+    """The bytes of the binary file ``fh`` in blocks of ``_BLOCK_LINES``
     lines, the last maybe shorter. The file is read in chunks sized to the
     block, each cut at every ``_BLOCK_LINES``-th line break of the text."""
     held: list[bytes] = []  # the bytes read of the next block
@@ -594,13 +747,12 @@ def _file_blocks(fh) -> Iterator[str]:
         pos = 0
         for end in cuts:
             held.append(chunk[pos:end])
-            # a byte past ASCII decodes to an escape, which the parse reports
-            block = b"".join(held).decode("ascii", "surrogateescape")
+            block = b"".join(held)
             held, pos = [], end
             yield block
         held.append(chunk[pos:])
     if any(held):
-        yield b"".join(held).decode("ascii", "surrogateescape")
+        yield b"".join(held)
 
 
 def read_mps(path) -> LpProblem:

@@ -184,13 +184,18 @@ def build_problem(
 
     box = np.array(bounds, dtype=float).reshape(n, 2)
     lower, upper = box[:, 0].copy(), box[:, 1].copy()
-    bad = np.isnan(lower) | np.isnan(upper) | (lower > upper)
+    # an infinite bound is no bound, but +inf below or -inf above leaves no value
+    bad = np.isnan(lower) | np.isnan(upper) | (lower > upper) | (lower == math.inf)
+    bad |= upper == -math.inf
     if np.any(bad):
         j = int(np.flatnonzero(bad)[0])
         lo, hi = lower[j], upper[j]
         if math.isnan(lo) or math.isnan(hi):
             raise LpDefinitionError(f"variable {j}: NaN bound")
-        raise LpDefinitionError(f"variable {j}: lower bound {lo} exceeds upper bound {hi}")
+        if lo > hi:
+            raise LpDefinitionError(f"variable {j}: lower bound {lo} exceeds upper bound {hi}")
+        end = f"lower bound {lo}" if lo == math.inf else f"upper bound {hi}"
+        raise LpDefinitionError(f"variable {j}: {end} leaves an empty box")
 
     if not isinstance(rows, CsrRows):
         rows = CsrRows.from_triplets(rows)

@@ -130,3 +130,14 @@ def test_first_offending_row_reports_its_first_fault():
     ]
     with pytest.raises(LpDefinitionError, match=r"^row 1: duplicate column index 0$"):
         build_problem("minimize", [(0, 1)], rows, [1.0])
+
+
+@pytest.mark.parametrize("bounds, message", [
+    ([(0.0, 1.0), (INF, INF)], "variable 1: lower bound inf leaves an empty box"),
+    ([(-INF, -INF)], "variable 0: upper bound -inf leaves an empty box"),
+    ([(0.0, -INF)], "variable 0: lower bound 0.0 exceeds upper bound -inf"),
+])
+def test_rejects_a_box_with_no_value(bounds, message):
+    with pytest.raises(LpDefinitionError) as err:
+        build_problem("minimize", bounds, [], [1.0] * len(bounds))
+    assert str(err.value) == message

@@ -411,6 +411,23 @@ class TestParseErrors:
             parse_mps(TESTPROB.replace(old, new))
         assert str(err.value) == message
 
+    # an infinite bound is no bound, but +inf below or -inf above leaves the
+    # column no value
+    @pytest.mark.parametrize("old, new, message", [
+        ("LO BND1      X2             -1.0", "LO BND1      X2              inf",
+         "line 18: bound LO inf leaves 'X2' an empty box"),
+        ("UP BND1      X1              4.0", "UP BND1      X1             -inf",
+         "line 17: bound UP -inf leaves 'X1' an empty box"),
+        ("UP BND1      X1              4.0", "fx BND1      X1         Infinity",
+         "line 17: bound FX Infinity leaves 'X1' an empty box"),
+        ("LO BND1      X2             -1.0", "MI BND1      X2\n UP BND1      X2  -1e999",
+         "line 19: bound UP -1e999 leaves 'X2' an empty box"),
+    ])
+    def test_empty_box_names_its_line(self, old, new, message, tmp_path):
+        assert old in TESTPROB
+        text = TESTPROB.replace(old, new)
+        assert parsed_both_ways(text, tmp_path) == [message] * 2
+
     def test_infinite_bounds_are_no_bounds(self):
         p = parse_mps(TESTPROB.replace("X1              4.0", "X1              inf")
                       .replace("X2             -1.0", "X2             -Infinity"))
@@ -495,6 +512,13 @@ class TestParseErrors:
             read_mps(path)
         assert str(err.value) == "line 4: non-ASCII byte 0xc3"
 
+    def test_nul_byte_names_its_line(self, tmp_path):
+        # no name or number holds a NUL byte, in a text or in a file
+        text = TESTPROB.replace("X1        LIM2", "X1        LIM2\x00")
+        assert parsed_both_ways(text, tmp_path) == ["line 9: NUL byte"] * 2
+        text = TESTPROB.replace("NAME          TESTPROB", "NAME          TEST\x00")
+        assert parsed_both_ways(text, tmp_path) == ["line 1: NUL byte"] * 2
+
     def test_fault_before_a_non_ascii_byte_comes_first(self, tmp_path):
         path = tmp_path / "accent.mps"
         text = TESTPROB.replace("X1        LIM2            1.0", "X1        LIM2            1.x")
@@ -528,6 +552,8 @@ EDGES = {
     "blank lines": (lambda text: text.replace("COLUMNS\n", "COLUMNS\n\n \t\x1f \n\n"), 17),
     "crlf": (lambda text: text.replace("\n", "\r\n"), 14),
     "no final newline": (lambda text: text[:-1], 14),
+    # a control byte that is not whitespace is part of the name it is in
+    "bell in a name": (lambda text: text.replace("LIM1", "LI\x07M1"), 14),
 }
 
 
@@ -548,6 +574,12 @@ class TestTokenizerEdges:
         text = change(TESTPROB.replace("LIM1            4.0", "LIM1            4.O"))
         assert parsed_both_ways(text, tmp_path) == [f"line {line}: bad numeric field '4.O'"] * 2
 
+    def test_control_byte_starts_a_header(self, tmp_path):
+        # a line that starts with a byte that is not whitespace is a header
+        text = TESTPROB.replace(" L  LIM1", "\x07L  LIM1")
+        message = "line 4: malformed section header '\\x07L'"
+        assert parsed_both_ways(text, tmp_path) == [message] * 2
+
     def test_fault_on_a_last_line_with_no_newline(self, tmp_path):
         text = TESTPROB.replace("-1.0\nENDATA\n", "-1.x")
         assert parsed_both_ways(text, tmp_path) == ["line 18: bad numeric field '-1.x'"] * 2
@@ -566,6 +598,30 @@ class TestTokenizerEdges:
             lines[at - 1], message = f"    X{at}  OBJ  1.z", "bad numeric field '1.z'"
         text = "\n".join(lines + ["ENDATA", ""])
         assert parsed_both_ways(text, tmp_path) == [f"line {at}: {message}"] * 2
+
+
+def test_long_names_keep_their_full_text(block_lines, tmp_path):
+    """Names longer than 8 characters, two rows alike in their first 8, and
+    names of 9, 16 and 17 characters, at the edges of the name tables'
+    widths, are read whole and kept apart, from a text and from a file."""
+    long_names = {"LIM1": "LIMIT_ROW_1", "LIM2": "LIMIT_ROW_2_17CHR", "MYEQN": "MYEQN_ROW",
+                  "X1": "X1_SIXTEEN_CHARS", "X3": "X3_LONG_NAME",
+                  "X2": "X2_IS_A_MUCH_LONGER_NAME_THAN_EIGHT"}
+    text = TESTPROB
+    for short, full in long_names.items():
+        text = text.replace(short, full)
+    path = tmp_path / "long.mps"
+    path.write_bytes(text.encode("ascii"))
+    expected = parse_mps(TESTPROB)
+    for p in (parse_mps(text), read_mps(path)):
+        assert p.row_names == ("LIMIT_ROW_1", "LIMIT_ROW_2_17CHR", "MYEQN_ROW")
+        assert p.col_names == ("X1_SIXTEEN_CHARS", "X2_IS_A_MUCH_LONGER_NAME_THAN_EIGHT",
+                               "X3_LONG_NAME")
+        assert [row_coeffs(p, i) for i in range(3)] == [row_coeffs(expected, i) for i in range(3)]
+        assert p.objective.tolist() == expected.objective.tolist()
+        assert p.rhs.tolist() == expected.rhs.tolist()
+        assert (p.lower.tolist(), p.upper.tolist()) == (expected.lower.tolist(),
+                                                        expected.upper.tolist())
 
 
 #: the most a traced write or read may allocate at once, per byte of file
@@ -597,3 +653,28 @@ def test_peak_memory_follows_the_block_not_the_file(tmp_path, monkeypatch):
     size = path.stat().st_size
     assert write_peak < PEAK_PER_FILE_BYTE * size
     assert read_peak < PEAK_PER_FILE_BYTE * size
+
+
+def test_a_long_name_widens_no_other(tmp_path):
+    """A field holds its tokens as wide as its widest, and a name table its
+    names as wide as the widest of their width class, so one 100,000-byte
+    row among 2,000 short ones, named once in a run of 2,000 lines, is read
+    in smaller runs and kept in a table of its own: reading the file holds a
+    few megabytes, not the 200 MB of 2,000 names that wide."""
+    long_name = "R" * 100_000
+    lines = ["NAME          LONG", "ROWS", " N  OBJ"] + [f" L  R{k:07d}" for k in range(2000)]
+    lines += [f" L  {long_name}", "COLUMNS"] + [f"    X{k}  R{k:07d}  1.0" for k in range(2000)]
+    lines[-1000] = f"    X1000  {long_name}  2.0"
+    text = "\n".join(lines + ["ENDATA", ""])
+    path = tmp_path / "long.mps"
+    path.write_bytes(text.encode("ascii"))
+    for read in (lambda: parse_mps(text), lambda: read_mps(path)):
+        tracemalloc.start()
+        try:
+            p = read()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert p.row_names == tuple(f"R{k:07d}" for k in range(2000)) + (long_name,)
+        assert row_coeffs(p, 2000) == {1000: 2.0}
+        assert peak < 16 * 2**20
