@@ -43,6 +43,7 @@ covers every entry since that column's run.
 
 from __future__ import annotations
 
+import io
 import re
 from bisect import bisect_right
 from collections.abc import Iterator
@@ -185,15 +186,11 @@ def _blocks(problem: LpProblem) -> Iterator[str]:
 
     # at most two lines per column: FX, FR, MI or LO, then UP
     lo, hi = problem.lower, problem.upper
-    fixed = lo == hi
-    free = ~fixed & ~np.isfinite(lo) & ~np.isfinite(hi)
-    minus = ~fixed & ~free & ~np.isfinite(lo)
-    low = ~fixed & ~free & np.isfinite(lo) & (lo != 0.0)
-    up = ~fixed & ~free & np.isfinite(hi)
-    key = np.full((n, 2), -1)  # each line's place in _BOUND_KEYS
-    for k, has in enumerate([fixed, free, minus, low]):
-        key[has, 0] = k
-    key[up, 1] = 4
+    fixed, has_lo, has_hi = lo == hi, np.isfinite(lo), np.isfinite(hi)
+    key = np.column_stack([  # each line's place in _BOUND_KEYS, -1 for none
+        np.select([fixed, ~has_lo & ~has_hi, ~has_lo, lo != 0.0], [0, 1, 2, 3], -1),
+        np.where(~fixed & has_hi, 4, -1),
+    ])
     bound_col = np.nonzero(key >= 0)[0]
     key = key[key >= 0]
     bound_values = np.where(key == 4, hi[bound_col], lo[bound_col])
@@ -729,8 +726,7 @@ def parse_mps(text: str) -> LpProblem:
     # the text is read as its bytes, a NUL byte in place of the first
     # character that cannot be read, and nothing after it
     data = text[: bad.start()].encode("ascii") + b"\x00" if bad else text.encode("ascii")
-    runs = re.finditer(rb"(?:[^\n]*\n){1,%d}|[^\n]+" % _BLOCK_LINES, data)
-    return _parse((run.group() for run in runs), bad and bad.group())
+    return _parse(_file_blocks(io.BytesIO(data)), bad and bad.group())
 
 
 def _file_blocks(fh) -> Iterator[bytes]:

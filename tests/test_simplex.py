@@ -708,7 +708,15 @@ class TestNumericalFailures:
         with pytest.raises(SolveStatusError, match="singular"):
             simplex._BasisFactor(A).refactor(np.array([0, 1]))
 
-    def test_unbounded_phase_1_is_a_solve_status_error(self):
-        p = build_problem("minimize", [(0.0, 1.0)], [([(0, 1.0)], "=", 1.0)], [1.0])
+    def test_unbounded_phase_1_is_a_solve_status_error(self, monkeypatch):
+        # free x0 sits in both equality rows, so the crash leaves each row to
+        # an artificial and x0 prices in phase 1; a zero FTRAN column gives
+        # its ratio test no row and its flip no bound, as only corrupt data can
+        rows = [([(0, 1.0), (1, 1.0)], "=", 1.0), ([(0, 1.0), (1, -1.0)], "=", 1.0)]
+        p = build_problem("minimize", [(-INF, INF), (0.0, INF)], rows, [0.0, 0.0])
+        st = simplex._State(p)
+        assert st.n_total - st.art0 == 2
+        assert st.vstat[0] == simplex.FREE and st._reduced_costs(st.c_phase1)[0] != 0.0
+        monkeypatch.setattr(simplex._BasisFactor, "ftran", lambda self, v: np.zeros_like(v))
         with pytest.raises(SolveStatusError, match="phase 1"):
-            simplex._State(p)._phase1_unbounded()
+            solve(p)
