@@ -133,15 +133,6 @@ def _present_worth(
     return float(capital_term + om_term - salvage_term)
 
 
-def revenue_multiplier(econ: EconomicParams) -> float:
-    """Sum of the per-year discount factors over the horizon."""
-    s = econ.discount_rate
-    t = econ.horizon_years
-    if s == 0.0:
-        return float(t)
-    return (1.0 - (1.0 + s) ** (-t)) / s
-
-
 def compute_factors(
     battery: BatterySpec, econ: EconomicParams, diesel: DieselSpec | None = None
 ) -> PresentWorthFactors:
@@ -156,5 +147,5 @@ def compute_factors(
         sigma=0.0 if diesel is None else _present_worth(
             diesel.capital, diesel.om, diesel.salvage, diesel.lifetime_years_effective, econ
         ),
-        revenue_multiplier=revenue_multiplier(econ),
+        revenue_multiplier=annuity_factor(econ.horizon_years, econ.discount_rate),
     )

@@ -20,7 +20,6 @@ from pvsmooth.economics import (
     annuity_factor,
     compute_factors,
     replacement_count,
-    revenue_multiplier,
 )
 
 NAS = BatterySpec("nas", 1000, 170, 3, 1.5, 10, 1.7, 6)
@@ -105,8 +104,8 @@ class TestGoldenFactors:
         assert sigma == pytest.approx(1078.9510648739, rel=1e-10)
 
     def test_revenue_multiplier(self):
-        assert revenue_multiplier(S5) == pytest.approx(11.689586902650, rel=1e-10)
-        assert revenue_multiplier(S0) == 18.0
+        assert annuity_factor(18, 0.05) == pytest.approx(11.689586902650, rel=1e-10)
+        assert annuity_factor(18, 0.0) == 18.0
 
 
 class TestAgainstLoopOracle:
