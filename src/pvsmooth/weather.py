@@ -126,8 +126,9 @@ def read_table(
     line with its first fault as :func:`_row_fault` finds it.
     """
     # a byte that is not UTF-8 reads as a lone surrogate, which no converter
-    # accepts, so the row pass names it
-    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
+    # accepts, so the row pass names it; a leading byte-order mark, as in
+    # Excel's "CSV UTF-8", is dropped
+    with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:

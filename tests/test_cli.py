@@ -359,6 +359,14 @@ class TestValidateSubcommand:
         report = json.loads(capsys.readouterr().out)
         assert report["passed"] is True
 
+    def test_byte_order_mark_validates(self, flat_config, tmp_path, capsys):
+        main(["run", str(flat_config)])
+        csv_path = tmp_path / "out" / "case_A_dispatch.csv"
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + csv_path.read_bytes())
+        assert main(["validate", str(flat_config), str(bom)]) == 0
+        assert json.loads(capsys.readouterr().out)["passed"] is True
+
     def test_corrupted_dispatch_fails(self, flat_config, tmp_path, capsys):
         main(["run", str(flat_config)])
         csv_path = tmp_path / "out" / "case_A_dispatch.csv"

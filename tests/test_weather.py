@@ -42,6 +42,16 @@ class TestLoadWeather:
         assert w.active.all()
         assert len(w) * w.step_hours == pytest.approx(0.5)
 
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        # Excel's "CSV UTF-8" starts the file with a UTF-8 byte-order mark
+        p = write_csv(tmp_path, ["2024-06-01T10:00:00,800.5,25.0", "2024-06-01T10:10:00,820.0,25.4"])
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + p.read_bytes())
+        plain, marked = load_weather(p), load_weather(bom)
+        assert marked.step_hours == plain.step_hours
+        assert marked.irradiance.tolist() == plain.irradiance.tolist()
+        assert marked.ambient_temp.tolist() == plain.ambient_temp.tolist()
+
     def test_wrong_header_is_rejected(self, tmp_path):
         p = write_csv(tmp_path, ["2024-06-01T10:00:00,1,2"], header="time,ghi,temp")
         with pytest.raises(WeatherFormatError, match="header"):
