@@ -22,11 +22,10 @@ and its entry there is the largest of both the row and the column: the
 zero-step pivot Dantzig pricing would make, done before the first iteration.
 On the unsmoothed baseline every battery power P_b(k) is such a column, so it
 ends in 1-2 iterations instead of 201 at 3 days.
-The structural columns are followed by one block of logical columns, each a
-signed unit column: a slack on every inequality row, then an artificial on
-each row that the start covers with neither a structural column nor its
-slack. ``logical_rows`` gives each logical's row; ``art0`` is the first
-artificial.
+The structural columns are followed by one block of signed unit columns,
+the logicals: a slack on every inequality row, then an artificial on each
+row that the start covers with neither a structural column nor its slack;
+``logical_rows`` gives their rows and ``art0`` the first artificial.
 Pricing is Dantzig by default and falls back to Bland's rule after a run of
 steps of length zero, a guard against cycling on degenerate bases. Each
 iteration moves x_B once, by the shorter of the ratio test's step and the
@@ -256,8 +255,8 @@ def _named_start(problem: LpProblem, start: LpBasis) -> tuple | None:
 
 class _State:
     """The solver's working state over the structural columns and the
-    logical block. It starts from the basis ``start`` names when that basis is
-    nonsingular and its point misses no bound by more than
+    logical block. It starts from the basis ``start`` names when that basis
+    is nonsingular and its point misses no bound by more than
     ``FEASIBILITY_TOL`` times ``b_scale``, else from the crash; ``warm``
     tells which."""
 
@@ -481,10 +480,11 @@ class _State:
             if t == np.inf:
                 if phase == 2:
                     return "unbounded"
-                raise SolveStatusError("phase 1 subproblem reported unbounded; problem data is corrupt")
+                raise SolveStatusError(
+                    "phase 1 subproblem reported unbounded; problem data is corrupt"
+                )
 
-            # one step: x_B moves by t, then q flips to its other bound or
-            # takes the place of a basic column that reaches one
+            # one step: x_B moves by t; q then flips, or replaces the column that stops it
             self.x[self.basis] -= t * direction * w
             if t_flip <= t_min:
                 self._to_bound(q, upper=direction > 0.0)

@@ -44,7 +44,10 @@ class TestLoadWeather:
 
     def test_byte_order_mark_is_dropped(self, tmp_path):
         # Excel's "CSV UTF-8" starts the file with a UTF-8 byte-order mark
-        p = write_csv(tmp_path, ["2024-06-01T10:00:00,800.5,25.0", "2024-06-01T10:10:00,820.0,25.4"])
+        p = write_csv(tmp_path, [
+            "2024-06-01T10:00:00,800.5,25.0",
+            "2024-06-01T10:10:00,820.0,25.4",
+        ])
         bom = tmp_path / "bom.csv"
         bom.write_bytes(b"\xef\xbb\xbf" + p.read_bytes())
         plain, marked = load_weather(p), load_weather(bom)
