@@ -28,7 +28,7 @@ from .formulation import (
     extract_solution,
 )
 from .pvmodel import PowerSeries, PvPlantSpec, pv_power
-from .validation import ValidationReport, check_dispatch, compare_cases
+from .validation import check_dispatch, compare_cases
 from .weather import WeatherSeries, filter_low_irradiance, load_weather, synth_weather
 
 __version__ = "0.1.0"
@@ -50,7 +50,6 @@ __all__ = [
     "RunConfig",
     "SolveStatusError",
     "SyntheticWeatherSpec",
-    "ValidationReport",
     "WeatherFormatError",
     "WeatherSeries",
     "build_case",

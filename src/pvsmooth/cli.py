@@ -34,13 +34,7 @@ from .formulation import (
 )
 from .lp import LpSolution, solve, write_mps
 from .pvmodel import PowerSeries, pv_power
-from .validation import (
-    NESTED_PAIRS,
-    ValidationReport,
-    baseline_ratio,
-    check_dispatch,
-    compare_cases,
-)
+from .validation import NESTED_PAIRS, baseline_ratio, check_dispatch, compare_cases
 from .weather import filter_low_irradiance, load_weather, read_table, synth_weather
 
 log = logging.getLogger("pvsmooth")
@@ -62,13 +56,13 @@ class CaseRecord:
     label: str  # A/B/C/D/baseline
     solution: LpSolution
     dispatch: DispatchSolution | None
-    report: ValidationReport | None
+    report: dict | None  # the document of check_dispatch
     start: str  # label of the case whose basis the solve started from, or "crash"
 
     @property
     def ok(self) -> bool:
         # only an optimal solve is decoded and validated
-        return self.report is not None and self.report.passed
+        return self.report is not None and self.report["passed"]
 
 
 def build_power_series(config: RunConfig) -> PowerSeries:
@@ -161,8 +155,8 @@ def _case_summary(record: CaseRecord) -> dict:
             doc[name] = _rounded(getattr(sol, name))
     if record.report is not None:
         doc["validation"] = {
-            "passed": bool(record.report.passed),
-            "tolerance": _rounded(record.report.tolerance),
+            "passed": record.report["passed"],
+            "tolerance": _rounded(record.report["tolerance"]),
         }
     return doc
 
@@ -182,8 +176,7 @@ def _case_solver(record: CaseRecord) -> dict:
     if record.dispatch is not None:
         doc["max_curtailed_kw"] = _rounded(np.max(record.dispatch.p_curt))
     if record.report is not None:
-        report = record.report.as_dict()
-        doc.update(residuals=report["residuals"], worst_step=report["worst_step"])
+        doc.update(residuals=record.report["residuals"], worst_step=record.report["worst_step"])
     return doc
 
 
@@ -252,7 +245,7 @@ def cmd_run(config: RunConfig) -> int:
     for label, record in records.items():
         if record.report is None:
             print(f"case {label}: {record.solution.status}", file=sys.stderr)
-        elif not record.report.passed:
+        elif not record.report["passed"]:
             print(f"case {label}: validation failed", file=sys.stderr)
     exit_code = 0 if all(rec.ok for rec in records.values()) else 1
 
@@ -416,8 +409,8 @@ def cmd_validate(config: RunConfig, csv_path: Path) -> int:
     report = check_dispatch(
         sol, pv, _case_constraints(label, config), config.battery, config.diesel
     )
-    print(json.dumps(report.as_dict(), indent=2, sort_keys=True))
-    return 0 if report.passed else 1
+    print(json.dumps(report, indent=2, sort_keys=True))
+    return 0 if report["passed"] else 1
 
 
 def _parser() -> argparse.ArgumentParser:

@@ -8,7 +8,6 @@ the solver is how formulation or solver bugs surface.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -17,34 +16,6 @@ from .formulation import DIESEL_CASES, HOURS_PER_YEAR, ConstraintConfig, Dispatc
 from .pvmodel import PowerSeries
 
 RESIDUAL_TOL = 1e-6
-
-CONSTRAINT_NAMES = (
-    "balance",
-    "ramp",
-    "soc_recursion",
-    "soc_bounds",
-    "power_bounds",
-    "grid_cap",
-    "fuel_cap",
-)
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    """Worst residual per constraint family, in kW or kWh as appropriate.
-
-    ``worst_step`` holds the position within the dispatch series (not the
-    original trace index) where the residual peaks, or None when the family
-    has no per-step structure or does not apply.
-    """
-
-    residuals: dict
-    worst_step: dict
-    tolerance: float
-    passed: bool
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def _max_at(values: np.ndarray) -> tuple[float, int | None]:
@@ -60,8 +31,15 @@ def check_dispatch(
     cfg: ConstraintConfig,
     batt: BatterySpec,
     diesel: DieselSpec | None = None,
-) -> ValidationReport:
-    """Recompute every dispatch constraint from the series themselves."""
+) -> dict:
+    """Recompute every dispatch constraint from the series themselves.
+
+    Returns the document ``validate`` prints: per constraint family, the
+    worst residual in kW or kWh under ``residuals``, and under ``worst_step``
+    its position within the dispatch series (not the original trace index),
+    or None when the family has no per-step structure or does not apply;
+    the ``tolerance``; and ``passed``, whether every residual is within it.
+    """
     n = len(sol.p_grid)
     for name in ("p_batt", "e_batt", "p_curt", "p_diesel"):
         if len(getattr(sol, name)) != n:
@@ -122,10 +100,12 @@ def check_dispatch(
         residuals["fuel_cap"] = 0.0
     worst["fuel_cap"] = None
 
-    passed = all(residuals[name] <= RESIDUAL_TOL for name in CONSTRAINT_NAMES)
-    return ValidationReport(
-        residuals=residuals, worst_step=worst, tolerance=RESIDUAL_TOL, passed=passed
-    )
+    return {
+        "residuals": residuals,
+        "worst_step": worst,
+        "tolerance": RESIDUAL_TOL,
+        "passed": all(v <= RESIDUAL_TOL for v in residuals.values()),
+    }
 
 
 NESTING_REL_TOL = 1e-6

@@ -143,10 +143,10 @@ class TestConstraintSatisfaction:
     def test_every_dispatch_on_ten_traces_passes(self, ten_traces):
         for seed, (pv, per_case) in ten_traces.items():
             for case_id, (sol, report) in per_case.items():
-                assert report.passed, (
-                    f"seed {seed} case {case_id}: {report.residuals}"
+                assert report["passed"], (
+                    f"seed {seed} case {case_id}: {report['residuals']}"
                 )
-                assert max(report.residuals.values()) <= RESIDUAL_TOL
+                assert max(report["residuals"].values()) <= RESIDUAL_TOL
 
     def test_ramp_limit_holds_between_consecutive_steps(self, ten_traces):
         # recomputed from the dispatch arrays, independent of check_dispatch
@@ -376,8 +376,8 @@ class TestPriceScalingLaw:
             expected = self.FACTOR * base.net_benefit
             assert scaled.net_benefit == pytest.approx(expected, rel=SCALING_REL)
 
-            base_ok = check_dispatch(base, pv, cfg, NAS, diesel=d1).passed
-            scaled_ok = check_dispatch(scaled, pv, cfg, nas3, diesel=d3).passed
+            base_ok = check_dispatch(base, pv, cfg, NAS, diesel=d1)["passed"]
+            scaled_ok = check_dispatch(scaled, pv, cfg, nas3, diesel=d3)["passed"]
             assert base_ok == scaled_ok
 
 

@@ -129,7 +129,7 @@ def test_every_dispatch_csv_passes_check_dispatch(gated_run):
             diesel_energy=case["diesel_energy"],
         )
         report = check_dispatch(sol, gated_run["pv"], cfg, gated_run["config"].battery, diesel)
-        assert report.passed, (label, report.residuals)
+        assert report["passed"], (label, report["residuals"])
 
 
 def test_every_dispatch_csv_is_an_optimal_point(gated_run):

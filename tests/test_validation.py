@@ -100,13 +100,13 @@ class TestCheckDispatchCleanPass:
         pv = series([200.0, 200.0, 200.0])
         sol = manual(pv.values, [200, 200, 200], [0, 0, 0], [100, 100, 100])
         report = check_dispatch(sol, pv, config(), NAS)
-        assert report.passed
-        assert all(v == 0.0 for v in report.residuals.values())
+        assert report["passed"]
+        assert all(v == 0.0 for v in report["residuals"].values())
 
     def test_report_serializes(self):
         pv = series([200.0, 200.0])
         sol = manual(pv.values, [200, 200], [0, 0], [100, 100])
-        doc = check_dispatch(sol, pv, config(), NAS).as_dict()
+        doc = check_dispatch(sol, pv, config(), NAS)
         text = json.dumps(doc)
         assert json.loads(text)["passed"] is True
 
@@ -116,63 +116,63 @@ class TestCheckDispatchCatchesViolations:
         pv = series([200.0, 200.0])
         sol = manual(pv.values, [200, 202], [0, 0], [100, 100])
         report = check_dispatch(sol, pv, config(), NAS)
-        assert not report.passed
-        assert report.residuals["balance"] == pytest.approx(2.0)
-        assert report.worst_step["balance"] == 1
+        assert not report["passed"]
+        assert report["residuals"]["balance"] == pytest.approx(2.0)
+        assert report["worst_step"]["balance"] == 1
 
     def test_ramp_excess_is_the_overshoot(self):
         # a 200 kW jump against a 150 kW band leaves a 50 kW residual
         pv = series([200.0, 400.0])
         sol = manual(pv.values, [200, 400], [0, 0], [100, 100])
         report = check_dispatch(sol, pv, config(), NAS)
-        assert report.residuals["ramp"] == pytest.approx(50.0)
-        assert report.worst_step["ramp"] == 1
+        assert report["residuals"]["ramp"] == pytest.approx(50.0)
+        assert report["worst_step"]["ramp"] == 1
 
     def test_ramp_not_checked_across_trace_gaps(self):
         pv = series([200.0, 0.0, 800.0], active=[True, False, True])
         sol = manual([200.0, 800.0], [200, 800], [0, 0], [100, 100], steps=[0, 2])
         report = check_dispatch(sol, pv, config(), NAS)
-        assert report.residuals["ramp"] == 0.0
+        assert report["residuals"]["ramp"] == 0.0
 
     def test_soc_recursion_break(self):
         pv = series([200.0, 200.0])
         # discharging 60 kW for ten minutes is 10 kWh, not 4
         sol = manual(pv.values, [260, 200], [60, 0], [100, 96])
         report = check_dispatch(sol, pv, config(), NAS)
-        assert report.residuals["soc_recursion"] == pytest.approx(6.0)
-        assert report.worst_step["soc_recursion"] == 1
+        assert report["residuals"]["soc_recursion"] == pytest.approx(6.0)
+        assert report["worst_step"]["soc_recursion"] == 1
 
     def test_soc_band_violations(self):
         pv = series([200.0, 200.0])
         sol = manual(pv.values, [200, 200], [0, 0], [510, 50], e_batt_max=500.0)
         report = check_dispatch(sol, pv, config(), NAS)
         # 510 exceeds the rating by 10; 50 sits 50 below the 20% floor
-        assert report.residuals["soc_bounds"] == pytest.approx(50.0)
-        assert report.worst_step["soc_bounds"] == 1
+        assert report["residuals"]["soc_bounds"] == pytest.approx(50.0)
+        assert report["worst_step"]["soc_bounds"] == 1
 
     def test_power_rating_violation(self):
         pv = series([200.0, 200.0])
         sol = manual(pv.values, [320, 200], [120, 0], [100, 80], p_batt_max=100.0)
         report = check_dispatch(sol, pv, config(), NAS)
-        assert report.residuals["power_bounds"] == pytest.approx(20.0)
+        assert report["residuals"]["power_bounds"] == pytest.approx(20.0)
 
     def test_curtailment_beyond_available_pv(self):
         pv = series([200.0, 200.0])
         sol = manual(pv.values, [-50, 200], [0, 0], [100, 100], p_curt=[250.0, 0.0])
         report = check_dispatch(sol, pv, config(), NAS)
-        assert report.residuals["power_bounds"] == pytest.approx(50.0)
+        assert report["residuals"]["power_bounds"] == pytest.approx(50.0)
 
     def test_negative_injection_hits_grid_cap_family(self):
         pv = series([200.0, 200.0])
         sol = manual(pv.values, [-30, 430], [-230, 230], [100, 100])
         report = check_dispatch(sol, pv, config(), NAS)
-        assert report.residuals["grid_cap"] == pytest.approx(30.0)
+        assert report["residuals"]["grid_cap"] == pytest.approx(30.0)
 
     def test_grid_cap_overage(self):
         pv = series([200.0, 200.0])
         sol = manual(pv.values, [200, 200], [0, 0], [100, 100])
         report = check_dispatch(sol, pv, config(grid_cap=150.0), NAS)
-        assert report.residuals["grid_cap"] == pytest.approx(50.0)
+        assert report["residuals"]["grid_cap"] == pytest.approx(50.0)
 
     def test_fuel_budget_overrun_in_kwh(self):
         pv = series([200.0, 200.0])
@@ -183,8 +183,8 @@ class TestCheckDispatchCatchesViolations:
                      p_diesel=[60.0, 60.0], p_diesel_max=60.0)
         report = check_dispatch(sol, pv, config(), NAS, lean)
         expect = 20.0 - (0.25 * 8760.0 * 2.0 / 0.25) * (pv.total_hours / 8760.0)
-        assert report.residuals["fuel_cap"] == pytest.approx(expect)
-        assert not report.passed
+        assert report["residuals"]["fuel_cap"] == pytest.approx(expect)
+        assert not report["passed"]
 
     # a series one step too long, and an absent resource's series left empty
     @pytest.mark.parametrize("name,values", [("p_batt", [0, 0, 0]), ("p_curt", [])])
@@ -201,7 +201,7 @@ class TestCheckDispatchCatchesViolations:
             sol = solved(case_id, pv, config())
             report = check_dispatch(sol, pv, config(), NAS,
                                     DIESEL if case_id in ("C", "D") else None)
-            assert report.passed, (case_id, report.residuals)
+            assert report["passed"], (case_id, report["residuals"])
 
 
 class TestOracleAgreesWithSolver:
@@ -410,7 +410,7 @@ class TestRandomTraceProperties:
         pv = series(vals)
         cfg = config()
         sol = solved("A", pv, cfg)
-        assert check_dispatch(sol, pv, cfg, NAS).passed
+        assert check_dispatch(sol, pv, cfg, NAS)["passed"]
         top = float(np.max(pv.values)) + 160.0
         res = brute_force_optimum(pv, "A", NAS, ECON, cfg, power_step_kw=20.0,
                                   p_batt_window=(-top, top))
