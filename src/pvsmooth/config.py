@@ -68,7 +68,7 @@ def load_preset(name: str) -> dict:
     """Read one bundled ``<name>.preset`` JSON document."""
     ref = resources.files("pvsmooth").joinpath(f"presets/{name}.preset")
     try:
-        text = ref.read_text()
+        text = ref.read_text(encoding="utf-8")
     except FileNotFoundError:
         known = ", ".join(sorted(BATTERY_PRESETS + (DEFAULT_DIESEL_PRESET,)))
         raise ConfigError(f"unknown preset {name!r}; bundled presets: {known}") from None
@@ -117,12 +117,17 @@ def _spec(cls, data, path: str):
 
 
 def load_run_config(path: str | Path) -> RunConfig:
-    """Parse and validate a run configuration file."""
+    """Parse and validate a run configuration file, UTF-8 with or without a byte-order mark."""
     path = Path(path)
     try:
-        raw = json.loads(path.read_text())
+        raw = json.loads(path.read_text(encoding="utf-8-sig"))
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise ConfigError(
+            f"{path}: non-UTF-8 byte 0x{exc.object[exc.start]:02x} on line {line}"
+        ) from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(raw, dict):

@@ -268,3 +268,31 @@ class TestCoercions:
     def test_initial_soc_fraction_loads(self, tmp_path, value):
         path = write_config(tmp_path, {"constraints": {"initial_soc_fraction": value}})
         assert load_run_config(path).constraints.initial_soc_fraction == value
+
+
+class TestEncoding:
+    """A config is read as UTF-8, whatever the locale, after an optional
+    byte-order mark such as Windows Notepad may write."""
+
+    def test_byte_order_mark_reads_like_the_plain_file(self, tmp_path):
+        doc = {
+            "weather": {"synthetic": {"days": 1}},
+            "battery": {**load_preset("table1_la"), "name": "Blei-Säure"},
+        }
+        text = json.dumps(doc, ensure_ascii=False).encode("utf-8")
+        plain = tmp_path / "plain.json"
+        plain.write_bytes(text)
+        bom = tmp_path / "bom.json"
+        bom.write_bytes(b"\xef\xbb\xbf" + text)
+        assert load_run_config(bom) == load_run_config(plain)
+        assert load_run_config(bom).battery.name == "Blei-Säure"
+        assert main(["export-mps", str(bom), "--case", "A"]) == 0
+
+    @pytest.mark.parametrize("mark", [b"", b"\xef\xbb\xbf"])
+    def test_non_utf8_byte_exits_2(self, tmp_path, mark, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(mark + '{\n  "battery": {"name": "Café"}\n}\n'.encode("latin-1"))
+        assert main(["run", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: {path}: non-UTF-8 byte 0xe9 on line 2\n"
+        )
