@@ -125,7 +125,7 @@ def _write_table(
 ) -> None:
     """A CSV table of the integer ``steps`` and then each of ``series`` at
     12 significant digits."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(zip(map(int, steps), *(map(_fmt, values) for values in series)))
@@ -181,7 +181,7 @@ def _case_solver(record: CaseRecord) -> dict:
 
 
 def _write_json(path: Path, doc: dict) -> None:
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def _weather_summary(config: RunConfig) -> dict:
@@ -262,7 +262,8 @@ def cmd_run(config: RunConfig) -> int:
         else:
             # the table is formatted from the raw values, and only then is
             # the document rounded to the 12 digits of the CSVs
-            (out / "comparison.txt").write_text(comparison_text(comparison) + "\n")
+            text = comparison_text(comparison)
+            (out / "comparison.txt").write_text(text + "\n", encoding="utf-8")
             comparison["baseline_net_benefit"] = _rounded(comparison["baseline_net_benefit"])
             for case in comparison["cases"].values():
                 for name, value in case.items():
@@ -364,7 +365,7 @@ def cmd_battery_select(config: RunConfig) -> int:
             )
         else:
             lines.append(f"{e['battery']:<12}{e['status']:>18}")
-    (out / "battery_select.txt").write_text("\n".join(lines) + "\n")
+    (out / "battery_select.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
     print("\n".join(lines))
     return 0 if all_ok else 1
 

@@ -6,6 +6,9 @@ can be asserted without shell plumbing.
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +16,7 @@ import pytest
 
 from pvsmooth import cli
 from pvsmooth.cli import DISPATCH_COLUMNS, main
+from pvsmooth.config import load_preset
 from pvsmooth.formulation import DispatchSolution
 from pvsmooth.lp import parse_mps, simplex, solve
 
@@ -507,6 +511,31 @@ class TestBatterySelect:
         lines = capsys.readouterr().out.splitlines()
         assert lines == (tmp_path / "out" / "battery_select.txt").read_text().splitlines()
         assert [line.split()[2] for line in lines[1:]] == ["n/a"] * 4
+
+    def test_names_are_written_as_utf8_in_any_locale(self, tmp_path):
+        # in the C locale without UTF-8 mode, a text file opened without an
+        # encoding is ASCII
+        weather = flat_weather_file(tmp_path)
+        cfg = write_config(
+            tmp_path,
+            {
+                "weather": {"file": weather.name},
+                "battery_candidates": [
+                    {**load_preset("table1_la"), "name": "Blei-Säure"}, "table1_nas"
+                ],
+                "output_dir": "out",
+            },
+        )
+        env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0",
+               "PYTHONCOERCECLOCALE": "0", "PYTHONIOENCODING": "utf-8"}
+        proc = subprocess.run(
+            [sys.executable, "-m", "pvsmooth.cli", "battery-select", str(cfg)],
+            capture_output=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+        text = (tmp_path / "out" / "battery_select.txt").read_bytes()
+        assert "Blei-Säure".encode("utf-8") in text
+        assert proc.stdout == text
 
     def test_single_candidate_rejected(self, tmp_path, capsys):
         weather = flat_weather_file(tmp_path)
