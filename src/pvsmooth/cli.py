@@ -460,10 +460,7 @@ def main(argv: list[str] | None = None) -> int:
     except SolveStatusError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 1
-    except PvSmoothError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (PvSmoothError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     raise AssertionError(f"unhandled command {args.command}")
