@@ -352,19 +352,20 @@ def cmd_battery_select(config: RunConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "battery_select.json", doc)
 
+    name_w = max(12, *(len(e["battery"]) for e in ranked))
     lines = [
-        f"{'Battery':<12}{'Net benefit ($)':>18}{'Imposed cost (%)':>18}"
+        f"{'Battery':<{name_w}}{'Net benefit ($)':>18}{'Imposed cost (%)':>18}"
         f"{'Power (kW)':>14}{'Energy (kWh)':>14}"
     ]
     for e in ranked:
         if "net_benefit" in e:
             lines.append(
-                f"{e['battery']:<12}{e['net_benefit']:>18.2f}"
+                f"{e['battery']:<{name_w}}{e['net_benefit']:>18.2f}"
                 f"{_percent_cell(e['imposed_cost_pct']):>18}{e['p_batt_max']:>14.1f}"
                 f"{e['e_batt_max']:>14.1f}"
             )
         else:
-            lines.append(f"{e['battery']:<12}{e['status']:>18}")
+            lines.append(f"{e['battery']:<{name_w}}{e['status']:>18}")
     (out / "battery_select.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
     print("\n".join(lines))
     return 0 if all_ok else 1

@@ -5,6 +5,10 @@ comment for maximize problems; readers missing the comment assume minimize.
 The objective constant rides on the objective row's RHS entry, negated, per
 the usual convention.
 
+A name is 1 to 8 ASCII characters, none a NUL byte or a blank, and unique
+among the rows or among the columns. The writer writes each name as it is
+and refuses any other, and the reader faults a longer one at its line.
+
 Both directions work in blocks of at most ``_BLOCK_LINES`` lines, so that
 beyond the problem itself only one block's text, tokens and line tables are
 held at a time. The writer formats each distinct value once per file and
@@ -14,23 +18,22 @@ pads each name once, then joins each block's lines from those tables:
 
 The reader works on bytes: :func:`read_mps` reads the file in chunks sized
 to the block and cuts them at every ``_BLOCK_LINES``-th line break, and
-:func:`parse_mps` encodes its text once. In each block numpy finds the line
-breaks, and in each run of data lines the tokens, spans of bytes between
-the bytes that ``str.split`` takes for whitespace. A field, such as the
-second token of each line, is gathered into one ``S`` array as wide as its
-widest token, and a run whose few long tokens would make its fields far
-wider than the run is read in halves. Numbers are read from a field with
-``astype(float)``, which reads what ``float`` reads, and names are looked up
-with ``np.searchsorted`` in sorted tables of the row and column names read
-so far, one per width: up to 8 bytes, as big-endian integers, and longer, as
-``S`` of the next power of two. No line or token becomes a Python object of
-its own; a token is decoded only to quote it in a message. What the
-sections have read so far is kept across blocks, so a block's work is in
-proportion to the block, and a fault is reported at its line whatever the
-block size. A NUL byte or a byte past ASCII, which no name or number holds,
-is a fault of its line too, and so is a COLUMNS or RHS value that is not
-finite, a bound that is NaN, and a bound that leaves its column an empty
-box: +inf below or -inf above.
+:func:`parse_mps` does the same with the UTF-8 bytes of its text. In each
+block numpy finds the line breaks, and in each run of data lines the
+tokens, spans of bytes between the bytes that ``str.split`` takes for
+whitespace. A field, such as the second token of each line, is gathered
+into one ``S`` array as wide as its widest token, and a run whose few long
+tokens would make its fields far wider than the run is read in halves.
+Numbers are read from a field with ``astype(float)``, which reads what
+``float`` reads, and names are looked up with ``np.searchsorted`` in a
+sorted table of the row or column names read so far, as big-endian
+integers. No line or token becomes a Python object of its own; a token is
+decoded only to quote it in a message. What the sections have read so far
+is kept across blocks, so a block's work is in proportion to the block, and
+a fault is reported at its line whatever the block size. A NUL byte or a
+byte past ASCII, which no name or number holds, is a fault of its line too,
+and so is a COLUMNS or RHS value that is not finite, a bound that is NaN,
+and a bound that leaves its column an empty box: +inf below or -inf above.
 
 A column's lines may come back after another column's. Columns are numbered
 by first appearance, so a run's entries are checked for duplicates against
@@ -52,7 +55,7 @@ from itertools import chain, count, repeat
 import numpy as np
 import scipy.sparse as sp
 
-from ..errors import MpsFormatError
+from ..errors import LpDefinitionError, MpsFormatError
 from .problem import CsrRows, LpProblem, build_problem
 
 _REL_TO_TYPE = {"<=": "L", ">=": "G", "=": "E"}
@@ -77,20 +80,17 @@ _BOUND_ACTS = np.array([
     0,
     _VALUED | _SETS_UPPER,
 ])
-#: characters a name keeps; the newline separates names sanitised together
-_NAME_RE = re.compile(r"[^A-Za-z0-9_\n]")
 _SECTIONS = ("ROWS", "COLUMNS", "RHS", "RANGES", "BOUNDS")
 #: the bytes str.split splits at: the ASCII characters of str.isspace
 _SPACE = b" \t\n\r\v\f\x1c\x1d\x1e\x1f"
+#: a character that no name holds: NUL, or a byte of _SPACE
+_NOT_IN_NAME_RE = re.compile(r"[\x00 \t\n\r\v\f\x1c-\x1f]")
 _IN_TOKEN = np.frombuffer(bytes(code not in _SPACE for code in range(256)), dtype=bool)
 _UPPER = np.frombuffer(bytes(range(256)).upper(), dtype=np.uint8)
 #: the ASCII line breaks of str.splitlines other than "\n"
 _OTHER_BREAKS = b"\r\v\f\x1c\x1d\x1e"
 _BREAK_RE = re.compile(rb"\r\n?|[\v\f\x1c\x1d\x1e]")
-#: a character or byte that no name or number holds: NUL, or one past
-#: ASCII; a byte past ASCII decodes to one of U+DC80 to U+DCFF with
-#: errors="surrogateescape"
-_UNREADABLE_RE = re.compile(r"[^\x01-\x7f]")
+#: a byte that no name or number holds: NUL, or one past ASCII
 _UNREADABLE_BYTE_RE = re.compile(rb"[^\x01-\x7f]")
 #: at most this many lines are rendered, or read and parsed, at a time
 _BLOCK_LINES = 1 << 15
@@ -101,30 +101,24 @@ _READ_BYTES_PER_LINE = 16
 _FIELD_BYTES_PER_BYTE = 4
 
 
-def _short_names(originals, fallback_prefix: str) -> list[str]:
-    """Map identifiers to unique MPS names of at most 8 characters."""
-    if not originals:
-        return []
-    joined = "\n".join(originals)
-    if joined.count("\n") >= len(originals):
-        # a name holds a newline, which sanitising drops anyway
-        joined = "\n".join(name.replace("\n", "") for name in originals)
-    out = _NAME_RE.sub("", joined).upper().split("\n")
-    if max(map(len, out)) > 8:
-        out = [name[:8] for name in out]
-    distinct = set(out)
-    if len(distinct) == len(out) and "" not in distinct:
-        return out
-    seen: set[str] = set()
-    for k, name in enumerate(out):
-        if not name or name in seen:
-            # a fallback may already be the name of an earlier entry
-            j = k + 1
-            while (name := f"{fallback_prefix}{j:07d}") in seen:
-                j += 1
-            out[k] = name
-        seen.add(name)
-    return out
+def _name_set(names, kind: str) -> set[str]:
+    """The set of ``names``, once each is shown to be a name that the reader
+    reads back whole; the first that is not is named with its kind and index."""
+    taken = set(names)
+    text = "".join(names)
+    if (len(taken) < len(names) or "" in taken or max(map(len, names), default=0) > 8
+            or not text.isascii() or _NOT_IN_NAME_RE.search(text)):
+        seen: dict[str, int] = {}
+        for k, name in enumerate(names):
+            fault = ("is empty" if not name
+                     else "is longer than 8 characters" if len(name) > 8
+                     else "holds a non-ASCII character" if not name.isascii()
+                     else "holds a NUL byte or a blank" if _NOT_IN_NAME_RE.search(name)
+                     else f"is also the name of {kind} {seen[name]}" if name in seen else None)
+            if fault:
+                raise LpDefinitionError(f"{kind} {k}: {name!r} {fault}")
+            seen[name] = k
+    return taken
 
 
 def _padded(names) -> np.ndarray:
@@ -158,20 +152,21 @@ def _blocks(problem: LpProblem) -> Iterator[str]:
     values, so little beyond the problem is held at once.
     """
     n, m = problem.n_vars, problem.n_rows
-    names = _short_names(problem.row_names, "R")
     # OBJ, XOBJ, ... while they fit in 8 characters, then numbered names
-    taken = set(names)
+    taken = _name_set(problem.row_names, "row")
     candidates = chain(("X" * k + "OBJ" for k in range(6)), (f"O{j:07d}" for j in count()))
     obj_name = next(name for name in candidates if name not in taken)
     del taken
+    _name_set(problem.col_names, "column")
+    _name_set([problem.name], "problem")
     yield "* SENSE: MAX\n" if problem.sense == "maximize" else ""
-    yield f"NAME          {_NAME_RE.sub('', problem.name)[:8].upper() or 'LP'}\n"
+    yield f"NAME          {problem.name}\n"
     yield f"ROWS\n N  {obj_name}\n"
     types = np.fromiter(map(_ROW_TYPE.__getitem__, problem.relations), dtype=object, count=m)
-    yield from _lines(m, types.__getitem__, np.array(names, dtype=object).__getitem__, "\n")
-    row_pad = _padded([obj_name] + names)  # the objective is row 0
-    names = _short_names(problem.col_names, "C")
-    col_pad = _padded(names)
+    yield from _lines(m, types.__getitem__,
+                      np.array(problem.row_names, dtype=object).__getitem__, "\n")
+    row_pad = _padded((obj_name, *problem.row_names))  # the objective is row 0
+    col_pad = _padded(problem.col_names)
 
     # column-major entries, one coefficient per line, each column's
     # objective entry ahead of its constraint entries; A's explicit zeros
@@ -196,9 +191,9 @@ def _blocks(problem: LpProblem) -> Iterator[str]:
     bound_values = np.where(key == 4, hi[bound_col], lo[bound_col])
     # FR and MI lines name the column bare and carry no value
     bare = (key == 1) | (key == 2)
-    bound_names = np.concatenate([col_pad, np.array(names, dtype=object)[bound_col[bare]]])
+    bound_names = np.concatenate([col_pad,
+                                  np.array(problem.col_names, dtype=object)[bound_col[bare]]])
     bound_col[bare] = n + np.arange(np.count_nonzero(bare))
-    del names
 
     # each distinct value in the file is formatted once, with the line break
     # that follows it, by bit pattern so that -0.0 stays apart from 0.0; a
@@ -228,8 +223,10 @@ def render_mps(problem: LpProblem) -> str:
 
 def write_mps(problem: LpProblem, path) -> None:
     """Write ``problem`` to ``path`` block by block, never holding its whole text."""
+    blocks = _blocks(problem)
+    head = [next(blocks)]  # the names are checked before the file is opened
     with open(path, "w", encoding="ascii") as fh:
-        fh.writelines(_blocks(problem))
+        fh.writelines(chain(head, blocks))
 
 
 def _floats(tokens: np.ndarray) -> np.ndarray:
@@ -281,51 +278,30 @@ def _last(keys: np.ndarray) -> np.ndarray:
 
 
 class _Names:
-    """Names numbered in order of first appearance, each held in a sorted
-    table of the names of its width: up to 8 bytes, as big-endian integers,
-    and longer, as ``S`` of the next power of two. A long name so widens only
-    the names of about its length."""
+    """Names of at most 8 bytes, numbered in order of first appearance and
+    held as big-endian integers in one sorted table."""
 
     def __init__(self) -> None:
-        self.count = 0
-        self.tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # keys, numbers
+        self.keys = np.zeros(0, dtype=">u8")
+        self.numbers = np.zeros(0, dtype=np.int64)
 
     def __len__(self) -> int:
-        return self.count
-
-    @staticmethod
-    def _widths(names: np.ndarray) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-        """Per width: the positions of the names of that width, and their keys."""
-        if not len(names):
-            return
-        if names.itemsize <= 8:
-            yield 8, np.arange(len(names)), _keys(names)
-            return
-        length = np.char.str_len(names)
-        width = np.left_shift(1, np.frexp(np.maximum(length - 1, 7))[1])
-        for w in np.unique(width).tolist():
-            at = np.flatnonzero(width == w)
-            yield w, at, _keys(names[at]) if w == 8 else names[at].astype(f"S{w}")
+        return len(self.keys)
 
     def find(self, names: np.ndarray, missing: int = -1) -> np.ndarray:
         """The number of each name, or ``missing`` where it has none."""
-        out = np.full(len(names), missing)
-        for width, at, keys in self._widths(names):
-            if width in self.tables:
-                table, number = self.tables[width]
-                place = _lookup(table, keys)
-                out[at] = np.where(place >= 0, number[place], missing)
-        return out
+        if not len(self):
+            return np.full(len(names), missing)
+        place = _lookup(self.keys, _keys(names))
+        return np.where(place >= 0, self.numbers[place], missing)
 
     def add(self, names: np.ndarray) -> None:
         """Number ``names``, distinct and all new, from ``len(self)`` on."""
-        for width, at, keys in self._widths(names):
-            table, number = self.tables.get(width, (keys[:0], at[:0]))
-            order = np.argsort(keys)
-            place = np.searchsorted(table, keys[order])
-            self.tables[width] = (np.insert(table, place, keys[order]),
-                                  np.insert(number, place, self.count + at[order]))
-        self.count += len(names)
+        keys = _keys(names)
+        order = np.argsort(keys)
+        place = np.searchsorted(self.keys, keys[order])
+        self.numbers = np.insert(self.numbers, place, len(self) + order)
+        self.keys = np.insert(self.keys, place, keys[order])
 
     def numbered(self, names: np.ndarray) -> np.ndarray:
         """The number of each name, numbering the new ones first."""
@@ -339,15 +315,9 @@ class _Names:
 
     def names(self) -> list[str]:
         """The names in the order of their numbers."""
-        out = np.empty(self.count, dtype=object)
-        for width, (table, number) in self.tables.items():
-            lines = np.full((len(table), width + 1), ord("\n"), dtype=np.uint8)
-            lines[:, :width] = table.view(np.uint8).reshape(-1, width)
-            # a name holds no NUL byte and no line break, so one decode and
-            # one split give them all
-            text = lines[lines != 0].tobytes().decode("ascii")
-            out[number] = np.array(text.splitlines(), dtype=object)
-        return out.tolist()
+        out = np.empty(len(self), dtype="S8")
+        out[self.numbers] = self.keys.view("S8")
+        return out.astype(str).tolist()
 
 
 class _Tokens:
@@ -400,6 +370,11 @@ class _Faults:
             k = int(np.argmax(bad))
             self.found.append((int(line[k]), stage, k, message(k)))
 
+    def long_names(self, tokens: _Tokens, at, line, stage: int, kind: str) -> None:
+        """Name tokens ``at`` longer than 8 bytes, each quoted by its first 8."""
+        self.check(tokens.ends[at] - tokens.starts[at] > 8, line, stage, lambda k: (
+            f"{kind} name {tokens.text(at[k])[:8]!r}... is longer than 8 characters"))
+
     def raise_first(self) -> None:
         if self.found:
             line, _, _, message = min(self.found)
@@ -440,6 +415,9 @@ class _Reader:
         keyword = tokens[0].upper()
         if keyword == "NAME":
             self.name = tokens[1] if len(tokens) > 1 else "LP"
+            if len(self.name) > 8:
+                raise MpsFormatError(f"line {line_no}: problem name {self.name[:8]!r}... "
+                                     "is longer than 8 characters")
         elif keyword == "ENDATA":
             return False
         elif keyword in _SECTIONS:
@@ -492,17 +470,17 @@ class _Reader:
         constraint = (kind >= 0) & ~objective
         faults.check(kind < 0, lines, 1,
                      lambda k: f"unknown row type {tokens.text(start[lines[k]])!r}")
+        faults.long_names(tokens, start[lines] + 1, lines, 2, "row")
         # the first N row names the objective, unless an earlier run did
         extra_n = objective.copy()
         if self.obj_row is None and objective.any():
             extra_n[np.argmax(objective)] = False
-        faults.check(extra_n, lines, 1, lambda k: "multiple objective (N) rows")
+        faults.check(extra_n, lines, 3, lambda k: "multiple objective (N) rows")
         # a name from an earlier run, or from earlier in this one, repeats
         new = names[constraint]
         again = np.zeros(len(names), dtype=bool)
-        again[constraint] = self.rows.find(new) >= 0
-        again[constraint] |= _repeats(_keys(new) if new.itemsize <= 8 else new)
-        faults.check(again, lines, 1,
+        again[constraint] = (self.rows.find(new) >= 0) | _repeats(_keys(new))
+        faults.check(again, lines, 3,
                      lambda k: f"duplicate row {tokens.text(start[lines[k]] + 1)!r}")
         faults.raise_first()
 
@@ -523,8 +501,9 @@ class _Reader:
         at = start[pair_line] + 1 + 2 * (np.arange(len(pair_line)) - first_pair[pair_line])
         row_tokens = tokens.field(at)
         values = _floats(tokens.field(at + 1))
-        faults.check(~np.isfinite(values), pair_line, 1,
+        faults.check(~np.isfinite(values), pair_line, 2,
                      lambda k: f"bad numeric field {tokens.text(at[k] + 1)!r}")
+        faults.long_names(tokens, at, pair_line, 3, "row")
         row = self.rows.find(row_tokens, missing=-2)
         if self.obj_row is not None:
             row[row_tokens == self.obj_row] = -1  # the objective row is looked for first
@@ -532,7 +511,7 @@ class _Reader:
         known = row >= 0
 
         if self.section == "RHS":
-            faults.check(row == -2, pair_line, 2,
+            faults.check(row == -2, pair_line, 4,
                          lambda k: f"RHS for undeclared row {tokens.text(at[k])!r}")
             faults.raise_first()
             if cost.any():
@@ -541,8 +520,9 @@ class _Reader:
             self.rhs_vals.append(values[known])
             return
 
-        faults.check(row == -2, pair_line, 2,
+        faults.check(row == -2, pair_line, 4,
                      lambda k: f"entry for undeclared row {tokens.text(at[k])!r}")
+        faults.long_names(tokens, start, lines, 1, "column")
         # a column's lines follow each other, so names are looked up per run
         col_tokens = tokens.field(start)
         run = np.flatnonzero(np.concatenate([[True], col_tokens[1:] != col_tokens[:-1]]))
@@ -554,7 +534,7 @@ class _Reader:
         keys = row[valid] << 32 | col[valid]
         again = np.zeros(len(row), dtype=bool)
         again[valid] = self._seen(keys, col[valid], n_before)
-        faults.check(again, pair_line, 2, lambda k: (
+        faults.check(again, pair_line, 4, lambda k: (
             f"duplicate objective entry for {tokens.text(start[pair_line[k]])!r}" if row[k] == -1
             else f"duplicate entry {tokens.text(start[pair_line[k]])!r} "
                  f"in row {tokens.text(at[k])!r}"))
@@ -593,18 +573,19 @@ class _Reader:
         faults.check(bare & (counts != 3), lines, 0,
                      lambda k: f"bound {keys[k].decode()} needs set and column")
         ok = np.flatnonzero((valued & (counts == 4)) | (bare & (counts == 3)))
+        faults.long_names(tokens, start[ok] + 2, ok, 1, "column")
         col = self.cols.find(tokens.field(start[ok] + 2))
-        faults.check(col < 0, ok, 1,
+        faults.check(col < 0, ok, 2,
                      lambda k: f"bound on undeclared column {tokens.text(start[ok[k]] + 2)!r}")
         with_value = ok[valued[ok]]
         values = _floats(tokens.field(start[with_value] + 3))
-        faults.check(np.isnan(values), with_value, 2,
+        faults.check(np.isnan(values), with_value, 3,
                      lambda k: f"bad numeric field {tokens.text(start[with_value[k]] + 3)!r}")
         # an infinite bound is no bound, unless it leaves the box empty
         sets = acts[with_value]
         empty = ((values == np.inf) & (sets & _SETS_LOWER != 0)
                  | (values == -np.inf) & (sets & _SETS_UPPER != 0))
-        faults.check(empty, with_value, 2, lambda k: (
+        faults.check(empty, with_value, 3, lambda k: (
             f"bound {keys[with_value[k]].decode()} {tokens.text(start[with_value[k]] + 3)} "
             f"leaves {tokens.text(start[with_value[k]] + 2)!r} an empty box"))
         faults.raise_first()
@@ -670,21 +651,11 @@ class _Reader:
         )
 
 
-def _unreadable(char: str) -> str:
-    """The fault of a character that no name or number holds."""
-    if char == "\x00":
-        return "NUL byte"
-    if "\udc80" <= char <= "\udcff":
-        return f"non-ASCII byte 0x{ord(char) - 0xDC00:02x}"
-    return f"non-ASCII character {char!r} (U+{ord(char):04X})"
-
-
-def _parse(blocks, stand_in: str | None = None) -> LpProblem:
+def _parse(blocks) -> LpProblem:
     """The problem in ``blocks``, runs of whole lines in file order, as bytes.
 
     The first NUL byte or byte past ASCII is a fault of its line, reported
-    once the lines before it are read; ``stand_in``, if given, is the
-    character of the text that it stands in for.
+    once the lines before it are read.
     """
     reader = _Reader()
     line_no = 1  # of the block's first line
@@ -716,17 +687,15 @@ def _parse(blocks, stand_in: str | None = None) -> LpProblem:
             reader.data(codes[starts[first] :], breaks[first:] - starts[first], line_no + first)
         line_no += len(breaks)
         if bad:
-            char = stand_in or bad.group().decode("ascii", "surrogateescape")
-            raise MpsFormatError(f"line {line_no}: {_unreadable(char)}")
+            byte = bad.group()[0]
+            raise MpsFormatError(
+                f"line {line_no}: " + (f"non-ASCII byte 0x{byte:02x}" if byte else "NUL byte"))
     raise MpsFormatError("missing ENDATA")
 
 
 def parse_mps(text: str) -> LpProblem:
-    bad = None if text.isascii() and "\x00" not in text else _UNREADABLE_RE.search(text)
-    # the text is read as its bytes, a NUL byte in place of the first
-    # character that cannot be read, and nothing after it
-    data = text[: bad.start()].encode("ascii") + b"\x00" if bad else text.encode("ascii")
-    return _parse(_file_blocks(io.BytesIO(data)), bad and bad.group())
+    """The problem in ``text`` read as its UTF-8 bytes, a lone surrogate as the byte it escapes."""
+    return _parse(_file_blocks(io.BytesIO(text.encode("utf-8", "surrogateescape"))))
 
 
 def _file_blocks(fh) -> Iterator[bytes]:

@@ -16,9 +16,9 @@ import pytest
 
 from pvsmooth import cli
 from pvsmooth.cli import DISPATCH_COLUMNS, main
-from pvsmooth.config import load_preset
+from pvsmooth.config import RUN_CASES, load_preset, load_run_config
 from pvsmooth.formulation import DispatchSolution
-from pvsmooth.lp import parse_mps, simplex, solve
+from pvsmooth.lp import parse_mps, read_mps, render_mps, simplex, solve
 
 FLAT_HEADER = "timestamp,irradiance_wm2,temp_c\n"
 
@@ -451,6 +451,27 @@ class TestExportMps:
         with pytest.raises(SystemExit):
             main(["export-mps", str(flat_config), "--case", "Q"])
 
+    def test_every_case_keeps_its_names(self, tmp_path, capsys):
+        # every name the case builder makes is an MPS name, written as it is
+        cfg = write_config(tmp_path, {"weather": {"synthetic": {"days": 2}},
+                                      "constraints": {"initial_soc_fraction": 0.5},
+                                      "output_dir": "out"})
+        config = load_run_config(cfg)
+        pv = cli.build_power_series(config)
+        names = set()
+        for label in RUN_CASES:
+            assert main(["export-mps", str(cfg), "--case", label]) == 0
+            path = tmp_path / "out" / f"case_{label}.mps"
+            p = read_mps(path)
+            assert render_mps(p) == path.read_text(encoding="ascii")
+            built = cli._formulate(label, config, pv, config.battery)[0].problem
+            assert (p.name, p.row_names, p.col_names) == (built.name, built.row_names,
+                                                          built.col_names)
+            names |= {name.rstrip("0123456789") for name in p.row_names + p.col_names}
+        assert names == {"BAL", "RUP", "RDN", "SOC", "PBU", "PBL", "EBU", "EBL", "DCP", "FUELCAP",
+                         "INITSOC", "CYCSOC", "PG", "PB", "EB", "PC", "PD", "PBMAX", "EBMAX",
+                         "PDMAX"}
+
 
 class TestBatterySelect:
     def test_ranked_on_flat_trace(self, tmp_path, capsys):
@@ -536,6 +557,28 @@ class TestBatterySelect:
         text = (tmp_path / "out" / "battery_select.txt").read_bytes()
         assert "Blei-Säure".encode("utf-8") in text
         assert proc.stdout == text
+
+    def test_long_name_keeps_the_columns(self, tmp_path, capsys):
+        # the name column is as wide as the longest name, 12 at least
+        weather = flat_weather_file(tmp_path)
+        cfg = write_config(
+            tmp_path,
+            {
+                "weather": {"file": weather.name},
+                "battery_candidates": [
+                    {**load_preset("table1_liion"), "name": "Lithium-ion NMC 2024"}, "table1_nas"
+                ],
+                "output_dir": "out",
+            },
+        )
+        assert main(["battery-select", str(cfg)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == (tmp_path / "out" / "battery_select.txt").read_text().splitlines()
+        ranking = json.loads((tmp_path / "out" / "battery_select.json").read_text())["ranking"]
+        end = lines[0].index("Net benefit ($)") + len("Net benefit ($)")
+        for line, e in zip(lines[1:], ranking, strict=True):
+            assert line.startswith(e["battery"])
+            assert line[:end].endswith(f" {e['net_benefit']:.2f}")
 
     def test_single_candidate_rejected(self, tmp_path, capsys):
         weather = flat_weather_file(tmp_path)

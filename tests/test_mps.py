@@ -13,6 +13,7 @@ CPLEX file-format documentation):
 Transcribed field by field; the parse assertions below restate that LP.
 """
 
+import dataclasses
 import json
 import math
 import re
@@ -28,7 +29,7 @@ from lp_rows import row_coeffs
 import pvsmooth.lp.mps as mps
 from pvsmooth.cli import build_power_series
 from pvsmooth.config import load_run_config
-from pvsmooth.errors import MpsFormatError
+from pvsmooth.errors import LpDefinitionError, MpsFormatError
 from pvsmooth.formulation import build_case
 from pvsmooth.lp import build_problem, parse_mps, read_mps, render_mps, solve, write_mps
 
@@ -141,12 +142,14 @@ VALUES = st.one_of(
 )
 
 
-# names that sanitise to nothing, that look like the writer's fallback or
-# objective names, or that collide once cut to 8 characters
+# valid MPS names: the objective's candidate names, and 1 to 8 ASCII
+# characters of any case, punctuation and control bytes included, but no NUL
+# and no blank
 NAMES = st.one_of(
-    st.sampled_from(["", "!", "c0000001", "C0000002", "C0000003", "r0000001",
-                     "R0000002", "R0000003", "OBJ", "xobj", "long_name_a", "long_name_b"]),
-    st.text(alphabet="cR0!_", max_size=9),
+    st.sampled_from(["OBJ", "XOBJ", "obj", "O0000000", "RHS", "*", "12345678"]),
+    st.text(alphabet=st.characters(min_codepoint=1, max_codepoint=127,
+                                   blacklist_characters=mps._SPACE.decode()),
+            min_size=1, max_size=8),
 )
 
 
@@ -154,7 +157,7 @@ NAMES = st.one_of(
 def small_lps(draw):
     """Random LPs with every bound kind the writer knows, explicit and signed
     zero coefficients, at least one row with no entries, and names that the
-    writer has to replace."""
+    writer writes as they are."""
     n = draw(st.integers(1, 5))
     bounds = []
     for _ in range(n):
@@ -177,8 +180,8 @@ def small_lps(draw):
     return build_problem(
         draw(st.sampled_from(["maximize", "minimize"])), bounds, rows, objective,
         offset=draw(VALUES),
-        col_names=draw(st.lists(NAMES, min_size=n, max_size=n)),
-        row_names=draw(st.lists(NAMES, min_size=len(rows), max_size=len(rows))),
+        col_names=draw(st.lists(NAMES, min_size=n, max_size=n, unique=True)),
+        row_names=draw(st.lists(NAMES, min_size=len(rows), max_size=len(rows), unique=True)),
     )
 
 
@@ -213,6 +216,7 @@ class TestRoundTrip:
             q = parse_mps(text)
             assert render_mps(q) == text
         assert (q.sense, q.n_vars, q.relations) == (p.sense, p.n_vars, p.relations)
+        assert (q.row_names, q.col_names) == (p.row_names, p.col_names)
         # the writer leaves zero costs, right-hand sides, offsets and lower
         # bounds out whatever their sign, and a fixed bound takes the sign of
         # its lower end, so these compare with -0.0 as 0.0
@@ -259,21 +263,6 @@ class TestRoundTrip:
         assert p.col_names == ("X1", "X2", "X3")
         assert row_coeffs(p, 2) == {0: 2.0, 1: -1.0, 2: 1.0}
 
-    def test_fallback_names_skip_names_in_use(self):
-        # "!" sanitises to nothing; its fallback C0000002 is the first
-        # column's own name
-        p = build_problem(
-            "minimize",
-            [(0.0, 1.0), (0.0, 1.0)],
-            [([(0, 1.0), (1, 1.0)], "<=", 1.0)],
-            [1.0, 1.0],
-            col_names=["C0000002", "!"],
-        )
-        text = render_mps(p)
-        q = parse_mps(text)
-        assert q.col_names == ("C0000002", "C0000003")
-        assert render_mps(q) == text
-
     def test_objective_name_stays_within_8_characters(self):
         taken = ["OBJ", "XOBJ", "XXOBJ", "XXXOBJ", "XXXXOBJ", "XXXXXOBJ"]
         p = build_problem(
@@ -290,21 +279,27 @@ class TestRoundTrip:
         assert q.row_names == tuple(taken)
         assert render_mps(q) == text
 
-    def test_long_names_become_deterministic_short_names(self):
-        p = build_problem(
-            "minimize",
-            [(0.0, 1.0), (0.0, 1.0)],
-            [([(0, 1.0), (1, 1.0)], "<=", 1.0)],
-            [1.0, 1.0],
-            col_names=["a_very_long_variable_name", "a_very_long_variable_nam2"],
-            row_names=["row_with_an_extremely_long_name"],
-        )
-        t1 = render_mps(p)
-        t2 = render_mps(p)
-        assert t1 == t2
-        q = parse_mps(t1)
-        assert all(len(n) <= 8 for n in q.col_names)
-        assert len(set(q.col_names)) == 2  # truncation collision resolved
+    # a name the reader would not read back whole is refused, with its kind
+    # and index, before a file is opened
+    @pytest.mark.parametrize("names, message", [
+        ({"col_names": ["X1", ""]}, "column 1: '' is empty"),
+        ({"row_names": ["LIM 1"]}, "row 0: 'LIM 1' holds a NUL byte or a blank"),
+        ({"col_names": ["X1", "ABCDEFGHI"]},
+         "column 1: 'ABCDEFGHI' is longer than 8 characters"),
+        ({"row_names": ["Ré"]}, "row 0: 'Ré' holds a non-ASCII character"),
+        ({"name": "LP\x00"}, "problem 0: 'LP\\x00' holds a NUL byte or a blank"),
+        ({"col_names": ["X1", "X1"]}, "column 1: 'X1' is also the name of column 0"),
+    ], ids=["empty", "blank", "9 characters", "non-ASCII", "NUL", "duplicate"])
+    def test_name_that_would_not_read_back_is_refused(self, names, message, tmp_path):
+        p = build_problem("minimize", [(0.0, 1.0)] * 2, [([(0, 1.0), (1, 1.0)], "<=", 1.0)],
+                          [1.0, 1.0], **names)
+        with pytest.raises(LpDefinitionError) as err:
+            render_mps(p)
+        assert str(err.value) == message
+        path = tmp_path / "refused.mps"
+        with pytest.raises(LpDefinitionError):
+            write_mps(p, path)
+        assert not path.exists()
 
 
 class TestFormatDetails:
@@ -500,12 +495,12 @@ class TestParseErrors:
         assert str(err.value) == "line 5: non-ASCII byte 0xc3"
 
     def test_non_ascii_character_in_text_names_its_line(self, tmp_path):
-        # parse_mps faults the same line that read_mps does on the file's
-        # bytes, and names the character; it once kept a row 'LIMé'
+        # parse_mps reads the text as its UTF-8 bytes, so it faults the line
+        # and the byte that read_mps does on the file; it once kept a row 'LIMé'
         text = TESTPROB.replace("LIM1", "LIMé")
         with pytest.raises(MpsFormatError) as err:
             parse_mps(text)
-        assert str(err.value) == "line 4: non-ASCII character 'é' (U+00E9)"
+        assert str(err.value) == "line 4: non-ASCII byte 0xc3"
         path = tmp_path / "accent.mps"
         path.write_bytes(text.encode("utf-8"))
         with pytest.raises(MpsFormatError) as err:
@@ -565,8 +560,10 @@ class TestTokenizerEdges:
     @pytest.mark.parametrize("edge", EDGES)
     def test_same_problem(self, edge, tmp_path):
         change, _ = EDGES[edge]
-        expected = render_mps(parse_mps(TESTPROB))
-        assert parsed_both_ways(change(TESTPROB), tmp_path) == [expected] * 2
+        expected = parse_mps(TESTPROB)
+        if edge == "bell in a name":
+            expected = dataclasses.replace(expected, row_names=("LI\x07M1", "LIM2", "MYEQN"))
+        assert parsed_both_ways(change(TESTPROB), tmp_path) == [render_mps(expected)] * 2
 
     @pytest.mark.parametrize("edge", EDGES)
     def test_same_fault_line(self, edge, tmp_path):
@@ -600,28 +597,23 @@ class TestTokenizerEdges:
         assert parsed_both_ways(text, tmp_path) == [f"line {at}: {message}"] * 2
 
 
-def test_long_names_keep_their_full_text(block_lines, tmp_path):
-    """Names longer than 8 characters, two rows alike in their first 8, and
-    names of 9, 16 and 17 characters, at the edges of the name tables'
-    widths, are read whole and kept apart, from a text and from a file."""
-    long_names = {"LIM1": "LIMIT_ROW_1", "LIM2": "LIMIT_ROW_2_17CHR", "MYEQN": "MYEQN_ROW",
-                  "X1": "X1_SIXTEEN_CHARS", "X3": "X3_LONG_NAME",
-                  "X2": "X2_IS_A_MUCH_LONGER_NAME_THAN_EIGHT"}
-    text = TESTPROB
-    for short, full in long_names.items():
-        text = text.replace(short, full)
-    path = tmp_path / "long.mps"
-    path.write_bytes(text.encode("ascii"))
-    expected = parse_mps(TESTPROB)
-    for p in (parse_mps(text), read_mps(path)):
-        assert p.row_names == ("LIMIT_ROW_1", "LIMIT_ROW_2_17CHR", "MYEQN_ROW")
-        assert p.col_names == ("X1_SIXTEEN_CHARS", "X2_IS_A_MUCH_LONGER_NAME_THAN_EIGHT",
-                               "X3_LONG_NAME")
-        assert [row_coeffs(p, i) for i in range(3)] == [row_coeffs(expected, i) for i in range(3)]
-        assert p.objective.tolist() == expected.objective.tolist()
-        assert p.rhs.tolist() == expected.rhs.tolist()
-        assert (p.lower.tolist(), p.upper.tolist()) == (expected.lower.tolist(),
-                                                        expected.upper.tolist())
+def test_long_name_is_a_fault_of_its_line(block_lines, tmp_path):
+    """A row, column or problem name longer than 8 characters is a fault of
+    the first line that holds it, in every section, from a text and from a
+    file; the message quotes the name's first 8 characters. Two rows alike
+    in their first 8 characters are not read as one."""
+    for old, new, line, message in [
+        ("LIM1", "LIMIT_ROW_1", 4, "row name 'LIMIT_RO'"),
+        ("LIM2", "LIMIT_ROW_2_17CHR", 5, "row name 'LIMIT_RO'"),
+        ("X2", "X2_IS_A_MUCH_LONGER_NAME_THAN_EIGHT", 10, "column name 'X2_IS_A_'"),
+        ("X1        LIM2", "X1        LIMIT_ROW_2", 9, "row name 'LIMIT_RO'"),
+        ("RHS1      MYEQN", "RHS1      MYEQN_ROW", 15, "row name 'MYEQN_RO'"),
+        ("LO BND1      X2", "LO BND1      X2_LONG_NAME", 18, "column name 'X2_LONG_'"),
+        ("TESTPROB", "TESTPROBLEM", 1, "problem name 'TESTPROB'"),
+    ]:
+        text = TESTPROB.replace(old, new)
+        expected = f"line {line}: {message}... is longer than 8 characters"
+        assert parsed_both_ways(text, tmp_path) == [expected] * 2
 
 
 #: the most a traced write or read may allocate at once, per byte of file
@@ -656,25 +648,27 @@ def test_peak_memory_follows_the_block_not_the_file(tmp_path, monkeypatch):
 
 
 def test_a_long_name_widens_no_other(tmp_path):
-    """A field holds its tokens as wide as its widest, and a name table its
-    names as wide as the widest of their width class, so one 100,000-byte
-    row among 2,000 short ones, named once in a run of 2,000 lines, is read
-    in smaller runs and kept in a table of its own: reading the file holds a
-    few megabytes, not the 200 MB of 2,000 names that wide."""
+    """A field holds its tokens as wide as its widest, so one 100,000-byte
+    row name among 2,000 short ones, in a run of 2,000 lines of ROWS or of
+    COLUMNS, is read in smaller runs up to its fault: reading the file holds
+    a few megabytes, not the 200 MB of 2,000 fields that wide."""
     long_name = "R" * 100_000
     lines = ["NAME          LONG", "ROWS", " N  OBJ"] + [f" L  R{k:07d}" for k in range(2000)]
     lines += [f" L  {long_name}", "COLUMNS"] + [f"    X{k}  R{k:07d}  1.0" for k in range(2000)]
     lines[-1000] = f"    X1000  {long_name}  2.0"
-    text = "\n".join(lines + ["ENDATA", ""])
-    path = tmp_path / "long.mps"
-    path.write_bytes(text.encode("ascii"))
-    for read in (lambda: parse_mps(text), lambda: read_mps(path)):
-        tracemalloc.start()
-        try:
-            p = read()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert p.row_names == tuple(f"R{k:07d}" for k in range(2000)) + (long_name,)
-        assert row_coeffs(p, 2000) == {1000: 2.0}
-        assert peak < 16 * 2**20
+    declared = "\n".join(lines + ["ENDATA", ""])
+    undeclared = declared.replace(f" L  {long_name}\n", "")
+    message = "row name 'RRRRRRRR'... is longer than 8 characters"
+    for text, line in ((declared, 2004), (undeclared, 3005)):
+        path = tmp_path / "long.mps"
+        path.write_bytes(text.encode("ascii"))
+        for read in (lambda: parse_mps(text), lambda: read_mps(path)):
+            tracemalloc.start()
+            try:
+                with pytest.raises(MpsFormatError) as err:
+                    read()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert str(err.value) == f"line {line}: {message}"
+            assert peak < 16 * 2**20
