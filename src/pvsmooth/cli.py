@@ -109,9 +109,9 @@ def solve_case(
     solution = solve(form.problem, start=basis)
     start_label = start.label if solution.warm_start else "crash"
     log.info(
-        "case %s: %s after %d iterations (%d in phase 1, %d artificials) from %s",
+        "case %s: %s after %d iterations (%d in phase 1, %d infeasible rows) from %s",
         label, solution.status, solution.iterations,
-        solution.phase1_iterations, solution.artificials, start_label,
+        solution.phase1_iterations, solution.infeasible_rows, start_label,
     )
     dispatch = report = None
     if solution.status == "optimal":
@@ -163,7 +163,7 @@ def _case_summary(record: CaseRecord) -> dict:
 
 def _case_solver(record: CaseRecord) -> dict:
     """What depends on the pivot path: where the solve started, the iteration
-    counts, the artificial columns of the starting basis, the largest
+    counts, the rows the starting basis violates, the largest
     curtailment of the optimal point reached, and where and how far the
     dispatch misses each constraint family."""
     sol = record.solution
@@ -171,7 +171,7 @@ def _case_solver(record: CaseRecord) -> dict:
         "start": record.start,
         "iterations": sol.iterations,
         "phase1_iterations": sol.phase1_iterations,
-        "artificials": sol.artificials,
+        "infeasible_rows": sol.infeasible_rows,
     }
     if record.dispatch is not None:
         doc["max_curtailed_kw"] = _rounded(np.max(record.dispatch.p_curt))
@@ -281,9 +281,10 @@ def cmd_run(config: RunConfig) -> int:
 
 
 def _percent_cell(value: float | None, scale: float = 1.0) -> str:
-    """``scale * value`` to two decimals, or n/a where a zero baseline
-    leaves the ratio undefined."""
-    return "n/a" if value is None else f"{scale * value:.2f}"
+    """``scale * value`` to two decimals, unsigned where that rounds to zero,
+    or n/a where a zero baseline leaves the ratio undefined."""
+    # round gives -0.0 for a small negative value, and adding 0.0 drops the sign
+    return "n/a" if value is None else f"{round(scale * value, 2) + 0.0:.2f}"
 
 
 def comparison_text(comparison: dict) -> str:

@@ -694,8 +694,14 @@ def _parse(blocks) -> LpProblem:
 
 
 def parse_mps(text: str) -> LpProblem:
-    """The problem in ``text`` read as its UTF-8 bytes, a lone surrogate as the byte it escapes."""
-    return _parse(_file_blocks(io.BytesIO(text.encode("utf-8", "surrogateescape"))))
+    """The problem in ``text`` read as its UTF-8 bytes, a lone surrogate as the
+    byte it escapes; where one escapes no byte, each reads as its 3-byte UTF-8
+    form, which faults its line as any byte past ASCII does."""
+    try:
+        data = text.encode("utf-8", "surrogateescape")
+    except UnicodeEncodeError:
+        data = text.encode("utf-8", "surrogatepass")
+    return _parse(_file_blocks(io.BytesIO(data)))
 
 
 def _file_blocks(fh) -> Iterator[bytes]:

@@ -33,11 +33,11 @@ class LpBasis:
     """A simplex basis keyed by names, so it carries over to another LP that
     shares them.
 
-    Each row has one logical column: its slack, or an artificial on an
-    equality row. A row's logical is basic unless the row is ``tight``, so
-    the basic set is ``basic`` plus the logicals of the rows not in
-    ``tight``. It is a set and not a row-to-column map, because after pivots
-    the position a column holds in the basis is not its row.
+    Each row has one logical column, its slack b_i - a_i x, which is basic
+    unless the row is ``tight``, so the basic set is ``basic`` plus the
+    logicals of the rows not in ``tight``. It is a set and not a row-to-column
+    map, because after pivots the position a column holds in the basis is
+    not its row.
     """
 
     basic: tuple[str, ...]  # basic structural columns
@@ -55,7 +55,7 @@ class LpSolution:
     objective_value: float
     iterations: int
     phase1_iterations: int
-    artificials: int  # artificial columns in the starting basis
+    infeasible_rows: int  # basics starting outside their bounds: rows the start breaks
     max_primal_residual: float
     max_bound_violation: float
     basis: LpBasis | None = None  # final basis of an optimal solve of an LP with rows

@@ -1,36 +1,33 @@
-"""Bounded-variable two-phase revised simplex.
+"""Bounded-variable revised simplex with one logical column per row.
 
 The basis inverse is kept as a sparse LU factorization (SuperLU, through
 ``scipy.sparse.linalg.splu``) of the basis at the last refactor, times the
 pivots since then collapsed into one low-rank update (I - U T^-1 S), so an
 FTRAN or BTRAN is one LU solve plus two small dense products. The factor is
 refreshed every ``REFACTOR_INTERVAL`` pivots.
-A solve given a starting basis (an :class:`LpBasis`, such as the final
-basis of an LP that this one extends) factors it and starts there, with each
-row it does not name on its slack or artificial; phase 1 then only runs if
-an artificial is above zero. A start that is singular, has the wrong basic
-count or names what the LP lacks, or whose point misses its bounds, falls
-back to the crash.
+Row i has one logical column, n + i: the unit column e_i, whose value is the
+row's slack b_i - a_i x, in [0, inf) for ``<=``, (-inf, 0] for ``>=`` and
+[0, 0] for ``=``. A solve given a starting basis (an :class:`LpBasis`, such
+as the final basis of an LP that this one extends) factors it and starts
+there, with each row it does not name on its logical; one that is singular,
+has the wrong basic count, names what the LP lacks or misses its bounds
+falls back to the crash.
 The crash is triangular over the equality rows: a column that an equality
 row alone can pin is basic there at the value the row gives it, when that
-value is inside its bounds. The remaining rows start on a slack when it
-absorbs the residual at the crashed point, else on an artificial, so phase 1
-only repairs the rows the start point violates. A free column whose improving
-direction the zero slack of one of its inequality rows blocks then takes that
-slack's place, when it is that row's only free or basic structural column
-and its entry there is the largest of both the row and the column: the
-zero-step pivot Dantzig pricing would make, done before the first iteration.
+value is inside its bounds. Every other row starts on its logical at its
+residual, outside the logical's bounds where the crashed point violates the
+row. A free column whose improving direction the zero slack of one of its
+inequality rows blocks then takes that slack's place, when it is that row's
+only free or basic structural column and its entry there is the largest of
+both the row and the column: the zero-step pivot Dantzig pricing would make.
 On the unsmoothed baseline every battery power P_b(k) is such a column, so it
 ends in 1-2 iterations instead of 201 at 3 days.
-The structural columns are followed by one block of signed unit columns,
-the logicals: a slack on every inequality row, then an artificial on each
-row that the start covers with neither a structural column nor its slack;
-``logical_rows`` gives their rows and ``art0`` the first artificial.
-Pricing is Dantzig by default and falls back to Bland's rule after a run of
-steps of length zero, a guard against cycling on degenerate bases. Each
-iteration moves x_B once, by the shorter of the ratio test's step and the
-entering column's bound flip; the column that stops it, the entering one or
-the basic one that leaves, goes to its bound by one rule.
+Phase 1 minimizes the sum of the basics' infeasibilities, and phase 2 runs
+the same loop with the LP's costs once none is left. Pricing is Dantzig, or
+Bland's rule after a run of steps of length zero, a guard against cycling.
+Each iteration moves x_B once, by the shorter of the ratio test's step and
+the entering column's bound flip; the column that stops it, the entering one
+or the basic one that leaves, goes to its bound by one rule.
 """
 
 from __future__ import annotations
@@ -95,10 +92,20 @@ class _BasisFactor:
         # SuperLU would factor the same basis into the same LU
         if self.n_etas == 0 and np.array_equal(basis, self.factored):
             return
+        U, B = self.U[: self.n_etas], self.A[:, basis]
         self.n_etas = 0
-        self.factored = None
+        # the old factor goes first, so that the two never take memory at once
+        self.factored = self.lu = None
+        # a pivot on roundoff of an exact zero, which puts an entry past
+        # 1 / PIVOT_TOL into its eta, can leave B structurally singular, and
+        # relaxed SuperLU can crash on that; the case LPs never need the check
+        if len(U) and max(U.max(), -U.min()) * PIVOT_TOL >= 1.0:
+            from scipy.sparse.csgraph import structural_rank
+
+            if structural_rank(B.T) < self.m:  # B^T is CSR, which it reads as is
+                raise SolveStatusError("basis matrix is structurally singular")
         try:
-            self.lu = splu(self.A[:, basis], relax=1, panel_size=1)
+            self.lu = splu(B, relax=1, panel_size=1)
         except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
             raise SolveStatusError(f"basis matrix is singular: {exc}") from None
         diag = np.abs(self.lu.U.diagonal())
@@ -146,11 +153,6 @@ def _resting(lower: np.ndarray, upper: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return x, vstat
 
 
-def _optimality_tol(c: np.ndarray) -> float:
-    """Reduced costs within this count as optimal for the costs ``c``."""
-    return OPTIMALITY_TOL * (1.0 + float(np.max(np.abs(c))))
-
-
 def _crash(problem: LpProblem, x: np.ndarray, side: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Triangular crash over the equality rows (Bixby 1992).
 
@@ -164,7 +166,7 @@ def _crash(problem: LpProblem, x: np.ndarray, side: np.ndarray) -> tuple[np.ndar
     row is solved for its column with every other column at its current
     value in ``x``; the columns of row r covered after r closed come first.
     A column that lands inside its bounds takes that value and is basic in
-    its row; any other leaves the row to an artificial. Returns the covered
+    its row; any other leaves the row on its logical. Returns the covered
     rows and their columns; ``side`` is :func:`row_sides` of the rows, 0 on
     the equality rows. Once the crash basis is factored,
     :meth:`_State._seat_free_columns` seats the free columns that a zero
@@ -215,23 +217,10 @@ def _crash(problem: LpProblem, x: np.ndarray, side: np.ndarray) -> tuple[np.ndar
     return np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64)
 
 
-def _crash_start(problem: LpProblem, side: np.ndarray) -> tuple:
-    """The crash's basic set: the crashed columns, and a slack on each
-    inequality row it absorbs at the crashed point; ``side`` is
-    :func:`row_sides` of the rows."""
-    x, vstat = _resting(problem.lower, problem.upper)
-    rows, cols = _crash(problem, x, side)
-    vstat[cols] = BASIC
-    return x, vstat, rows, cols, side * (problem.rhs - problem.A @ x) >= 0.0
-
-
 def _named_start(problem: LpProblem, start: LpBasis) -> tuple | None:
     """The basic set ``start`` names in ``problem``, or None when a name is
-    unknown or repeated or the basic count is not one per row.
-
-    The logical of each row outside ``start.tight`` is basic, so rows that
-    ``start`` does not know start on their slack or artificial.
-    """
+    unknown or repeated or the basic count is not one per row. Its basic
+    structural columns take the places of its ``tight`` rows."""
     col = {name: j for j, name in enumerate(problem.col_names)}
     row = {name: i for i, name in enumerate(problem.row_names)}
     try:
@@ -248,86 +237,66 @@ def _named_start(problem: LpProblem, start: LpBasis) -> tuple | None:
     x[up] = hi[up]
     vstat[up] = AT_UPPER
     vstat[cols] = BASIC
-    tight = np.zeros(problem.n_rows, dtype=bool)
-    tight[rows] = True
-    return x, vstat, rows, cols, ~tight
+    return x, vstat, rows, cols
 
 
 class _State:
     """The solver's working state over the structural columns and the
-    logical block. It starts from the basis ``start`` names when that basis
-    is nonsingular and its point misses no bound by more than
+    logicals. It starts from the basis ``start`` names when that basis is
+    nonsingular and its point misses no bound by more than
     ``FEASIBILITY_TOL`` times ``b_scale``, else from the crash; ``warm``
-    tells which."""
+    tells which.
+
+    ``infeas`` holds phase 1's costs by basis position: -1 where x_B lies
+    below its lower bound, +1 above its upper, else 0. The ratio test reads
+    ``held_lo`` and ``held_hi``, the columns' bounds except that it holds an
+    infeasible basic to (-inf, lo] or [hi, inf): it stops only at the bound
+    it violates, and is then released, feasible from then on."""
 
     def __init__(self, problem: LpProblem, start: LpBasis | None = None):
         self.warm = False
         self.side = row_sides(problem.relations)
         named = _named_start(problem, start) if start is not None else None
         if named is not None:
-            self._build(problem, *named)
+            self._build(problem, named)
             self.warm = self._factor_start()
         if not self.warm:
-            self._build(problem, *_crash_start(problem, self.side))
+            x, vstat = _resting(problem.lower, problem.upper)
+            rows, cols = _crash(problem, x, self.side)
+            vstat[cols] = BASIC
+            self._build(problem, (x, vstat, rows, cols))
             self.factor.refactor(self.basis)
+            self._hold_infeasible()
             self._seat_free_columns(problem)
 
-    def _build(
-        self,
-        problem: LpProblem,
-        x_struct: np.ndarray,
-        vstat_struct: np.ndarray,
-        rows: np.ndarray,
-        cols: np.ndarray,
-        slack_basic: np.ndarray,
-    ) -> None:
-        """The state with structural columns ``cols`` basic in rows ``rows``,
-        the slack of each inequality row where ``slack_basic`` holds basic
-        in its row, and an artificial basic in every other row."""
+    def _build(self, problem: LpProblem, start: tuple) -> None:
+        """The state from ``start`` = (x, vstat, rows, cols) over the
+        structural columns: ``cols`` basic in rows ``rows``, and the logical
+        of every other row basic at the row's residual."""
+        x_struct, vstat_struct, rows, cols = start
         n, m = self.n, self.m = problem.n_vars, problem.n_rows
         c = -problem.objective if problem.sense == "maximize" else problem.objective
 
-        # Column layout: structural, then the logical block: a slack on each
-        # inequality row, then an artificial on each row that neither a
-        # structural column nor a slack covers. Logical k is the column
-        # sign[k] e_(logical_rows[k]); a slack's sign is +1, an artificial's
-        # that of its row's residual, so that it starts at |residual|.
-        slack_rows = np.flatnonzero(self.side)
-        covered = np.zeros(m, dtype=bool)
-        covered[rows] = True
-        covered[slack_rows[slack_basic[slack_rows]]] = True
-        art_rows = np.flatnonzero(~covered)
-        logical_rows = np.concatenate([slack_rows, art_rows])
-        n_logical = len(logical_rows)
-        self.art0 = n + len(slack_rows)  # the artificials are the tail columns
-        is_art = np.arange(n_logical) >= len(slack_rows)
-
-        resid = problem.rhs - problem.A @ x_struct
-        sign = np.where(~is_art | (resid[logical_rows] >= 0.0), 1.0, -1.0)
-        # a >= row's slack lies in [-inf, 0], every other logical in [0, inf];
-        # a nonbasic one rests at 0, its bound nearest feasibility
-        ge = ~is_art & (self.side[logical_rows] < 0.0)
-        basic = is_art | slack_basic[logical_rows]
-
-        self.basis = np.empty(m, dtype=np.int64)
-        self.basis[logical_rows[basic]] = n + np.flatnonzero(basic)
+        # a nonbasic logical rests at 0, the bound nearest feasibility
+        lo, hi = np.where(self.side < 0.0, -np.inf, 0.0), np.where(self.side > 0.0, np.inf, 0.0)
+        x_logical, vstat_logical = _resting(lo, hi)
+        on_logical = np.ones(m, dtype=bool)
+        on_logical[rows] = False
+        x_logical[on_logical] = (problem.rhs - problem.A @ x_struct)[on_logical]
+        vstat_logical[on_logical] = BASIC
+        self.basis = n + np.arange(m)
         self.basis[rows] = cols
-        logicals = sp.csc_matrix((sign, (logical_rows, np.arange(n_logical))), shape=(m, n_logical))
-        self.A = sp.hstack([problem.A.tocsc(), logicals], format="csc")
+
+        self.A = sp.hstack([problem.A.tocsc(), sp.identity(m, format="csc")], format="csc")
         self.At = self.A.T.tocsr()
         self.b = problem.rhs
-        self.n_total = n + n_logical
-        self.logical_rows = logical_rows
-
-        self.lo = np.concatenate([problem.lower, np.where(ge, -np.inf, 0.0)])
-        self.hi = np.concatenate([problem.upper, np.where(ge, 0.0, np.inf)])
-        self.x = np.concatenate([x_struct, np.where(basic, sign * resid[logical_rows], 0.0)])
-        self.vstat = np.concatenate(
-            [vstat_struct, np.where(basic, BASIC, np.where(ge, AT_UPPER, AT_LOWER))]
-        ).astype(np.int64)
-
-        self.c_phase2 = np.concatenate([c, np.zeros(n_logical)])
-        self.c_phase1 = np.where(np.arange(self.n_total) >= self.art0, 1.0, 0.0)
+        self.lo = np.concatenate([problem.lower, lo])
+        self.hi = np.concatenate([problem.upper, hi])
+        self.x = np.concatenate([x_struct, x_logical])
+        self.vstat = np.concatenate([vstat_struct, vstat_logical]).astype(np.int64)
+        self.c = np.concatenate([c, np.zeros(m)])
+        self.held_lo, self.held_hi = self.lo.copy(), self.hi.copy()
+        self.infeas = np.zeros(m)
 
         self.factor = _BasisFactor(self.A)
         self.iterations = 0
@@ -342,11 +311,35 @@ class _State:
             self._refactor()
         except SolveStatusError:
             return False
-        tol = FEASIBILITY_TOL * self.b_scale
-        xb = self.x[self.basis]
-        return bool(
-            np.all(xb >= self.lo[self.basis] - tol) and np.all(xb <= self.hi[self.basis] + tol)
-        )
+        self._hold_infeasible()
+        return bool(np.max(self._infeasibility(), initial=0.0) <= FEASIBILITY_TOL * self.b_scale)
+
+    def _hold_infeasible(self) -> None:
+        """Set ``infeas`` and the held bounds from x_B, in place; x_B within
+        1e-11 times ``b_scale`` of its bounds counts as feasible."""
+        self._release(np.flatnonzero(self.infeas))
+        j, tol = self.basis, 1e-11 * self.b_scale
+        below, above = self.x[j] < self.lo[j] - tol, self.x[j] > self.hi[j] + tol
+        self.infeas[below], self.infeas[above] = -1.0, 1.0
+        jb, ja = j[below], j[above]
+        self.held_lo[jb], self.held_hi[jb] = -np.inf, self.lo[jb]
+        self.held_lo[ja], self.held_hi[ja] = self.hi[ja], np.inf
+
+    def _release(self, rows: np.ndarray) -> None:
+        """Release the infeasible basics in positions ``rows``, which a step
+        took to the bound each violated; a step reaches few, so scalar steps
+        cost less than array ones."""
+        for r in rows.tolist():
+            if self.infeas[r]:
+                j = self.basis[r]
+                self.held_lo[j], self.held_hi[j] = self.lo[j], self.hi[j]
+                self.infeas[r] = 0.0
+
+    def _infeasibility(self) -> np.ndarray:
+        """How far each infeasible basic lies past the bound it violates."""
+        k = np.flatnonzero(self.infeas)
+        s, j = self.infeas[k], self.basis[k]
+        return s * (self.x[j] - np.where(s < 0.0, self.lo[j], self.hi[j]))
 
     def _seat_free_columns(self, problem: LpProblem) -> None:
         """Seat the free columns that a zero slack blocks (Bixby 1992; Maros
@@ -364,10 +357,10 @@ class _State:
         and the point does not move.
         """
         n, m = self.n, self.m
-        c_work = self.c_phase1 if self.art0 < self.n_total else self.c_phase2
-        d = self._reduced_costs(c_work)[:n]
+        phase = 1 if self.infeas.any() else 2
+        d = self._reduced_costs(phase)[:n]
         free = np.isneginf(problem.lower) & np.isposinf(problem.upper)
-        cand = free & (self.vstat[:n] == FREE) & (np.abs(d) > _optimality_tol(c_work))
+        cand = free & (self.vstat[:n] == FREE) & (np.abs(d) > self._optimality_tol(phase))
         if not cand.any():
             return
         A = problem.A.tocoo()
@@ -380,9 +373,9 @@ class _State:
         np.maximum.at(row_max, r, mag)
         # entries of free or basic structural columns per row; j counts itself
         holders = np.bincount(r[(free | (self.vstat[:n] == BASIC))[j]], minlength=m)
-        # the crash keeps a basic slack in its own row's place; side[r] is
-        # +1 where a zero slack stops the row's activity rising, -1 where falling
-        at_zero = (self.basis >= n) & (self.basis < self.art0) & (self.x[self.basis] == 0.0)
+        # the crash keeps a basic logical in its own row's place; side[r] is +1
+        # where a zero slack stops the row's activity rising, -1 where falling
+        at_zero = (self.basis >= n) & (self.x[self.basis] == 0.0)
         seat = (
             cand[j]
             & at_zero[r]
@@ -402,32 +395,41 @@ class _State:
         self.factor.refactor(self.basis)
 
     def final_basis(self, problem: LpProblem) -> LpBasis:
-        """The current basis by name: a row is tight when neither its slack
-        nor an artificial on it is basic."""
+        """The current basis by name: a row is tight when its logical is
+        nonbasic."""
         n = self.n
-        tight = np.ones(self.m, dtype=bool)
-        tight[self.logical_rows[self.vstat[n:] == BASIC]] = False
         names = problem.col_names
         return LpBasis(
             basic=tuple(names[j] for j in np.flatnonzero(self.vstat[:n] == BASIC)),
-            tight=tuple(problem.row_names[i] for i in np.flatnonzero(tight)),
+            tight=tuple(problem.row_names[i] for i in np.flatnonzero(self.vstat[n:] != BASIC)),
             at_upper=tuple(names[j] for j in np.flatnonzero(self.vstat[:n] == AT_UPPER)),
         )
 
     # -- basis maintenance -------------------------------------------------
 
     def _refactor(self) -> None:
-        """Factor the basis and set x_B = B^-1 (b - N x_N)."""
+        """Factor the basis and set x_B = B^-1 (b - N x_N), and in phase 1
+        the signs of its infeasibilities."""
         self.factor.refactor(self.basis)
         xc = self.x.copy()
         xc[self.basis] = 0.0
         self.x[self.basis] = self.factor.ftran(self.b - self.A @ xc)
+        if self.infeas.any():
+            self._hold_infeasible()
 
     # -- pricing -----------------------------------------------------------
 
-    def _reduced_costs(self, c_work: np.ndarray) -> np.ndarray:
-        y = self.factor.btran(c_work[self.basis])
-        return c_work - self.At @ y
+    def _reduced_costs(self, phase: int) -> np.ndarray:
+        if phase == 1:
+            # phase 1 costs only the infeasible basics, by their signs
+            d = self.At @ self.factor.btran(self.infeas)
+            return np.negative(d, out=d)
+        return self.c - self.At @ self.factor.btran(self.c[self.basis])
+
+    def _optimality_tol(self, phase: int) -> float:
+        """Reduced costs within this count as optimal for the phase's costs."""
+        c = self.infeas if phase == 1 else self.c
+        return OPTIMALITY_TOL * (1.0 + float(np.max(np.abs(c))))
 
     def _choose_entering(self, d: np.ndarray, bland: bool, otol: float) -> int:
         # a free column moves whichever way improves the objective
@@ -442,22 +444,25 @@ class _State:
     # -- main loop ---------------------------------------------------------
 
     def optimize(self, phase: int) -> str:
-        c_work = self.c_phase1 if phase == 1 else self.c_phase2
-        otol = _optimality_tol(c_work)
+        otol = self._optimality_tol(phase)
         # steps of length zero in a row; each leaves the objective unchanged
         stall = 0
 
         while True:
             if self.iterations >= self.max_iterations:
                 return "iteration-limit"
-            # phase 1 minimizes the sum of the artificials
-            if phase == 1 and self.x[self.art0 :].sum() <= 1e-11 * self.b_scale:
+            if phase == 1 and not self.infeas.any():
                 return "optimal"
 
             bland = stall >= BLAND_TRIGGER
-            d = self._reduced_costs(c_work)
+            d = self._reduced_costs(phase)
             q = self._choose_entering(d, bland, otol)
             if q == -1:
+                if phase == 1:
+                    if self._infeasibility().sum() > FEASIBILITY_TOL * self.b_scale:
+                        return "infeasible"
+                    # what is left is roundoff, which phase 2 treats as feasible
+                    self._release(np.flatnonzero(self.infeas))
                 return "optimal"
             # an eligible q at its lower bound has d[q] < 0, at its upper d[q] > 0
             direction = -1.0 if d[q] > 0 else 1.0
@@ -469,9 +474,8 @@ class _State:
             moving = np.flatnonzero(np.abs(w) > PIVOT_TOL)
             delta = -direction * w[moving]
             basics = self.basis[moving]
-            room = np.where(
-                delta < 0.0, self.x[basics] - self.lo[basics], self.hi[basics] - self.x[basics]
-            )
+            xb = self.x[basics]
+            room = np.where(delta < 0.0, xb - self.held_lo[basics], self.held_hi[basics] - xb)
             t_cand = np.maximum(room, 0.0) / np.abs(delta)
 
             t_min = float(np.min(t_cand, initial=np.inf))
@@ -486,17 +490,24 @@ class _State:
 
             # one step: x_B moves by t; q then flips, or replaces the column that stops it
             self.x[self.basis] -= t * direction * w
+            # the basics the step takes to the bound that holds them
+            reached = moving[t_cand <= t + 1e-9 * (1.0 + t)]
             if t_flip <= t_min:
                 self._to_bound(q, upper=direction > 0.0)
+                if phase == 1:
+                    self._release(reached)
             else:
                 # every candidate has |w[r]| > PIVOT_TOL, so each one pivots
-                cand = moving[t_cand <= t_min + 1e-9 * (1.0 + t_min)]
                 if bland:
-                    r = int(cand[np.argmin(self.basis[cand])])
+                    r = int(reached[np.argmin(self.basis[reached])])
                 else:
-                    r = int(cand[np.argmax(np.abs(w[cand]))])
-                # x_B[r] falls to its lower bound as w[r] and direction agree
-                self._to_bound(self.basis[r], upper=direction * w[r] < 0.0)
+                    r = int(reached[np.argmax(np.abs(w[reached]))])
+                # x_B[r] falls to its lower bound as w[r] and direction agree;
+                # an infeasible one leaves at the bound it violated instead
+                upper = (direction * w[r] < 0.0) != bool(self.infeas[r])
+                if phase == 1:
+                    self._release(reached)
+                self._to_bound(self.basis[r], upper=upper)
                 self.x[q] += t * direction
                 self._pivot(q, r, w)
             self.iterations += 1
@@ -518,20 +529,6 @@ class _State:
         self.factor.push_eta(r, w)
         if self.factor.n_etas >= REFACTOR_INTERVAL:
             self._refactor()
-
-    # -- phase transition --------------------------------------------------
-
-    def fix_artificials(self) -> None:
-        """Fix every artificial at zero for phase 2. A basic one stays basic
-        until phase 2's ratio test moves it out at a step of length zero, or
-        to the end where its row is redundant; none can re-enter."""
-        art = self.art0
-        self.lo[art:] = 0.0
-        self.hi[art:] = 0.0
-        nonbasic = art + np.flatnonzero(self.vstat[art:] != BASIC)
-        self.vstat[nonbasic] = FIXED
-        self.x[nonbasic] = 0.0
-        self._refactor()
 
 
 def _solve_box(problem: LpProblem) -> tuple[str, np.ndarray]:
@@ -560,18 +557,13 @@ def solve(problem: LpProblem, start: LpBasis | None = None) -> LpSolution:
     warm_start = False
     if problem.n_rows == 0:
         status, xs = _solve_box(problem)
-        iterations = phase1_iterations = artificials = 0
+        iterations = phase1_iterations = infeasible_rows = 0
     else:
         st = _State(problem, start)
         warm_start = st.warm
-        artificials = st.n_total - st.art0
+        infeasible_rows = int(np.count_nonzero(st.infeas))
         status = st.optimize(phase=1)
         phase1_iterations = st.iterations
-        if status == "optimal":
-            if np.abs(st.x[st.art0 :]).sum() > FEASIBILITY_TOL * st.b_scale:
-                status = "infeasible"
-            else:
-                st.fix_artificials()
         if status == "optimal":
             status = st.optimize(phase=2)
         if status == "optimal":
@@ -587,7 +579,7 @@ def solve(problem: LpProblem, start: LpBasis | None = None) -> LpSolution:
         objective_value=objective_value(problem, xs),
         iterations=iterations,
         phase1_iterations=phase1_iterations,
-        artificials=artificials,
+        infeasible_rows=infeasible_rows,
         max_primal_residual=max_res,
         max_bound_violation=max_bv,
         basis=basis,

@@ -96,7 +96,7 @@ class TestRun:
             # the pivot path's diagnostics live in solver.json
             path = solver["cases"][label]
             assert set(path) == {
-                "start", "iterations", "phase1_iterations", "artificials",
+                "start", "iterations", "phase1_iterations", "infeasible_rows",
                 "max_curtailed_kw", "residuals", "worst_step",
             }
             assert path["start"] == "crash"  # neither case extends a solved one
@@ -147,7 +147,7 @@ class TestRun:
         # no dispatch, so no residuals: only the solver's own counters
         assert set(solver["cases"]) == {"A"}
         assert set(solver["cases"]["A"]) == {
-            "start", "iterations", "phase1_iterations", "artificials",
+            "start", "iterations", "phase1_iterations", "infeasible_rows",
         }
         assert solver["cases"]["A"]["iterations"] == 1
 
@@ -342,6 +342,21 @@ def test_comparison_text_is_the_table_of_the_document():
         "Battery energy rating (kWh)        3380.8           0.0\n"
         "Diesel rating (kW)                    0.0          12.2"
     )
+
+
+def test_decrement_that_rounds_to_zero_prints_unsigned():
+    # a net benefit a few 1e-8 dollars above the baseline's, as on a flat
+    # trace, gives a decrement of -1.95e-16; it and -0.004% print as 0.00,
+    # while -0.006% keeps its sign
+    cell = {"net_benefit": 1.0, "battery_power_kw": 0.0, "battery_energy_kwh": 0.0,
+            "diesel_power_kw": 0.0}
+    doc = {
+        "baseline_net_benefit": 1.0,
+        "cases": {label: dict(cell, decrement_vs_baseline=value)
+                  for label, value in (("A", -1.95e-16), ("B", -4e-5), ("C", -6e-5), ("D", None))},
+    }
+    row = cli.comparison_text(doc).splitlines()[2]
+    assert row.split()[4:] == ["0.00", "0.00", "-0.01", "n/a"]
 
 
 class TestSolverFailure:

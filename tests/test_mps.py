@@ -506,6 +506,11 @@ class TestParseErrors:
         with pytest.raises(MpsFormatError) as err:
             read_mps(path)
         assert str(err.value) == "line 4: non-ASCII byte 0xc3"
+        # a lone surrogate that escapes no byte has no UTF-8 form; it reads
+        # as the three bytes that surrogatepass gives it
+        with pytest.raises(MpsFormatError) as err:
+            parse_mps(TESTPROB.replace("LIM2", "L\ud800"))
+        assert str(err.value) == "line 5: non-ASCII byte 0xed"
 
     def test_nul_byte_names_its_line(self, tmp_path):
         # no name or number holds a NUL byte, in a text or in a file

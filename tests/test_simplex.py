@@ -300,11 +300,12 @@ class TestSolverInvariants:
             sol = solve(p)
             assert sol.iterations <= simplex.ITERATION_LIMIT_FACTOR * (p.n_rows + p.n_vars)
 
-    def test_artificials_leaving_in_phase_2_keep_the_eta_file_bounded(self, monkeypatch):
+    def test_equality_logicals_leaving_in_phase_2_keep_the_eta_file_bounded(self, monkeypatch):
         # the cyclic rows x_i - x_(i+1 mod m) = 0 hold at the start point and
         # give every column two equality entries, so no crash column covers
-        # a row: each artificial sits basic at zero, phase 1 ends at once and
-        # phase 2's ratio test pivots out all but the one on a redundant row
+        # a row: each row's logical sits basic at zero, inside its bounds
+        # [0, 0], phase 1 ends at once and phase 2's ratio test pivots out
+        # all but the one on a redundant row
         m = 3 * simplex.REFACTOR_INTERVAL
         rows = [([(i, 1.0), ((i + 1) % m, -1.0)], "=", 0.0) for i in range(m)]
         p = build_problem("maximize", [(0.0, 1.0)] * m, rows, [1.0] * m)
@@ -321,29 +322,67 @@ class TestSolverInvariants:
         sol = solve(p)
         assert sol.status == "optimal"
         assert sol.objective_value == pytest.approx(m)
-        assert sol.artificials == m
+        assert sol.infeasible_rows == 0
         assert sol.phase1_iterations == 0
+        assert len(sol.basis.tight) == m - 1
         assert pushes > simplex.REFACTOR_INTERVAL
         assert longest == simplex.REFACTOR_INTERVAL
 
     def test_pinned_charge_starts_like_the_free_one(self, tmp_path):
         # a pinned E_b(0) has two equality entries, INITSOC and SOC(1); the
         # crash covers the SOC chain from its last E_b back to E_b(0), so
-        # case A starts on the artificials of the unpinned case alone and
-        # the baseline on none
+        # case A starts with the infeasible rows of the unpinned case alone
+        # and the baseline with none
         sols = {}
         for label in ("A", "baseline"):
             p = case_lp(tmp_path, label, initial_soc_fraction=0.5).problem
             sols[label] = solve(p)
             assert sols[label].status == "optimal"
             assert sols[label].objective_value == pytest.approx(highs_objective(p), rel=1e-9)
-        assert sols["A"].artificials == 106
-        assert sols["baseline"].artificials == 0
+        assert sols["A"].infeasible_rows == 106
+        assert sols["baseline"].infeasible_rows == 0
         assert sols["baseline"].phase1_iterations == 0
 
 
+class TestPhaseOne:
+    def test_infeasible_basics_stop_at_the_bound_they_violate(self):
+        # x0 - x1 >= 2, 2 x0 >= 4 and x1 >= 1 all fail at x = 0, so each row
+        # starts on its logical at 2, 4 and 1, above its bounds (-inf, 0]
+        p = build_problem(
+            "minimize",
+            [(0.0, 10.0), (0.0, 10.0)],
+            [([(0, 1.0), (1, -1.0)], ">=", 2.0), ([(0, 2.0)], ">=", 4.0), ([(1, 1.0)], ">=", 1.0)],
+            [1.0, 1.0],
+        )
+        n = p.n_vars
+        st = simplex._State(p)
+        assert st.basis.tolist() == [n, n + 1, n + 2]
+        assert st.x[n:].tolist() == [2.0, 4.0, 1.0] and st.infeas.tolist() == [1.0, 1.0, 1.0]
+        # x0 enters and takes the logicals of r0 and r1 to 0 at once: r1's,
+        # the larger |w|, leaves at 0, the bound it violated, and r0's stays
+        # basic at 0, feasible from then on
+        st.max_iterations = 1
+        assert st.optimize(phase=1) == "iteration-limit"
+        assert st.basis.tolist() == [n, 0, n + 2]
+        assert st.vstat[n + 1] == simplex.AT_UPPER and st.x[n + 1] == 0.0
+        assert st.x[n] == 0.0 and st.infeas.tolist() == [0.0, 0.0, 1.0]
+        # x1 enters next, which raises r0's logical: held to its own bounds
+        # now, it stops the step at length zero and leaves at 0
+        st.max_iterations = 2
+        assert st.optimize(phase=1) == "iteration-limit"
+        assert st.basis.tolist() == [1, 0, n + 2]
+        assert st.vstat[n] == simplex.AT_UPPER and st.x[n] == 0.0 and st.x[1] == 0.0
+        st.max_iterations = 10
+        assert st.optimize(phase=1) == "optimal"
+        assert st.iterations == 3 and not st.infeas.any()
+        np.testing.assert_allclose(st.x[:n], [3.0, 1.0])
+        sol = solve(p)
+        assert sol.status == "optimal" and sol.infeasible_rows == 3
+        assert sol.objective_value == pytest.approx(highs_objective(p), abs=1e-12)
+
+
 class TestCrashBasis:
-    def test_artificials_only_on_the_ramp_rows_the_raw_pv_breaks(self, tmp_path):
+    def test_only_the_ramp_rows_the_raw_pv_breaks_start_infeasible(self, tmp_path):
         form = case_lp(tmp_path, "A")
         p = form.problem
         x = np.zeros(p.n_vars)
@@ -353,13 +392,13 @@ class TestCrashBasis:
         assert broken == 106
         sol = solve(p)
         assert sol.status == "optimal"
-        assert sol.artificials == broken
+        assert sol.infeasible_rows == broken
         assert sol.iterations > sol.phase1_iterations > 0
 
     def test_baseline_starts_feasible(self, tmp_path):
         sol = solve(case_lp(tmp_path, "baseline").problem)
         assert sol.status == "optimal"
-        assert sol.artificials == 0
+        assert sol.infeasible_rows == 0
         assert sol.phase1_iterations == 0
 
     @pytest.mark.parametrize("days, seed", [(3, 7), (3, 8), (14, 7)])
@@ -370,7 +409,7 @@ class TestCrashBasis:
         p = case_lp(tmp_path, "baseline", days=days, seed=seed).problem
         sol = solve(p)
         assert sol.status == "optimal"
-        assert sol.artificials == 0
+        assert sol.infeasible_rows == 0
         assert sol.iterations <= 2
         assert sol.objective_value == pytest.approx(highs_objective(p), rel=1e-9)
 
@@ -411,7 +450,10 @@ class TestCrashBasis:
         assert sol.status == "optimal"
         assert sol.objective_value == pytest.approx(highs_objective(p), abs=1e-12)
 
-    def test_grid_cap_below_the_pv_peak_leaves_the_balance_row_to_an_artificial(self, tmp_path):
+    def test_grid_cap_below_the_pv_peak_leaves_the_balance_row_on_its_logical(self, tmp_path):
+        # where the PV is above the cap, P_G at the PV output would break its
+        # bound, so the balance row starts on its logical at the residual
+        # P_PV - cap, above the logical's bounds [0, 0]
         cap = 6000.0
         form = case_lp(tmp_path, "A", grid_cap=cap)
         p = form.problem
@@ -419,8 +461,9 @@ class TestCrashBasis:
         assert over.any() and not over.all()
         st = simplex._State(p)
         bal = rows_named(p, "BAL")
-        assert (st.basis[bal[over]] >= st.art0).all()
-        assert not (st.basis[bal[~over]] >= st.art0).any()
+        assert (st.basis[bal[over]] == p.n_vars + bal[over]).all()
+        assert (st.basis[bal[~over]] < p.n_vars).all()
+        assert (st.infeas[bal[over]] == 1.0).all() and not st.infeas[bal[~over]].any()
         p_grid = np.arange(p.n_vars)[form.columns["p_grid"]]
         assert (st.vstat[p_grid[over]] == simplex.AT_LOWER).all()
         assert (st.vstat[p_grid[~over]] == simplex.BASIC).all()
@@ -431,7 +474,8 @@ class TestCrashBasis:
     @pytest.mark.parametrize("other", [1.0, 0.25], ids=["largest-elsewhere", "largest-here"])
     def test_pivot_must_be_the_columns_largest_entry(self, other):
         # x0's only equality entry is 0.5; a larger entry elsewhere keeps
-        # it out of the crash, and the row starts on an artificial
+        # it out of the crash, and the row starts on its logical at the
+        # residual 1, above the logical's bounds [0, 0]
         p = build_problem(
             "minimize",
             [(0.0, 10.0)],
@@ -441,9 +485,12 @@ class TestCrashBasis:
         st = simplex._State(p)
         crashed = other < 0.5
         assert (st.vstat[0] == simplex.BASIC) == crashed
-        assert (st.basis[0] >= st.art0) == (not crashed)
+        assert (st.basis[0] == p.n_vars) == (not crashed)
         if crashed:
             assert st.x[0] == 2.0
+            assert not st.infeas.any()
+        else:
+            assert st.x[p.n_vars] == 1.0 and st.infeas[0] == 1.0
         sol = solve(p)
         assert sol.status == "optimal"
         assert sol.x[0] == pytest.approx(2.0)
@@ -453,7 +500,9 @@ class TestCrashBasis:
         p = build_problem("minimize", [(0.0, 1.0)], [([(0, tiny)], "=", 0.0)], [1.0])
         st = simplex._State(p)
         assert st.vstat[0] == simplex.AT_LOWER
-        assert st.basis[0] >= st.art0
+        assert st.basis[0] == p.n_vars
+        sol = solve(p)
+        assert sol.status == "optimal" and sol.x[0] == 0.0
 
     def test_chain_is_covered_from_its_far_end(self):
         # x_0 is pinned by r0 and each other row is x_(i-1) - x_i = 0, so
@@ -464,12 +513,14 @@ class TestCrashBasis:
         rows += [([(i - 1, 1.0), (i, -1.0)], "=", 0.0) for i in range(1, k)]
         p = build_problem("minimize", [(0.0, 2.0)] * k, rows, [1.0] * k)
         st = simplex._State(p)
-        assert st.art0 == st.n_total
         assert sorted(st.basis.tolist()) == list(range(k))
-        assert st.x.tolist() == [1.0] * k
+        assert not st.infeas.any()
+        assert st.x[:k].tolist() == [1.0] * k
+        # each equality row's logical is nonbasic, fixed at 0
+        assert st.x[k:].tolist() == [0.0] * k and (st.vstat[k:] == simplex.FIXED).all()
         sol = solve(p)
         assert sol.status == "optimal"
-        assert sol.artificials == 0
+        assert sol.infeasible_rows == 0
         assert sol.iterations == 0
         assert sol.objective_value == k
 
@@ -494,7 +545,7 @@ class TestCrashBasis:
         assert st.x[:3].tolist() == [0.0, 3.0, 2.0]
         sol = solve(p)
         assert sol.status == "optimal"
-        assert sol.artificials == 0
+        assert sol.infeasible_rows == 0
         assert sol.objective_value == pytest.approx(9.0)
 
     @pytest.mark.parametrize(
@@ -539,7 +590,7 @@ class TestWarmStart:
         assert len(cold.basis.basic) == len(cold.basis.tight)
         warm = solve(p, start=cold.basis)
         assert warm.status == "optimal" and warm.warm_start
-        assert warm.iterations == warm.phase1_iterations == warm.artificials == 0
+        assert warm.iterations == warm.phase1_iterations == warm.infeasible_rows == 0
         np.testing.assert_allclose(warm.x, cold.x, rtol=1e-12, atol=1e-9)
         assert warm.basis == cold.basis
 
@@ -549,7 +600,7 @@ class TestWarmStart:
         for label, parent in (("B", "A"), ("C", "A"), ("D", "C")):
             sol = solve(lps[label], start=basis[parent])
             assert sol.status == "optimal" and sol.warm_start, label
-            assert sol.phase1_iterations == sol.artificials == 0, label
+            assert sol.phase1_iterations == sol.infeasible_rows == 0, label
             assert sol.objective_value == pytest.approx(highs_objective(lps[label]), rel=1e-9)
             basis[label] = sol.basis
 
@@ -558,8 +609,8 @@ class TestWarmStart:
         sol = solve(problem, start=start)
         assert not sol.warm_start
         assert sol.status == "optimal"
-        assert (sol.iterations, sol.phase1_iterations, sol.artificials) == (
-            cold.iterations, cold.phase1_iterations, cold.artificials,
+        assert (sol.iterations, sol.phase1_iterations, sol.infeasible_rows) == (
+            cold.iterations, cold.phase1_iterations, cold.infeasible_rows,
         )
         np.testing.assert_array_equal(sol.x, cold.x)
         assert sol.objective_value == pytest.approx(highs_objective(problem), rel=1e-9)
@@ -595,9 +646,10 @@ class TestWarmStart:
         )
         self.assert_falls_back_to_the_crash(p, LpBasis(("x0", "x1"), ("r0", "r1"), ()))
 
-    def test_equality_row_with_its_artificial_basic_at_zero(self):
-        # r1 is twice r0, so r0 keeps its artificial basic at zero: r0 is not
-        # tight, and a start from that basis carries the artificial along
+    def test_equality_row_with_its_logical_basic_at_zero(self):
+        # r1 is twice r0, so r0 keeps its logical basic at zero: r0 is not
+        # tight, and a start from that basis carries the logical along,
+        # inside its bounds [0, 0]
         p = build_problem(
             "maximize",
             [(0.0, 3.0), (0.0, 3.0)],
@@ -608,7 +660,7 @@ class TestWarmStart:
         assert cold.basis == LpBasis(("x1",), ("r1",), ())
         sol = solve(p, start=cold.basis)
         assert sol.status == "optimal" and sol.warm_start
-        assert sol.artificials == 1
+        assert sol.infeasible_rows == 0
         assert sol.iterations == sol.phase1_iterations == 0
         np.testing.assert_allclose(sol.x, [0.0, 2.0], atol=1e-12)
 
@@ -708,15 +760,29 @@ class TestNumericalFailures:
         with pytest.raises(SolveStatusError, match="singular"):
             simplex._BasisFactor(A).refactor(np.array([0, 1]))
 
+    def test_roundoff_pivot_to_a_structurally_singular_basis_is_refused(self, monkeypatch):
+        # column 2 is e_0, so in place of e_1 it leaves row 1 empty; its w[1]
+        # of 1e-12 can only be roundoff, and the eta it leaves grows past
+        # 1 / PIVOT_TOL, so the refactor checks the structure and raises
+        # before SuperLU, which can crash on such a matrix, sees it
+        A = sp.csc_matrix(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]))
+        factor = simplex._BasisFactor(A)
+        factor.refactor(np.array([0, 1]))
+        factor.push_eta(1, np.array([1.0, 1e-12]))
+        monkeypatch.setattr(simplex, "splu", lambda *args, **kwargs: pytest.fail("splu called"))
+        with pytest.raises(SolveStatusError, match="structurally singular"):
+            factor.refactor(np.array([0, 2]))
+
     def test_unbounded_phase_1_is_a_solve_status_error(self, monkeypatch):
-        # free x0 sits in both equality rows, so the crash leaves each row to
-        # an artificial and x0 prices in phase 1; a zero FTRAN column gives
-        # its ratio test no row and its flip no bound, as only corrupt data can
+        # free x0 sits in both equality rows, so the crash leaves each row on
+        # its logical, at the residual 1 above its bounds [0, 0], and x0
+        # prices in phase 1; a zero FTRAN column gives its ratio test no row
+        # and its flip no bound, as only corrupt data can
         rows = [([(0, 1.0), (1, 1.0)], "=", 1.0), ([(0, 1.0), (1, -1.0)], "=", 1.0)]
         p = build_problem("minimize", [(-INF, INF), (0.0, INF)], rows, [0.0, 0.0])
         st = simplex._State(p)
-        assert st.n_total - st.art0 == 2
-        assert st.vstat[0] == simplex.FREE and st._reduced_costs(st.c_phase1)[0] != 0.0
+        assert st.basis.tolist() == [2, 3] and st.infeas.tolist() == [1.0, 1.0]
+        assert st.vstat[0] == simplex.FREE and st._reduced_costs(phase=1)[0] != 0.0
         monkeypatch.setattr(simplex._BasisFactor, "ftran", lambda self, v: np.zeros_like(v))
         with pytest.raises(SolveStatusError, match="phase 1"):
             solve(p)

@@ -12,7 +12,8 @@ cases A-D and the baseline:
   columns, to the optimal objective, so it is an optimal point;
 - the objectives nest: A <= B <= D and A <= C <= D;
 - B and C start from A's optimal basis and D from C's, each with no phase 1
-  and no artificial, so the checks above cover the warm-started path;
+  and no row starting infeasible, so the checks above cover the
+  warm-started path;
 - ``pvsmooth validate`` passes every dispatch CSV of the run, and fails the
   baseline's series under the name of a case the fluctuation band binds.
 
@@ -191,7 +192,7 @@ def test_each_case_starts_from_the_case_it_extends(gated_run):
     assert starts == {"A": "crash", "B": "A", "C": "A", "D": "C", "baseline": "crash"}
     for label in "BCD":
         assert cases[label]["phase1_iterations"] == 0, label
-        assert cases[label]["artificials"] == 0, label
+        assert cases[label]["infeasible_rows"] == 0, label
 
 
 @pytest.mark.parametrize("seed", range(10))
