@@ -124,11 +124,13 @@ def _write_table(
     path: Path, header: Sequence[str], steps: np.ndarray, series: Sequence[np.ndarray]
 ) -> None:
     """A CSV table of the integer ``steps`` and then each of ``series`` at
-    12 significant digits."""
+    12 significant digits, the text :func:`_fmt` gives. A number needs no
+    quoting, so each row is one ``%`` format in the csv module's dialect."""
+    row = "%d" + ",%.12g" * len(series) + "\r\n"
+    rows = zip(steps.tolist(), *(values.tolist() for values in series))
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(zip(map(int, steps), *(map(_fmt, values) for values in series)))
+        csv.writer(fh).writerow(header)
+        fh.writelines(map(row.__mod__, rows))
 
 
 def write_dispatch_csv(path: Path, sol: DispatchSolution) -> None:

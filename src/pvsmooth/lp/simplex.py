@@ -28,6 +28,11 @@ Bland's rule after a run of steps of length zero, a guard against cycling.
 Each iteration moves x_B once, by the shorter of the ratio test's step and
 the entering column's bound flip; the column that stops it, the entering one
 or the basic one that leaves, goes to its bound by one rule.
+While the loop runs, x_B, the basic costs and the bounds that hold each
+basic variable live by basis position, and the full point ``x`` holds only
+the nonbasic values; it is whole again after a refactor and when the loop
+returns. Each column's price sign and whether it is free are kept beside its
+status, so pricing is one pass over the columns.
 """
 
 from __future__ import annotations
@@ -84,6 +89,8 @@ class _BasisFactor:
         self.factored = None  # the basis ``lu`` factors
         self.n_etas = 0
         self.rows = np.empty(REFACTOR_INTERVAL, dtype=np.int64)
+        self.eta_rows: set[int] = set()  # rows[:n_etas] as a set
+        self.repeats = False  # whether a row repeats in rows[:n_etas]
         self.U = np.empty((REFACTOR_INTERVAL, self.m))
         # only the lower triangle is ever written; the upper stays zero
         self.T_inv = np.zeros((REFACTOR_INTERVAL, REFACTOR_INTERVAL))
@@ -94,6 +101,8 @@ class _BasisFactor:
             return
         U, B = self.U[: self.n_etas], self.A[:, basis]
         self.n_etas = 0
+        self.eta_rows.clear()
+        self.repeats = False
         # the old factor goes first, so that the two never take memory at once
         self.factored = self.lu = None
         # a pivot on roundoff of an exact zero, which puts an entry past
@@ -114,13 +123,15 @@ class _BasisFactor:
         self.factored = basis.copy()
 
     def push_eta(self, r: int, w: np.ndarray) -> None:
-        k = self.n_etas
-        np.divide(w, w[r], out=self.U[k])
-        self.U[k, r] = (w[r] - 1.0) / w[r]
+        k, w_r = self.n_etas, w.item(r)
+        np.divide(w, w_r, out=self.U[k])
+        self.U[k, r] = (w_r - 1.0) / w_r
         # T's new row is [U[:k, r], 1], so row k of T^-1 is [-U[:k, r] T^-1, 1]
         self.T_inv[k, :k] = -(self.U[:k, r] @ self.T_inv[:k, :k])
         self.T_inv[k, k] = 1.0
         self.rows[k] = r
+        self.repeats = self.repeats or r in self.eta_rows
+        self.eta_rows.add(r)
         self.n_etas = k + 1
 
     def column(self, q: int) -> np.ndarray:
@@ -137,10 +148,15 @@ class _BasisFactor:
         return y
 
     def btran(self, v: np.ndarray) -> np.ndarray:
-        # B^-T v = B0^-T (I - S^T T^-T U^T) v; a row can repeat in S
+        # B^-T v = B0^-T (I - S^T T^-T U^T) v; a row can repeat in S, and
+        # then only subtract.at subtracts every term
         k = self.n_etas
         y = v.copy()
-        np.subtract.at(y, self.rows[:k], (self.U[:k] @ v) @ self.T_inv[:k, :k])
+        z = (self.U[:k] @ v) @ self.T_inv[:k, :k]
+        if self.repeats:
+            np.subtract.at(y, self.rows[:k], z)
+        else:
+            y[self.rows[:k]] -= z
         return self.lu.solve(y, trans="T")
 
 
@@ -172,11 +188,17 @@ def _crash(problem: LpProblem, x: np.ndarray, side: np.ndarray) -> tuple[np.ndar
     :meth:`_State._seat_free_columns` seats the free columns that a zero
     slack blocks.
     """
-    col_max = abs(problem.A).max(axis=0).toarray().ravel()
+    A = problem.A
+    # A's rows go into column order in place, as a copy would cost A's
+    # memory: the crash, the logicals' residuals and evaluate_residuals then
+    # sum each row in that order
+    A.sum_duplicates()
+    col_max = np.zeros(problem.n_vars)
+    np.maximum.at(col_max, A.indices, np.abs(A.data))
     eq_rows = np.flatnonzero(side == 0.0)
     # the walk opens and closes only equality rows, so it reads only theirs:
     # row i of E is row eq_rows[i] of A
-    E = problem.A[eq_rows].tocsc()
+    E = A[eq_rows].tocsc()
     E.eliminate_zeros()
     is_open = [True] * len(eq_rows)
     # a fixed column takes no row, and nor does one that already took one
@@ -195,22 +217,26 @@ def _crash(problem: LpProblem, x: np.ndarray, side: np.ndarray) -> tuple[np.ndar
         hit = [e for e in range(indptr[j], indptr[j + 1]) if is_open[indices[e]]]
         if len(hit) != 1:
             continue
-        a = E.data[hit[0]]
-        if abs(a) < col_max[j] or abs(a) < PIVOT_TOL:
+        a = E.data.item(hit[0])
+        if abs(a) < col_max.item(j) or abs(a) < PIVOT_TOL:
             continue
         i = indices[hit[0]]
         is_open[i] = False
         taken[j] = True
-        pairs.append((eq_rows[i], j, a))
+        pairs.append((eq_rows.item(i), j, a))
         walk.extend(row_members[row_ptr[i] : row_ptr[i + 1]])
 
+    # each row is solved in Python floats over its own entries, summed in
+    # order; A itself is not copied to lists, which would cost its memory
     rows, cols = [], []
     for r, j, a in reversed(pairs):
-        start, end = problem.A.indptr[r], problem.A.indptr[r + 1]
-        row_cols, row_vals = problem.A.indices[start:end], problem.A.data[start:end]
-        others = row_cols != j
-        xj = (problem.rhs[r] - np.dot(row_vals[others], x[row_cols[others]])) / a
-        if problem.lower[j] <= xj <= problem.upper[j]:
+        start, end = A.indptr[r], A.indptr[r + 1]
+        dot = 0.0
+        for k, v in zip(A.indices[start:end].tolist(), A.data[start:end].tolist()):
+            if k != j:
+                dot += v * x.item(k)
+        xj = (problem.rhs.item(r) - dot) / a
+        if problem.lower.item(j) <= xj <= problem.upper.item(j):
             x[j] = xj
             rows.append(r)
             cols.append(j)
@@ -221,8 +247,8 @@ def _named_start(problem: LpProblem, start: LpBasis) -> tuple | None:
     """The basic set ``start`` names in ``problem``, or None when a name is
     unknown or repeated or the basic count is not one per row. Its basic
     structural columns take the places of its ``tight`` rows."""
-    col = {name: j for j, name in enumerate(problem.col_names)}
-    row = {name: i for i, name in enumerate(problem.row_names)}
+    col = dict(zip(problem.col_names, range(problem.n_vars)))
+    row = dict(zip(problem.row_names, range(problem.n_rows)))
     try:
         cols = np.array([col[name] for name in start.basic], dtype=np.int64)
         rows = np.array([row[name] for name in start.tight], dtype=np.int64)
@@ -247,11 +273,19 @@ class _State:
     ``FEASIBILITY_TOL`` times ``b_scale``, else from the crash; ``warm``
     tells which.
 
+    Basic variables are kept by basis position: ``x_B[r]`` is the value of
+    column ``basis[r]``, ``c_B[r]`` its cost, and ``held_lo[r]``,
+    ``held_hi[r]`` the bounds the ratio test holds it to. ``x`` holds the
+    nonbasic values; during :meth:`optimize` its basic entries are stale,
+    and it holds the whole point again after a refactor and when
+    :meth:`optimize` returns. A nonbasic column is always held to its own
+    bounds. Beside ``vstat``, ``sign`` keeps each column's ``_PRICE_SIGN``
+    and ``free`` marks the nonbasic free columns, so pricing is one pass.
+
     ``infeas`` holds phase 1's costs by basis position: -1 where x_B lies
-    below its lower bound, +1 above its upper, else 0. The ratio test reads
-    ``held_lo`` and ``held_hi``, the columns' bounds except that it holds an
-    infeasible basic to (-inf, lo] or [hi, inf): it stops only at the bound
-    it violates, and is then released, feasible from then on."""
+    below its lower bound, +1 above its upper, else 0. An infeasible basic
+    is held to (-inf, lo] or [hi, inf): the ratio test stops it only at the
+    bound it violates, and it is then released, feasible from then on."""
 
     def __init__(self, problem: LpProblem, start: LpBasis | None = None):
         self.warm = False
@@ -268,6 +302,8 @@ class _State:
             self.factor.refactor(self.basis)
             self._hold_infeasible()
             self._seat_free_columns(problem)
+        self.sign = _PRICE_SIGN[self.vstat]
+        self.free = self.vstat == FREE
 
     def _build(self, problem: LpProblem, start: tuple) -> None:
         """The state from ``start`` = (x, vstat, rows, cols) over the
@@ -287,7 +323,16 @@ class _State:
         self.basis = n + np.arange(m)
         self.basis[rows] = cols
 
-        self.A = sp.hstack([problem.A.tocsc(), sp.identity(m, format="csc")], format="csc")
+        # [A | I], its logical block appended to A's CSC arrays
+        A = problem.A.tocsc()
+        self.A = sp.csc_matrix(
+            (
+                np.concatenate([A.data, np.ones(m)]),
+                np.concatenate([A.indices, np.arange(m, dtype=A.indices.dtype)]),
+                np.concatenate([A.indptr, A.indptr[-1] + np.arange(1, m + 1, dtype=A.indptr.dtype)]),
+            ),
+            shape=(m, n + m),
+        )
         self.At = self.A.T.tocsr()
         self.b = problem.rhs
         self.lo = np.concatenate([problem.lower, lo])
@@ -295,8 +340,10 @@ class _State:
         self.x = np.concatenate([x_struct, x_logical])
         self.vstat = np.concatenate([vstat_struct, vstat_logical]).astype(np.int64)
         self.c = np.concatenate([c, np.zeros(m)])
-        self.held_lo, self.held_hi = self.lo.copy(), self.hi.copy()
+        self.x_B, self.c_B = self.x[self.basis], self.c[self.basis]
+        self.held_lo, self.held_hi = self.lo[self.basis], self.hi[self.basis]
         self.infeas = np.zeros(m)
+        self.viol = np.empty(n + m)  # _choose_entering's buffer
 
         self.factor = _BasisFactor(self.A)
         self.iterations = 0
@@ -315,15 +362,14 @@ class _State:
         return bool(np.max(self._infeasibility(), initial=0.0) <= FEASIBILITY_TOL * self.b_scale)
 
     def _hold_infeasible(self) -> None:
-        """Set ``infeas`` and the held bounds from x_B, in place; x_B within
-        1e-11 times ``b_scale`` of its bounds counts as feasible."""
-        self._release(np.flatnonzero(self.infeas))
-        j, tol = self.basis, 1e-11 * self.b_scale
-        below, above = self.x[j] < self.lo[j] - tol, self.x[j] > self.hi[j] + tol
+        """Set ``infeas`` and the held bounds from x_B; x_B within 1e-11
+        times ``b_scale`` of its bounds counts as feasible."""
+        lo, hi, tol = self.lo[self.basis], self.hi[self.basis], 1e-11 * self.b_scale
+        below, above = self.x_B < lo - tol, self.x_B > hi + tol
+        self.infeas[:] = 0.0
         self.infeas[below], self.infeas[above] = -1.0, 1.0
-        jb, ja = j[below], j[above]
-        self.held_lo[jb], self.held_hi[jb] = -np.inf, self.lo[jb]
-        self.held_lo[ja], self.held_hi[ja] = self.hi[ja], np.inf
+        self.held_lo = np.where(below, -np.inf, np.where(above, hi, lo))
+        self.held_hi = np.where(below, lo, np.where(above, np.inf, hi))
 
     def _release(self, rows: np.ndarray) -> None:
         """Release the infeasible basics in positions ``rows``, which a step
@@ -332,14 +378,14 @@ class _State:
         for r in rows.tolist():
             if self.infeas[r]:
                 j = self.basis[r]
-                self.held_lo[j], self.held_hi[j] = self.lo[j], self.hi[j]
+                self.held_lo[r], self.held_hi[r] = self.lo[j], self.hi[j]
                 self.infeas[r] = 0.0
 
     def _infeasibility(self) -> np.ndarray:
         """How far each infeasible basic lies past the bound it violates."""
         k = np.flatnonzero(self.infeas)
         s, j = self.infeas[k], self.basis[k]
-        return s * (self.x[j] - np.where(s < 0.0, self.lo[j], self.hi[j]))
+        return s * (self.x_B[k] - np.where(s < 0.0, self.lo[j], self.hi[j]))
 
     def _seat_free_columns(self, problem: LpProblem) -> None:
         """Seat the free columns that a zero slack blocks (Bixby 1992; Maros
@@ -375,7 +421,7 @@ class _State:
         holders = np.bincount(r[(free | (self.vstat[:n] == BASIC))[j]], minlength=m)
         # the crash keeps a basic logical in its own row's place; side[r] is +1
         # where a zero slack stops the row's activity rising, -1 where falling
-        at_zero = (self.basis >= n) & (self.x[self.basis] == 0.0)
+        at_zero = (self.basis >= n) & (self.x_B == 0.0)
         seat = (
             cand[j]
             & at_zero[r]
@@ -392,28 +438,32 @@ class _State:
         self.vstat[self.basis[rows]] = np.where(self.side[rows] > 0.0, AT_LOWER, AT_UPPER)
         self.vstat[cols] = BASIC
         self.basis[rows] = cols
+        # each takes its slack's place at the same value, 0, feasible
+        self.x_B[rows], self.c_B[rows] = self.x[cols], self.c[cols]
+        self.held_lo[rows], self.held_hi[rows] = self.lo[cols], self.hi[cols]
         self.factor.refactor(self.basis)
 
     def final_basis(self, problem: LpProblem) -> LpBasis:
         """The current basis by name: a row is tight when its logical is
         nonbasic."""
         n = self.n
-        names = problem.col_names
+        cols, rows = problem.col_names, problem.row_names
         return LpBasis(
-            basic=tuple(names[j] for j in np.flatnonzero(self.vstat[:n] == BASIC)),
-            tight=tuple(problem.row_names[i] for i in np.flatnonzero(self.vstat[n:] != BASIC)),
-            at_upper=tuple(names[j] for j in np.flatnonzero(self.vstat[:n] == AT_UPPER)),
+            basic=tuple([cols[j] for j in np.flatnonzero(self.vstat[:n] == BASIC).tolist()]),
+            tight=tuple([rows[i] for i in np.flatnonzero(self.vstat[n:] != BASIC).tolist()]),
+            at_upper=tuple([cols[j] for j in np.flatnonzero(self.vstat[:n] == AT_UPPER).tolist()]),
         )
 
     # -- basis maintenance -------------------------------------------------
 
     def _refactor(self) -> None:
         """Factor the basis and set x_B = B^-1 (b - N x_N), and in phase 1
-        the signs of its infeasibilities."""
+        the signs of its infeasibilities; ``x`` then holds the whole point."""
         self.factor.refactor(self.basis)
         xc = self.x.copy()
         xc[self.basis] = 0.0
-        self.x[self.basis] = self.factor.ftran(self.b - self.A @ xc)
+        self.x_B = self.factor.ftran(self.b - self.A @ xc)
+        self.x[self.basis] = self.x_B
         if self.infeas.any():
             self._hold_infeasible()
 
@@ -424,7 +474,8 @@ class _State:
             # phase 1 costs only the infeasible basics, by their signs
             d = self.At @ self.factor.btran(self.infeas)
             return np.negative(d, out=d)
-        return self.c - self.At @ self.factor.btran(self.c[self.basis])
+        d = self.At @ self.factor.btran(self.c_B)
+        return np.subtract(self.c, d, out=d)
 
     def _optimality_tol(self, phase: int) -> float:
         """Reduced costs within this count as optimal for the phase's costs."""
@@ -432,18 +483,25 @@ class _State:
         return OPTIMALITY_TOL * (1.0 + float(np.max(np.abs(c))))
 
     def _choose_entering(self, d: np.ndarray, bland: bool, otol: float) -> int:
-        # a free column moves whichever way improves the objective
-        viol = np.where(self.vstat == FREE, np.abs(d), _PRICE_SIGN[self.vstat] * d)
-        eligible = viol > otol
-        if not np.any(eligible):
-            return -1
+        # the rate at which each column improves the objective as it leaves
+        # its bound; a free column moves whichever way improves it
+        viol = np.multiply(self.sign, d, out=self.viol)
+        np.absolute(d, out=viol, where=self.free)
         if bland:
-            return int(np.flatnonzero(eligible)[0])
-        return int(np.argmax(viol))
+            eligible = np.flatnonzero(viol > otol)
+            return int(eligible[0]) if len(eligible) else -1
+        q = int(viol.argmax())
+        return q if viol.item(q) > otol else -1
 
     # -- main loop ---------------------------------------------------------
 
     def optimize(self, phase: int) -> str:
+        try:
+            return self._iterate(phase)
+        finally:
+            self.x[self.basis] = self.x_B
+
+    def _iterate(self, phase: int) -> str:
         otol = self._optimality_tol(phase)
         # steps of length zero in a row; each leaves the objective unchanged
         stall = 0
@@ -465,21 +523,22 @@ class _State:
                     self._release(np.flatnonzero(self.infeas))
                 return "optimal"
             # an eligible q at its lower bound has d[q] < 0, at its upper d[q] > 0
-            direction = -1.0 if d[q] > 0 else 1.0
+            direction = -1.0 if d.item(q) > 0 else 1.0
 
             w = self.factor.ftran(self.factor.column(q))
 
             # ratio test over the basics that move plus the entering bound
-            # flip; only rows with |w| > PIVOT_TOL get a finite ratio
-            moving = np.flatnonzero(np.abs(w) > PIVOT_TOL)
-            delta = -direction * w[moving]
-            basics = self.basis[moving]
-            xb = self.x[basics]
-            room = np.where(delta < 0.0, xb - self.held_lo[basics], self.held_hi[basics] - xb)
-            t_cand = np.maximum(room, 0.0) / np.abs(delta)
+            # flip; only rows with |w| > PIVOT_TOL get a finite ratio. x_B[r]
+            # moves by -direction w[r], so it falls where w[r] and direction agree
+            abs_w = np.abs(w)
+            falls = w > 0.0 if direction > 0.0 else w < 0.0
+            t_cand = np.where(falls, self.x_B - self.held_lo, self.held_hi - self.x_B)
+            np.maximum(t_cand, 0.0, out=t_cand)
+            t_cand[abs_w <= PIVOT_TOL] = np.inf
+            t_cand /= abs_w  # inf / 0 is inf, with no warning
 
-            t_min = float(np.min(t_cand, initial=np.inf))
-            t_flip = self.hi[q] - self.lo[q]  # inf unless both bounds are finite
+            t_min = float(t_cand[t_cand.argmin()])
+            t_flip = self.hi.item(q) - self.lo.item(q)  # inf unless both bounds are finite
             t = min(t_flip, t_min)
             if t == np.inf:
                 if phase == 2:
@@ -489,9 +548,9 @@ class _State:
                 )
 
             # one step: x_B moves by t; q then flips, or replaces the column that stops it
-            self.x[self.basis] -= t * direction * w
+            self.x_B -= t * direction * w
             # the basics the step takes to the bound that holds them
-            reached = moving[t_cand <= t + 1e-9 * (1.0 + t)]
+            reached = (t_cand <= t + 1e-9 * (1.0 + t)).nonzero()[0]
             if t_flip <= t_min:
                 self._to_bound(q, upper=direction > 0.0)
                 if phase == 1:
@@ -501,13 +560,13 @@ class _State:
                 if bland:
                     r = int(reached[np.argmin(self.basis[reached])])
                 else:
-                    r = int(reached[np.argmax(np.abs(w[reached]))])
+                    r = int(reached[np.argmax(abs_w[reached])])
                 # x_B[r] falls to its lower bound as w[r] and direction agree;
                 # an infeasible one leaves at the bound it violated instead
-                upper = (direction * w[r] < 0.0) != bool(self.infeas[r])
+                upper = (direction * w.item(r) < 0.0) != bool(self.infeas.item(r))
                 if phase == 1:
                     self._release(reached)
-                self._to_bound(self.basis[r], upper=upper)
+                self._to_bound(self.basis.item(r), upper=upper)
                 self.x[q] += t * direction
                 self._pivot(q, r, w)
             self.iterations += 1
@@ -517,15 +576,19 @@ class _State:
     def _to_bound(self, j: int, upper: bool) -> None:
         """Make column j nonbasic at its upper bound if ``upper``, else at its
         lower; FIXED when the two are equal."""
-        lo, hi = self.lo[j], self.hi[j]
+        lo, hi = self.lo.item(j), self.hi.item(j)
         upper = upper and lo < hi
         self.x[j] = hi if upper else lo
-        self.vstat[j] = AT_UPPER if upper else FIXED if lo == hi else AT_LOWER
+        status = AT_UPPER if upper else FIXED if lo == hi else AT_LOWER
+        self.vstat[j], self.sign[j], self.free[j] = status, _PRICE_SIGN[status], False
 
     def _pivot(self, q: int, r: int, w: np.ndarray) -> None:
-        """Column q replaces the basic column of row r; w = B^-1 a_q."""
-        self.vstat[q] = BASIC
+        """Column q replaces the basic column of row r at its value in ``x``;
+        w = B^-1 a_q."""
+        self.vstat[q], self.sign[q], self.free[q] = BASIC, 0.0, False
         self.basis[r] = q
+        self.x_B[r], self.c_B[r] = self.x[q], self.c[q]
+        self.held_lo[r], self.held_hi[r] = self.lo[q], self.hi[q]
         self.factor.push_eta(r, w)
         if self.factor.n_etas >= REFACTOR_INTERVAL:
             self._refactor()

@@ -445,6 +445,14 @@ def test_dispatch_csv_round_trip(tmp_path):
     assert back["steps"].tolist() == sol.steps.tolist()
     for name, values in series.items():
         assert back[name].tolist() == [float(f"{v:.12g}") for v in values], name
+    # the text too: -0 and 0 parse to equal floats, and so do other spellings
+    lines = path.read_bytes().decode("utf-8").splitlines()
+    assert lines[0] == ",".join(DISPATCH_COLUMNS)
+    cells = [line.split(",") for line in lines[1:]]
+    assert [row[0] for row in cells] == [str(s) for s in sol.steps.tolist()]
+    for k, (name, values) in enumerate(series.items(), start=1):
+        assert [row[k] for row in cells] == [f"{v:.12g}" for v in values], name
+    assert cells[0][5:6] == ["0"] and cells[1][5:6] == ["-0"] and cells[2][5] == "0.333333333333"
 
 
 class TestExportMps:
